@@ -170,7 +170,7 @@ def _run_experiment(args, model: str) -> int:
 
 
 def cmd_check_inequalities(args) -> int:
-    rows = experiments.run_inequalities(seed=args.seed or 0)
+    rows = experiments.run_inequalities(seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "inequalities.csv")
     with open(path, "w") as fh:
@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-inequalities", help="Anderson/decentering/tail battery")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="inequalities_out")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_check_inequalities)
     return parser
 

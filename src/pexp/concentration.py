@@ -25,7 +25,7 @@ from scipy import special
 
 from . import univariate
 from .measure import PExpMeasure, WaveletBasis
-from .sequences import ScalingSpec, coef_values
+from .sequences import ScalingSpec, coef_values, loglog_fit
 
 
 class ZeroHitsError(RuntimeError):
@@ -473,13 +473,7 @@ def smallball_sup_nodes(m: PExpMeasure, eps, cells: int = 101):
 
 def smallball_slope(estimates) -> tuple[float, float]:
     """OLS slope of log(-log p) against log(eps) with its standard error."""
-    x = np.log([e.eps for e in estimates])
-    y = np.log([e.neglog for e in estimates])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    dof = max(len(x) - 2, 1)
-    se = math.sqrt(float(resid @ resid) / dof / float(((x - x.mean()) ** 2).sum()))
-    return float(slope), se
+    return loglog_fit([e.eps for e in estimates], [e.neglog for e in estimates])
 
 
 def concentration_fn(
@@ -499,7 +493,7 @@ def concentration_fn(
     under the unit-scaling measure.
     """
     lam = m.spec.lam
-    unit = PExpMeasure(m.params, m.spec.unit())
+    unit = PExpMeasure(m.spec.unit())
     value, argmin = inf_term_exact(w, eps, unit.spec)
     value *= lam ** (-m.spec.p)
     sb = smallball_mc(unit, eps / lam, norm, mc_samples, rng, basis)

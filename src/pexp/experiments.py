@@ -20,6 +20,7 @@ import numpy as np
 from . import measure, models, rates, univariate
 from .measure import WaveletBasis, pexp_measure
 from .sequences import BesovParams, CoefVec, ScalingSpec, load_coefvec, make_truth
+from .sequences import dyadic_level_index, loglog_fit
 
 
 @dataclass(frozen=True)
@@ -152,23 +153,13 @@ class ExperimentResult:
             self.config_sha = config_hash(self.config)
 
 
-def _ols_loglog(ns, values) -> tuple[float, float]:
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    dof = max(len(x) - 2, 1)
-    se = math.sqrt(float(resid @ resid) / dof / float(((x - x.mean()) ** 2).sum()))
-    return float(slope), se
-
-
 def fit_slope(ns, values) -> tuple[float, float]:
     """OLS slope of log(value) against log(n) with residual standard error."""
     if len(list(ns)) < 4:
         raise ValueError("slope fit needs at least 4 rows")
     if (np.asarray(values, dtype=float) <= 0).any():
         raise ValueError("slope fit requires positive values")
-    return _ols_loglog(ns, values)
+    return loglog_fit(ns, values)
 
 
 def theory_exponent(cfg: ExperimentConfig) -> float:
@@ -207,7 +198,7 @@ def _de_truth(cfg: ExperimentConfig) -> CoefVec:
     if cfg.truth_file:
         return load_coefvec(cfg.truth_file)
     K = cfg.levels
-    ks = np.concatenate([np.full(2**k, k) for k in range(K + 1)])
+    ks = dyadic_level_index(K)
     mags = 2.0 ** (-(0.5 + cfg.beta) * ks)
     rng = np.random.default_rng(
         cfg.truth_signs_seed if cfg.truth_signs_seed is not None else cfg.master_seed
@@ -216,15 +207,16 @@ def _de_truth(cfg: ExperimentConfig) -> CoefVec:
     return CoefVec.dyadic(mags * signs, K)
 
 
-def _quantile_ci(samples: np.ndarray, q: float = 0.9, z: float = 1.959963984540054):
-    """Order-statistic normal-approximation CI for a sample quantile."""
-    s = np.sort(samples)
-    n = len(s)
-    k = q * (n - 1)
-    half = z * math.sqrt(n * q * (1 - q))
-    lo = int(np.clip(math.floor(k - half), 0, n - 1))
-    hi = int(np.clip(math.ceil(k + half), 0, n - 1))
-    return float(s[lo]), float(s[hi])
+def _row(n: int, rep: int, errors: np.ndarray, q: float = 0.9) -> ExperimentRow:
+    """Median and q-quantile of a cell's per-draw errors, with the quantile's
+    order-statistic normal-approximation 95% CI."""
+    s = np.sort(errors)
+    k = q * (len(s) - 1)
+    half = 1.959963984540054 * math.sqrt(len(s) * q * (1 - q))
+    lo = int(np.clip(math.floor(k - half), 0, len(s) - 1))
+    hi = int(np.clip(math.ceil(k + half), 0, len(s) - 1))
+    median, qq = float(np.median(errors)), float(np.quantile(errors, q))
+    return ExperimentRow(n, rep, median, qq, float(s[lo]), float(s[hi]))
 
 
 def _wn_cell(cfg: ExperimentConfig, truth: CoefVec, i_n: int, rep: int) -> ExperimentRow:
@@ -239,34 +231,25 @@ def _wn_cell(cfg: ExperimentConfig, truth: CoefVec, i_n: int, rep: int) -> Exper
         w_model = np.concatenate([w_model, np.zeros(N - len(w_model))])
     data = models.wn_simulate(w_model, n, rng)
     chain = models.wn_posterior_sample(data, m, cfg.posterior_draws, rng)
-    radii = models.wn_error_radii(chain, truth)
-    lo, hi = _quantile_ci(radii)
-    return ExperimentRow(
-        n, rep, float(np.median(radii)), float(np.quantile(radii, 0.9)), lo, hi
-    )
+    return _row(n, rep, models.wn_error_radii(chain, truth))
 
 
 def _de_cell(cfg: ExperimentConfig, truth: CoefVec, i_n: int, rep: int) -> ExperimentRow:
     n = cfg.n_grid[i_n]
     rng = np.random.default_rng((cfg.master_seed, i_n, rep))
     basis = WaveletBasis(cfg.levels)
-    spec = ScalingSpec(cfg.p, cfg.alpha, cfg.d, 1.0, "dyadic", levels=cfg.levels)
-    m = pexp_measure(spec)
-    grid = np.linspace(0.0, 1.0, 2**12 + 1)
-    pi0 = models.de_density(truth, basis, grid)
+    m = pexp_measure(ScalingSpec(cfg.p, cfg.alpha, cfg.d, 1.0, "dyadic", levels=cfg.levels))
+    pi0 = models.de_density(truth, basis)
     sample = models.de_simulate(truth, basis, n, rng)
     ccfg = models.ChainConfig(
         draws=cfg.posterior_draws, burn_in=cfg.burn_in, thin=cfg.thin
     )
     chain = models.de_posterior_mcmc(sample, m, basis, ccfg, rng)
-    dists = np.empty(len(chain.xi))
-    for i, xi in enumerate(chain.xi):
-        u = CoefVec.dyadic(xi * spec.gamma(), cfg.levels)
-        dists[i] = models.hellinger(models.de_density(u, basis, grid), pi0, grid)
-    lo, hi = _quantile_ci(dists)
-    return ExperimentRow(
-        n, rep, float(np.median(dists)), float(np.quantile(dists, 0.9)), lo, hi
-    )
+    dists = [
+        models.hellinger(models.de_density(CoefVec.dyadic(u, cfg.levels), basis), pi0)
+        for u in chain.u
+    ]
+    return _row(n, rep, np.array(dists))
 
 
 class ExperimentError(RuntimeError):
@@ -279,7 +262,11 @@ class ExperimentError(RuntimeError):
 
 def run_contraction(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Sweep n and replicates, fit the q90-radius slope, compare to theory."""
-    threads = int(os.environ.get("PEXP_THREADS", threads))
+    env = os.environ.get("PEXP_THREADS")
+    if env is not None:
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError(f"PEXP_THREADS must be an integer >= 1, got {env!r}")
+        threads = int(env)
     truth = _wn_truth(cfg) if cfg.model == "white-noise" else _de_truth(cfg)
     cell = _wn_cell if cfg.model == "white-noise" else _de_cell
     jobs = [(i, r) for i in range(len(cfg.n_grid)) for r in range(cfg.replicates)]
@@ -307,7 +294,7 @@ def run_contraction(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult
     med_q90 = [
         float(np.median([r.q90 for r in rows if r.n == n])) for n in cfg.n_grid
     ]
-    slope, se = _ols_loglog(cfg.n_grid, med_q90)
+    slope, se = loglog_fit(cfg.n_grid, med_q90)
     theory = theory_exponent(cfg)
     if se > cfg.slope_tol:
         verdict = "UNDERPOWERED"

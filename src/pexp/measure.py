@@ -16,20 +16,21 @@ import numpy as np
 
 from . import univariate
 from .sequences import BesovParams, CoefVec, ScalingSpec, besov_weights, z_norm_p
+from .sequences import loglog_fit
 
 
 @dataclass(frozen=True)
 class PExpMeasure:
-    params: univariate.PExpParams
     spec: ScalingSpec
 
-    def __post_init__(self):
-        if self.params.p != self.spec.p:
-            raise ValueError("params.p and spec.p must agree")
+    @property
+    def params(self) -> univariate.PExpParams:
+        """The coordinate law of xi, fixed by spec.p."""
+        return univariate.PExpParams(self.spec.p)
 
 
 def pexp_measure(spec: ScalingSpec) -> PExpMeasure:
-    return PExpMeasure(univariate.PExpParams(spec.p), spec)
+    return PExpMeasure(spec)
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def regularity_scan(
     rows = []
     for i, s in enumerate(s_grid):
         med = np.median(norms[:, i, :], axis=0)
-        slope = np.polyfit(np.log(truncations), np.log(med), 1)[0]
+        slope = loglog_fit(truncations, med)[0]
         last_inc = med[-1] / med[-2] - 1.0
         if slope > slope_threshold:
             verdict = "DIVERGING"

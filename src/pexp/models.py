@@ -4,12 +4,14 @@ estimation on [0, 1].
 White noise observations are y_ell = w0_ell + n^{-1/2} z_ell; the posterior
 under a p-exponential prior factorizes over coordinates, so it is sampled
 exactly (conjugate formulas at p = 2, grid inverse-CDF otherwise).  The
-density model exponentiates a wavelet expansion and uses adaptive
+density model exponentiates a Faber-Schauder expansion, which is linear
+between dyadic nodes so that its normalizer is exact, and uses adaptive
 random-walk Metropolis in whitened coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,41 +197,55 @@ def wn_error_stats(chain: PosteriorChain, w0) -> tuple[float, float]:
     return float(np.median(radii)), float(np.quantile(radii, 0.9))
 
 
-def de_density(u: CoefVec, basis: WaveletBasis, grid) -> np.ndarray:
-    """Normalized density exp(W)/int exp(W) on the grid, W the wavelet expansion."""
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 2 ** (basis.levels + 2):
-        raise ValueError("density grid too coarse for the basis resolution")
-    W = evaluate_function(u, basis, grid)
-    W = W - W.max()
-    dens = np.exp(W)
-    Z = np.trapezoid(dens, grid)
-    return dens / Z
+def _log_int_exp(W: np.ndarray) -> tuple[float, np.ndarray]:
+    """log int_0^1 e^w for w linear between equally spaced node values W, and
+    each node segment's share of that integral.  A segment of width h with end
+    values a, b holds h e^{max(a,b)} (1 - e^{-|b-a|}) / |b-a|, or h e^a if b = a."""
+    d = np.abs(np.diff(W))
+    top = np.maximum(W[:-1], W[1:])
+    mx = top.max()
+    shape = np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d > 0)
+    seg = np.exp(top - mx) * shape
+    total = seg.sum()
+    return mx + math.log(total / len(d)), seg / total
+
+
+def de_density(u: CoefVec, basis: WaveletBasis) -> np.ndarray:
+    """exp(W) / int exp(W) at ``basis.node_grid()``, exactly normalized; the
+    log-density is linear between the nodes, so these values define it."""
+    W = evaluate_function(u, basis, basis.node_grid())
+    return np.exp(W - _log_int_exp(W)[0])
 
 
 def de_simulate(
-    w0: CoefVec, basis: WaveletBasis, n: int, rng: np.random.Generator, grid_size: int = 2**12
+    w0: CoefVec, basis: WaveletBasis, n: int, rng: np.random.Generator
 ) -> DensitySample:
-    """Inverse-CDF sampling from the truth density on a uniform grid."""
+    """Exact inverse-CDF sampling from the truth: a node segment by its mass,
+    then the closed-form inverse of the segment CDF (e^{st} - 1) / (e^s - 1)."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    grid = np.linspace(0.0, 1.0, grid_size + 1)
-    dens = de_density(w0, basis, grid)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-    cdf /= cdf[-1]
+    nodes = basis.node_grid()
+    W = evaluate_function(w0, basis, nodes)
+    mass = _log_int_exp(W)[1]
+    cdf = np.cumsum(mass)
     u = rng.random(n)
-    pos = np.clip(np.searchsorted(cdf, u), 1, grid_size)
-    frac = (u - cdf[pos - 1]) / np.maximum(cdf[pos] - cdf[pos - 1], 1e-300)
-    return DensitySample(grid[pos - 1] + frac * (grid[pos] - grid[pos - 1]), n)
+    pos = np.minimum(np.searchsorted(cdf, u, side="right"), len(mass) - 1)
+    v = np.clip((u - cdf[pos] + mass[pos]) / mass[pos], 0.0, 1.0)
+    s = np.diff(W)[pos]
+    t = np.divide(np.log1p(v * np.expm1(s)), s, out=v.copy(), where=s != 0.0)
+    return DensitySample(nodes[pos] + np.clip(t, 0.0, 1.0) * nodes[1], n)
 
 
-def hellinger(p1, p2, grid) -> float:
-    """Hellinger distance sqrt(int (sqrt(p1) - sqrt(p2))^2) by trapezoid rule."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    if (p1 < 0).any() or (p2 < 0).any():
-        raise ValueError("densities must be nonnegative")
-    return float(np.sqrt(np.trapezoid((np.sqrt(p1) - np.sqrt(p2)) ** 2, grid)))
+def hellinger(p1, p2) -> float:
+    """Hellinger distance between two densities given at the same nodes, as
+    ``de_density`` returns them.  With l = log p and I = log int exp, the
+    affinity A has log A = I((l1 + l2) / 2) - (I(l1) + I(l2)) / 2 (which also
+    normalizes both inputs), and H^2 = 2 - 2A."""
+    if not (np.all(np.greater(p1, 0.0)) and np.all(np.greater(p2, 0.0))):
+        raise ValueError("densities must be positive")
+    l1, l2 = np.log(p1), np.log(p2)
+    i1, i2, i12 = (_log_int_exp(w)[0] for w in (l1, l2, (l1 + l2) / 2.0))
+    return math.sqrt(max(0.0, -2.0 * math.expm1(i12 - (i1 + i2) / 2.0)))
 
 
 def de_posterior_mcmc(
@@ -238,14 +254,13 @@ def de_posterior_mcmc(
     basis: WaveletBasis,
     cfg: ChainConfig,
     rng: np.random.Generator,
-    grid_size: int = 2**12,
 ) -> PosteriorChain:
     """Adaptive random-walk Metropolis on whitened coefficients.
 
     Proposals update one resolution level at a time; each level's scale is
     adapted toward the 0.234 acceptance target during burn-in and then
     frozen.  The log-posterior is sum_i log pi(X_i) - sum |xi|^p / p with the
-    normalizer computed by trapezoid quadrature on a fixed uniform grid.
+    normalizer computed exactly from W on the basis node grid.
     """
     if m.spec.scheme != "dyadic":
         raise ValueError("density model requires a dyadic spec")
@@ -254,27 +269,16 @@ def de_posterior_mcmc(
         raise ValueError("spec levels exceed basis levels")
     p = m.spec.p
     gamma = m.spec.gamma()
-    ncoef = m.spec.size
     X = np.asarray(sample.points, dtype=float)
-    grid = np.linspace(0.0, 1.0, grid_size + 1)
-    gathers_grid = basis.gather(grid)[: K + 1]
+    nodes = basis.node_grid()
+    gathers_grid = basis.gather(nodes)[: K + 1]
     gathers_X = basis.gather(X)[: K + 1]
     level_slices = [slice(2**k - 1, 2 ** (k + 1) - 1) for k in range(K + 1)]
 
-    def log_norm(Wg):
-        mx = Wg.max()
-        return mx + np.log(np.trapezoid(np.exp(Wg - mx), grid))
-
-    def prior_neglog(xi_vec):
-        return float(np.sum(np.abs(xi_vec) ** p) / p)
-
-    xi = np.zeros(ncoef)
-    Wg = np.zeros(grid_size + 1)
+    xi = np.zeros(m.spec.size)
+    Wg = np.zeros(len(nodes))
     Wx = np.zeros(len(X))
-    lZ = log_norm(Wg)
-    lpost = Wx.sum() - len(X) * lZ - prior_neglog(xi)
-    if not np.isfinite(lpost):
-        raise FloatingPointError("non-finite initial log-posterior")
+    lpost = 0.0  # at xi = 0, W = 0 and log Z = 0: every term vanishes
 
     scales = np.full(K + 1, cfg.init_scale)
     acc = np.zeros(K + 1)
@@ -292,15 +296,15 @@ def de_posterior_mcmc(
             xidx, xval = gathers_X[k]
             Wg2 = Wg + du[gidx - (2**k - 1)] * gval
             Wx2 = Wx + du[xidx - (2**k - 1)] * xval
-            lZ2 = log_norm(Wg2)
             xi2 = xi.copy()
             xi2[sl] += step
-            lpost2 = Wx2.sum() - len(X) * lZ2 - prior_neglog(xi2)
+            prior = float(np.sum(np.abs(xi2) ** p) / p)
+            lpost2 = Wx2.sum() - len(X) * _log_int_exp(Wg2)[0] - prior
             if not np.isfinite(lpost2):
                 raise FloatingPointError(f"non-finite log-posterior at level {k}")
             accept = np.log(rng.random()) < lpost2 - lpost
             if accept:
-                xi, Wg, Wx, lZ, lpost = xi2, Wg2, Wx2, lZ2, lpost2
+                xi, Wg, Wx, lpost = xi2, Wg2, Wx2, lpost2
             tries[k] += 1
             acc[k] += accept
             if it >= cfg.burn_in:

@@ -12,9 +12,24 @@ Sequences are stored as finite numpy arrays in one of two index schemes:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+
+def dyadic_level_index(levels: int) -> np.ndarray:
+    """Level k of each entry of a level-ordered dyadic vector, k = 0..levels."""
+    return np.concatenate([np.full(2**k, k) for k in range(levels + 1)])
+
+
+def loglog_fit(x, y) -> tuple[float, float]:
+    """OLS slope of log(y) against log(x) with its residual standard error."""
+    lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    var = float(resid @ resid) / max(len(lx) - 2, 1)
+    return float(slope), math.sqrt(var / float(((lx - lx.mean()) ** 2).sum()))
 
 
 @dataclass(frozen=True)
@@ -76,7 +91,7 @@ class ScalingSpec:
         """Level k of each entry (dyadic scheme only)."""
         if self.scheme != "dyadic":
             raise ValueError("level_index is defined for the dyadic scheme")
-        return np.concatenate([np.full(2**k, k) for k in range(self.levels + 1)])
+        return dyadic_level_index(self.levels)
 
     def gamma(self) -> np.ndarray:
         if self.scheme == "linear":
@@ -132,9 +147,8 @@ class CoefVec:
         """(k, l) pairs of a dyadic vector, l = 1..2^k within level k."""
         if self.scheme != "dyadic":
             raise ValueError("kl_index is defined for the dyadic scheme")
-        ks = np.concatenate([np.full(2**k, k) for k in range(self.levels + 1)])
-        ls = np.concatenate([np.arange(1, 2**k + 1) for k in range(self.levels + 1)])
-        return ks, ls
+        ks = dyadic_level_index(self.levels)
+        return ks, np.arange(1, len(ks) + 1) - 2**ks + 1  # l = ell - 2^k + 1
 
 
 def dyadic_to_linear(k, l):

@@ -158,6 +158,14 @@ def test_threads_env_override(monkeypatch):
     assert [r.q90 for r in overridden.rows] == [r.q90 for r in base.rows]
 
 
+def test_threads_env_rejects_bad_values(monkeypatch):
+    cfg = small_wn_config(replicates=2, n_grid=[32, 64, 128, 256])
+    for bad in ("abc", "2.5", "", "0", "-3"):
+        monkeypatch.setenv("PEXP_THREADS", bad)
+        with pytest.raises(ValueError, match="PEXP_THREADS"):
+            run_contraction(cfg, threads=1)
+
+
 def test_run_contraction_thread_determinism():
     cfg = small_wn_config(replicates=3)
     r1 = run_contraction(cfg, threads=1)

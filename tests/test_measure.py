@@ -23,9 +23,10 @@ def lin_spec(p, alpha, n, lam=1.0):
     return ScalingSpec(p, alpha, 1, lam, "linear", n=n)
 
 
-def test_measure_requires_matching_p():
-    with pytest.raises(ValueError):
-        PExpMeasure(PExpParams(1.0), lin_spec(2.0, 1.0, 4))
+def test_measure_params_follow_spec():
+    m = PExpMeasure(lin_spec(1.5, 1.0, 4))
+    assert m.params == PExpParams(1.5)
+    assert PExpMeasure(m.spec.with_lam(3.0)).params == m.params
 
 
 def test_degenerate_lambda_rejected():

@@ -7,6 +7,7 @@ from scipy import stats
 from pexp.measure import WaveletBasis, pexp_measure
 from pexp.models import (
     ChainConfig,
+    _log_int_exp,
     de_density,
     de_posterior_mcmc,
     de_simulate,
@@ -24,7 +25,39 @@ def lin_spec(p, alpha, n, lam=1.0):
     return ScalingSpec(p, alpha, 1, lam, "linear", n=n)
 
 
-GRID = np.linspace(0.0, 1.0, 2**12 + 1)
+def trapezoid_mass(dens, cells):
+    """Trapezoid rule on `cells` equal cells for the density whose log is the
+    linear interpolant of log(dens) between equally spaced nodes."""
+    x = np.linspace(0.0, 1.0, cells + 1)
+    f = np.exp(np.interp(x, np.linspace(0.0, 1.0, len(dens)), np.log(dens)))
+    return (f.sum() - 0.5 * (f[0] + f[-1])) / cells
+
+
+def exact_cdf(dens):
+    """CDF of the node-grid density: on a node segment of width h the density is
+    p_a e^{s (x - x_a)} with s = (log p_b - log p_a) / h, so the segment holds
+    h (p_b - p_a) / (log p_b - log p_a), the logarithmic mean times h."""
+    h = 1.0 / (len(dens) - 1)
+    la = np.log(dens)
+    s = np.diff(la) / h
+    flat = np.abs(s) < 1e-12
+    seg = np.where(flat, h * dens[:-1], np.diff(dens) / np.where(flat, 1.0, s))
+    before = np.concatenate([[0.0], np.cumsum(seg)])
+
+    def F(x):
+        j = np.clip((np.asarray(x) / h).astype(int), 0, len(seg) - 1)
+        dx = np.asarray(x) - j * h
+        rate = np.where(flat[j], 1.0, s[j])
+        part = np.where(flat[j], dx, np.expm1(s[j] * dx) / rate)
+        return before[j] + dens[j] * part
+
+    return F, before[-1]
+
+
+def tilt(c, levels=6):
+    """Node values of the normalized density c e^{cx} / (e^c - 1)."""
+    x = WaveletBasis(levels).node_grid()
+    return np.exp(c * x) * c / math.expm1(c)
 
 
 # --- white noise ---------------------------------------------------------------
@@ -147,43 +180,42 @@ def test_wn_error_stats_pads_truth_tail():
 def test_de_density_uniform_for_zero_coefficients():
     basis = WaveletBasis(4)
     u = CoefVec.dyadic(np.zeros(31), 4)
-    dens = de_density(u, basis, GRID)
+    dens = de_density(u, basis)
+    assert dens.shape == (2**5 + 1,)
     np.testing.assert_allclose(dens, 1.0, atol=1e-12)
 
 
 def test_de_density_normalizes():
+    # a rough prior-scale draw against a fine trapezoid oracle: the gap
+    # shrinks at second order, 16x per 4x refinement, toward mass 1
     basis = WaveletBasis(6)
+    spec = ScalingSpec(1.0, 1.0, scheme="dyadic", levels=6)
     rng = np.random.default_rng(80)
-    u = CoefVec.dyadic(rng.normal(size=127) * 0.5, 6)
-    dens = de_density(u, basis, GRID)
-    assert np.all(dens >= 0)
-    assert np.trapezoid(dens, GRID) == pytest.approx(1.0, abs=1e-8)
+    u = CoefVec.dyadic(3.0 * spec.gamma() * rng.laplace(size=127), 6)
+    dens = de_density(u, basis)
+    assert np.all(dens > 0)
+    gaps = [abs(trapezoid_mass(dens, 2**j) - 1.0) for j in (10, 12, 14, 16)]
+    assert gaps[-1] < 1e-7
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 12.0 < coarse / fine < 20.0
 
 
-def test_de_density_grid_doubling_stable():
-    # prior-scale draw; W values on shared points are exact, so the pointwise
-    # ratio under grid doubling is the normalizer ratio
-    basis = WaveletBasis(5)
-    spec = ScalingSpec(1.5, 1.0, scheme="dyadic", levels=5)
-    rng = np.random.default_rng(81)
-    u = CoefVec.dyadic(spec.gamma() * rng.normal(size=63), 5)
-    g1 = np.linspace(0, 1, 2**12 + 1)
-    g2 = np.linspace(0, 1, 2**13 + 1)
-    d1 = de_density(u, basis, g1)
-    d2 = de_density(u, basis, g2)
-    np.testing.assert_allclose(d1, d2[::2], rtol=1e-6)
+def test_log_normalizer_matches_closed_form_for_tilts():
+    # int_0^1 e^{cx} = expm1(c) / c, including the flat limit c -> 0
+    x = WaveletBasis(6).node_grid()
+    for c in (0.0, 1e-12, 1e-6, 0.5, 3.0, -40.0, 700.0):
+        target = 0.0 if c == 0.0 else math.log(math.expm1(c) / c)
+        assert _log_int_exp(c * x)[0] == pytest.approx(target, rel=1e-12, abs=1e-15)
 
 
 def test_de_density_shift_invariance():
-    # adding a constant to W leaves the density unchanged
+    # adding a constant to W leaves the normalized density unchanged
     basis = WaveletBasis(4)
     rng = np.random.default_rng(82)
-    vals = rng.normal(size=31) * 0.5
-    u = CoefVec.dyadic(vals, 4)
-    d1 = de_density(u, basis, GRID)
-    shifted = np.exp(np.log(d1) + 2.7)
-    shifted /= np.trapezoid(shifted, GRID)
-    np.testing.assert_allclose(d1, shifted, rtol=1e-10)
+    u = CoefVec.dyadic(rng.normal(size=31) * 0.5, 4)
+    d1 = de_density(u, basis)
+    shifted = np.log(d1) + 2.7
+    np.testing.assert_allclose(np.exp(shifted - _log_int_exp(shifted)[0]), d1, rtol=1e-12)
 
 
 def test_de_simulate_uniform_mean_and_ks():
@@ -201,12 +233,10 @@ def test_de_simulate_nonuniform_ks_against_cdf():
     u = CoefVec.dyadic(rng.normal(size=63) * 0.4, 5)
     n = 10**5
     s = de_simulate(u, basis, n, np.random.default_rng(85))
-    dens = de_density(u, basis, GRID)
-    cdf_grid = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(GRID))]
-    )
-    cdf_grid /= cdf_grid[-1]
-    d = stats.kstest(s.points, lambda x: np.interp(x, GRID, cdf_grid)).statistic
+    F, total = exact_cdf(de_density(u, basis))
+    assert total == pytest.approx(1.0, abs=1e-12)
+    assert s.points.min() >= 0.0 and s.points.max() <= 1.0
+    d = stats.kstest(s.points, F).statistic
     assert d < 1.63 / math.sqrt(n)
 
 
@@ -263,12 +293,12 @@ def test_de_mcmc_posterior_mode_tracks_strong_data():
     vals = np.zeros(15)
     vals[0] = 0.8
     truth = CoefVec.dyadic(vals, 3)
-    pi0 = de_density(truth, basis, GRID)
+    pi0 = de_density(truth, basis)
     sample = de_simulate(truth, basis, 4000, np.random.default_rng(91))
     cfg = ChainConfig(draws=150, burn_in=800, thin=2)
     chain = de_posterior_mcmc(sample, m, basis, cfg, np.random.default_rng(92))
     post_mean = CoefVec.dyadic(chain.u.mean(axis=0), 3)
-    h = hellinger(de_density(post_mean, basis, GRID), pi0, GRID)
+    h = hellinger(de_density(post_mean, basis), pi0)
     assert h < 0.08
 
 
@@ -289,8 +319,8 @@ def test_de_mcmc_mean_matches_penalized_mle_oracle():
 
     def neg_logpost(xi):
         u = CoefVec.dyadic(gamma * xi, 3)
-        dens = de_density(u, basis, GRID)
-        at_x = np.interp(X, GRID, np.log(dens))
+        dens = de_density(u, basis)
+        at_x = np.interp(X, basis.node_grid(), np.log(dens))
         return -(at_x.sum() - 0.5 * (xi**2).sum())
 
     opt = minimize(neg_logpost, np.zeros(15), method="Nelder-Mead",
@@ -325,37 +355,51 @@ def test_wn_grid_sampler_widens_for_extreme_observations():
 
 
 def test_hellinger_identical_zero():
-    dens = np.full_like(GRID, 1.0)
-    assert hellinger(dens, dens, GRID) == 0.0
+    assert hellinger(np.ones(33), np.ones(33)) == 0.0
+    basis = WaveletBasis(4)
+    dens = de_density(CoefVec.dyadic(np.random.default_rng(92).normal(size=31), 4), basis)
+    assert hellinger(dens, dens) == 0.0
 
 
-def test_hellinger_disjoint_attains_sqrt2():
-    a = np.where(GRID < 0.5, 2.0, 0.0)
-    b = np.where(GRID >= 0.5, 2.0, 0.0)
-    assert hellinger(a, b, GRID) == pytest.approx(math.sqrt(2.0), rel=1e-3)
+def test_hellinger_separated_tilts_approach_sqrt2():
+    # e^{cx} against e^{-cx}: affinity (c/2) / sinh(c/2), so H -> sqrt(2)
+    hs = []
+    for c in (1.0, 5.0, 20.0, 80.0):
+        target = math.sqrt(2.0 - c / math.sinh(c / 2.0))
+        hs.append(hellinger(tilt(c), tilt(-c)))
+        assert hs[-1] == pytest.approx(target, rel=1e-10)
+    assert hs == sorted(hs)
+    assert hs[-1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
-def test_hellinger_uniform_vs_linear_closed_form():
-    # H^2 = 2 - 2 int sqrt(2x) dx = 2 - 4 sqrt(2)/3
-    a = np.ones_like(GRID)
-    b = 2.0 * GRID
-    target = math.sqrt(2.0 - 4.0 * math.sqrt(2.0) / 3.0)
-    assert hellinger(a, b, GRID) == pytest.approx(target, abs=1e-5)
+def test_hellinger_uniform_vs_exponential_closed_form():
+    # A = int sqrt(c e^{cx} / (e^c - 1)) dx = (2 / c) expm1(c / 2) sqrt(c / expm1(c))
+    for c in (0.5, 2.0, -3.0, 10.0):
+        affinity = 2.0 / c * math.expm1(c / 2.0) * math.sqrt(c / math.expm1(c))
+        target = math.sqrt(2.0 - 2.0 * affinity)
+        assert hellinger(np.ones(129), tilt(c)) == pytest.approx(target, rel=1e-10)
+        # both normalizers divide out, so the scale of either input is irrelevant
+        scaled = hellinger(np.full(129, 5.0), 0.2 * tilt(c))
+        assert scaled == pytest.approx(target, rel=1e-10)
 
 
 def test_hellinger_rejects_negative():
-    with pytest.raises(ValueError):
-        hellinger(-np.ones_like(GRID), np.ones_like(GRID), GRID)
+    for bad in (-np.ones(33), np.zeros(33), np.r_[np.ones(32), 0.0]):
+        with pytest.raises(ValueError):
+            hellinger(bad, np.ones(33))
+        with pytest.raises(ValueError):
+            hellinger(np.ones(33), bad)
 
 
 def test_hellinger_metric_properties():
     basis = WaveletBasis(4)
     rng = np.random.default_rng(93)
     ds = [
-        de_density(CoefVec.dyadic(rng.normal(size=31) * 0.4, 4), basis, GRID)
+        de_density(CoefVec.dyadic(rng.normal(size=31) * 0.4, 4), basis)
         for _ in range(3)
     ]
-    d01 = hellinger(ds[0], ds[1], GRID)
-    d10 = hellinger(ds[1], ds[0], GRID)
+    d01 = hellinger(ds[0], ds[1])
+    d10 = hellinger(ds[1], ds[0])
     assert d01 == d10  # symmetry exact
-    assert hellinger(ds[0], ds[2], GRID) <= d01 + hellinger(ds[1], ds[2], GRID) + 1e-12
+    assert 0.0 < d01 < math.sqrt(2.0)
+    assert hellinger(ds[0], ds[2]) <= d01 + hellinger(ds[1], ds[2]) + 1e-12

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from pexp.sequences import (
     BesovParams,
     CoefVec,
     ScalingSpec,
     besov_norm,
+    dyadic_level_index,
     dyadic_to_linear,
     embedding_check,
     load_coefvec,
+    loglog_fit,
     make_truth,
     q_norm,
     save_coefvec,
@@ -34,6 +37,24 @@ def test_dyadic_gamma_levels():
     assert len(g) == 15
     ks = spec.level_index()
     np.testing.assert_allclose(g, 2.0 ** (-1.5 * ks))
+
+
+def test_dyadic_level_index_counts():
+    ks = dyadic_level_index(4)
+    np.testing.assert_array_equal(np.bincount(ks), 2 ** np.arange(5))
+    assert np.all(np.diff(ks) >= 0)
+    spec = ScalingSpec(1.0, 1.0, scheme="dyadic", levels=4)
+    np.testing.assert_array_equal(spec.level_index(), ks)
+
+
+def test_loglog_fit_matches_linregress():
+    rng = np.random.default_rng(13)
+    x = 2.0 ** np.arange(3, 12)
+    y = x**-0.7 * np.exp(rng.normal(scale=0.1, size=len(x)))
+    slope, se = loglog_fit(x, y)
+    ref = stats.linregress(np.log(x), np.log(y))
+    assert slope == pytest.approx(ref.slope, rel=1e-12)
+    assert se == pytest.approx(ref.stderr, rel=1e-10)
 
 
 def test_coefvec_dyadic_length_checked():
