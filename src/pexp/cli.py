@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default="experiment_out")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="threads for white-noise cells; density cells run serially")
         sp.set_defaults(func=lambda a, m=model: _run_experiment(a, m))
 
     sp = sub.add_parser("check-inequalities", help="Anderson/decentering/tail battery")

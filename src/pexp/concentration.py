@@ -309,41 +309,17 @@ def _saddlepoint_theta(p: float, g2: np.ndarray, eps2: float) -> float:
     return math.exp(0.5 * (lo + hi))
 
 
-def _laplace_tilt_round(a: np.ndarray, rng: np.random.Generator):
-    """One rejection round for |xi| with density prop. to exp(-x - a x^2), x >= 0.
-
-    From Exp(1) accepting with exp(-a x^2) where a < pi/4, else from the
-    half-normal with variance 1/(2a) accepting with exp(-x).  The acceptance
-    rates are sqrt(pi) z erfcx(z) and erfcx(z) with z = 1/(2 sqrt a), so the
-    switch at z = 1/sqrt(pi) keeps both above erfcx(1/sqrt(pi)) = 0.58.
-    Returns the proposals and their acceptance mask.
-    """
-    from_exp = a < math.pi / 4.0
-    x = np.empty(a.shape)
-    x[from_exp] = rng.standard_exponential(int(from_exp.sum()))
-    hn = ~from_exp
-    x[hn] = np.abs(rng.standard_normal(int(hn.sum()))) / np.sqrt(2.0 * a[hn])
-    ok = rng.standard_exponential(a.shape) >= np.where(from_exp, a * x * x, x)
-    return x, ok
-
-
 def _tilted_squares(p: float, a: np.ndarray, rows: int, rng: np.random.Generator):
     """(rows, len(a)) draws of xi_l^2 with xi_l from the density prop. to
     f_p(x) exp(-a_l x^2).
 
-    p = 2: xi ~ N(0, 1 / (1 + 2a)).  p = 1: |xi| is a normal with mean
-    -1/(2a) and variance 1/(2a) truncated to [0, inf), drawn by rejection.
+    p = 2: xi ~ N(0, 1 / (1 + 2a)).  p = 1: |xi| has density prop. to
+    exp(-x - a x^2) on x >= 0.
     """
     if p == 2.0:
         return rng.standard_normal((rows, len(a))) ** 2 / (1.0 + 2.0 * a)
-    a_all = np.broadcast_to(a, (rows, len(a))).ravel()
-    x, ok = _laplace_tilt_round(a_all, rng)
-    todo = np.flatnonzero(~ok)
-    while todo.size:
-        x_new, ok = _laplace_tilt_round(a_all[todo], rng)
-        x[todo[ok]] = x_new[ok]
-        todo = todo[~ok]
-    return (x * x).reshape(rows, len(a))
+    x = univariate.halfline_sample(1.0, np.broadcast_to(a, (rows, len(a))), rng)
+    return x * x
 
 
 def smallball_l2_tilted(

@@ -261,7 +261,9 @@ class ExperimentError(RuntimeError):
 
 
 def run_contraction(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Sweep n and replicates, fit the q90-radius slope, compare to theory."""
+    """Sweep n and replicates, fit the q90-radius slope, compare to theory.
+    Density cells run serially whatever ``threads`` says: their Metropolis
+    loop is bound by per-call overhead under the GIL, so threads slow them."""
     env = os.environ.get("PEXP_THREADS")
     if env is not None:
         if not env.strip().isdecimal() or int(env) < 1:
@@ -280,7 +282,7 @@ def run_contraction(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult
         except Exception as exc:  # noqa: BLE001 - partial results must survive
             errors.append(exc)
 
-    if threads > 1:
+    if threads > 1 and cfg.model == "white-noise":
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, range(len(jobs))))
     else:

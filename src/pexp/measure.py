@@ -39,19 +39,13 @@ class WaveletBasis:
 
     Each psi_{kl} is supported on [(l-1) 2^{-k}, l 2^{-k}] with peak 2^{k/2}.
     Hats at one level have disjoint interiors, so the level sup bound holds
-    with levelsup_constant 1; the Lipschitz bound |psi(x)-psi(y)| <=
-    C1 2^{3k/2} |x-y| holds with C1 = 2.
+    with constant 1; the Lipschitz bound |psi(x)-psi(y)| <= C1 2^{3k/2} |x-y|
+    holds with C1 = 2 (Hoelder exponent 1).
     """
 
     levels: int
-    kind: str = "faber-schauder"
-    holder_constant: float = 2.0
-    holder_exponent: float = 1.0
-    levelsup_constant: float = 1.0
 
     def __post_init__(self):
-        if self.kind != "faber-schauder":
-            raise ValueError(f"unsupported basis kind {self.kind!r}")
         if self.levels < 0:
             raise ValueError("levels must be >= 0")
 

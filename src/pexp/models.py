@@ -3,7 +3,8 @@ estimation on [0, 1].
 
 White noise observations are y_ell = w0_ell + n^{-1/2} z_ell; the posterior
 under a p-exponential prior factorizes over coordinates, so it is sampled
-exactly (conjugate formulas at p = 2, grid inverse-CDF otherwise).  The
+exactly (conjugate formulas at p = 2, otherwise rejection from a
+two-sided truncated-Gaussian envelope, which is exact at p = 1).  The
 density model exponentiates a Faber-Schauder expansion, which is linear
 between dyadic nodes so that its normalizer is exact, and uses adaptive
 random-walk Metropolis in whitened coordinates.
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from . import univariate
 from .measure import PExpMeasure, WaveletBasis, evaluate_function
@@ -57,10 +59,6 @@ class ChainConfig:
     init_scale: float = 0.5
 
 
-class GridResolutionError(RuntimeError):
-    """Posterior grid still leaks mass after widening retries."""
-
-
 def wn_simulate(w0, n: float, rng: np.random.Generator) -> WhiteNoiseData:
     """Observe y_ell = w0_ell + n^{-1/2} z_ell, z i.i.d. standard normal."""
     if n <= 0:
@@ -80,14 +78,9 @@ def wn_conjugate_moments(data: WhiteNoiseData, m: PExpMeasure):
     return shrink * data.y.values, g**2 / (1.0 + n * g**2)
 
 
-def _grid_modes(y, gamma, n, p):
+def _posterior_modes(y, gamma, n, p):
     """Posterior modes of xi per coordinate for the density
     exp(-n (y - gamma xi)^2 / 2 - |xi|^p / p)."""
-    if p == 1.0:
-        t = n * gamma * np.abs(y) - 1.0
-        return np.sign(y) * np.maximum(t, 0.0) / (n * gamma**2)
-    if p == 2.0:
-        return n * gamma * y / (1.0 + n * gamma**2)
     # strictly decreasing score; mode lies between 0 and y/gamma
     lo = np.minimum(y / gamma, 0.0)
     hi = np.maximum(y / gamma, 0.0)
@@ -105,25 +98,30 @@ def wn_posterior_sample(
     draws: int,
     rng: np.random.Generator,
     method: str = "auto",
-    grid_nodes: int = 4096,
-    grid_halfwidth: float = 12.0,
 ) -> PosteriorChain:
-    """Exact independent joint posterior draws, coordinate by coordinate.
+    """Exact independent joint posterior draws, all coordinates at once.
 
-    method 'auto' uses the conjugate closed form at p = 2 and the grid
-    inverse-CDF otherwise; 'grid' forces the grid path (used to cross-check
-    the conjugate formulas), 'conjugate' forces p = 2.
+    method 'auto' uses the conjugate closed form at p = 2 and rejection
+    otherwise; 'rejection' forces it (to cross-check the conjugate formulas).
+    With a = n gamma^2 / 2 the posterior of xi is prop. to
+    exp(-a (xi - y/gamma)^2 - |xi|^p / p).  Its envelope replaces |xi|^p / p by
+    the tangent in |xi| at x0 = max(|mode|, 1), of slope s = x0^{p-1}: each
+    side is a half-line law exp(-lam x - a x^2), lam = s -+ n gamma y, picked
+    by its exact mass and kept with probability exp(tangent - |xi|^p / p),
+    which is 1 at p = 1.
     """
     if m.spec.scheme != "linear":
         raise ValueError("white noise model uses the linear scheme")
     y = data.y.values
     if len(y) != m.spec.size:
         raise ValueError("data length must equal the spec truncation")
+    if not (data.n > 0 and np.isfinite(y).all()):
+        raise ValueError("white noise data need n > 0 and finite observations")
     g = m.spec.gamma()
     n = data.n
     p = m.spec.p
     if method == "auto":
-        method = "conjugate" if p == 2.0 else "grid"
+        method = "conjugate" if p == 2.0 else "rejection"
 
     if method == "conjugate":
         if p != 2.0:
@@ -132,46 +130,35 @@ def wn_posterior_sample(
         u = mean_u + np.sqrt(var_u) * rng.standard_normal((draws, len(y)))
         return PosteriorChain(u / g, m.spec, 1.0, {"method": "conjugate"})
 
-    if method != "grid":
+    if method != "rejection":
         raise ValueError(f"unknown method {method!r}")
 
-    N = len(y)
-    modes = _grid_modes(y, g, n, p)
-    prior_sd = np.sqrt(univariate.variance(m.params))
-    scale = np.minimum(1.0 / (g * np.sqrt(n)), prior_sd)
-    xi = np.empty((draws, N))
-    base = np.linspace(-1.0, 1.0, grid_nodes)
-    block = 256
-    for start in range(0, N, block):
-        stop = min(start + block, N)
-        idx = np.arange(start, stop)
-        width = np.full(len(idx), grid_halfwidth)
-        for attempt in range(7):
-            grid = modes[idx, None] + (width * scale[idx])[:, None] * base[None, :]
-            lp = -n * (y[idx, None] - g[idx, None] * grid) ** 2 / 2.0
-            lp -= np.abs(grid) ** p / p
-            lp -= lp.max(axis=1, keepdims=True)
-            dens = np.exp(lp)
-            # mass outside the grid must be negligible relative to the peak
-            edge = np.maximum(dens[:, 0], dens[:, -1])
-            bad = edge > 1e-13
-            if not bad.any():
-                break
-            width = np.where(bad, width * 2.0, width)
-        else:
-            raise GridResolutionError(
-                f"coordinates {idx[bad]} keep density mass outside the grid"
-            )
-        seg = 0.5 * (dens[:, 1:] + dens[:, :-1])
-        cdf = np.cumsum(seg, axis=1)
-        u01 = rng.random((len(idx), draws)) * cdf[:, -1][:, None]
-        dx = grid[:, 1] - grid[:, 0]
-        for r in range(len(idx)):
-            pos = np.searchsorted(cdf[r], u01[r])
-            c_lo = np.where(pos > 0, cdf[r, pos - 1], 0.0)
-            frac = (u01[r] - c_lo) / seg[r, pos]
-            xi[:, start + r] = grid[r, pos] + frac * dx[r]
-    return PosteriorChain(xi, m.spec, 1.0, {"method": "grid", "nodes": grid_nodes})
+    x0 = np.maximum(np.abs(_posterior_modes(y, g, n, p)), 1.0)
+    s = x0 ** (p - 1.0)
+    a = n * g**2 / 2.0
+    lam = np.stack([s - n * g * y, s + n * g * y])  # xi >= 0, xi < 0
+    # a side holds sqrt(pi / a) e^{lam^2 / (4a)} Phi(-lam / sqrt(2a)); the two
+    # lam^2 / (4a) differ by exactly -2 s y / gamma
+    log_odds = -2.0 * s * y / g + np.subtract(*special.log_ndtr(-lam / np.sqrt(2.0 * a)))
+    p_plus = special.expit(log_odds)
+    col = np.tile(np.arange(len(y)), draws)
+    xi = np.empty(draws * len(y))
+    todo = np.arange(xi.size)
+    accept = []  # per rejection round
+    while todo.size:
+        c = col[todo]
+        minus = (rng.random(todo.size) >= p_plus[c]).astype(int)
+        x = univariate.halfline_sample(lam[minus, c], a[c], rng)
+        gap = (x**p - x0[c] ** p) / p - s[c] * (x - x0[c])  # exactly 0 at p = 1
+        tight = gap > 0.0
+        ok = ~tight
+        ok[tight] = rng.standard_exponential(int(tight.sum())) >= gap[tight]
+        xi[todo[ok]] = np.where(minus[ok], -x[ok], x[ok])
+        accept.append(float(ok.mean()))
+        todo = todo[~ok]
+    log = {"method": "rejection", "rounds": len(accept),
+           "first_round_accept": accept[0] if accept else 1.0}
+    return PosteriorChain(xi.reshape(draws, len(y)), m.spec, 1.0, log)
 
 
 def wn_error_radii(chain: PosteriorChain, w0) -> np.ndarray:

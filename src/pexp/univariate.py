@@ -99,6 +99,41 @@ def sample(params: PExpParams, rng: np.random.Generator, size=None):
     return out if np.ndim(out) else float(out)
 
 
+def halfline_sample(lam, a, rng: np.random.Generator) -> np.ndarray:
+    """Exact draws from the density prop. to exp(-lam x - a x^2) on x >= 0, one
+    per entry of the broadcast of ``lam`` and ``a`` (a >= 0, a > 0 if lam <= 0).
+
+    Each round proposes from Exp(lam) accepting with exp(-a x^2) where
+    a < pi lam^2 / 4, else from N(-lam/(2a), 1/(2a)): folded at 0 and accepted
+    with exp(-lam x) when lam >= 0, or kept when nonnegative when lam < 0.
+    With z = lam / (2 sqrt a) the rates are sqrt(pi) z erfcx(z) and erfcx(z),
+    both at least erfcx(1/sqrt(pi)) = 0.58 around the switch, and
+    Phi(-lam / sqrt(2a)) >= 1/2.  Rejected entries are redrawn.
+    """
+    lam, a = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(a, dtype=float))
+    if not (np.isfinite(lam) & np.isfinite(a) & (a >= 0) & ((a > 0) | (lam > 0))).all():
+        raise ValueError("halfline_sample needs finite lam, a >= 0, and a > 0 where lam <= 0")
+    x = np.empty(lam.shape)
+    lam, a, flat = lam.ravel(), a.ravel(), x.reshape(-1)
+    todo = np.arange(lam.size)
+    while todo.size:
+        l, q = lam[todo], a[todo]
+        from_exp = (l > 0) & (q < math.pi / 4.0 * l * l)
+        z = np.empty(todo.size)
+        z[from_exp] = rng.standard_exponential(int(from_exp.sum())) / l[from_exp]
+        hn = ~from_exp
+        z[hn] = rng.standard_normal(int(hn.sum())) / np.sqrt(2.0 * q[hn])
+        whole = hn & (l < 0)
+        z[whole] -= l[whole] / (2.0 * q[whole])
+        z[hn & ~whole] = np.abs(z[hn & ~whole])
+        # where lam < 0 the threshold lam z is <= 0 for z >= 0: kept iff z >= 0
+        cost = np.where(from_exp, q * z * z, l * z)
+        ok = (rng.standard_exponential(todo.size) >= cost) & (z >= 0)
+        flat[todo[ok]] = z[ok]
+        todo = todo[~ok]
+    return x
+
+
 def moment(params: PExpParams, k: int) -> float:
     """E|X|^k = p^{k/p} Gamma((k+1)/p) / Gamma(1/p), k >= 1.  Odd signed moments vanish."""
     if k < 1 or int(k) != k:

@@ -1,13 +1,13 @@
 """Acceptance gate: one test per criterion, printed as a PASS/FAIL line.
 
 Criterion 6 checks the small-ball law -log mu(eps B) ~ eps^{-1/alpha} as a
-log-log slope, -1 +- 15% for l2 balls and at most 1.15 in magnitude for
-sup-norm balls, on eps in [0.03, 0.15].  There -log mu runs from 8 to 86,
-so the l2 probabilities come from saddlepoint-tilted importance sampling
-and the sup-norm ones from the exact node recursion.  The original window
-[0.3, 1.5] lies in the bulk of the norm law, where even the exact slopes are
--1.50, -1.79 and -1.64; on it, plain Monte Carlo with 10^6 draws
-cross-checks both estimators point by point.
+log-log slope, -1 +- 15% for both l2 and sup-norm balls (the sup slope
+also at most 1.15 in magnitude), on eps in [0.03, 0.15].  There -log mu
+runs from 8 to 86, so the l2 probabilities come from saddlepoint-tilted
+importance sampling and the sup-norm ones from the exact node recursion.
+The original window [0.3, 1.5] lies in the bulk of the norm law, where even
+the exact slopes are -1.50, -1.79 and -1.64; on it, plain Monte Carlo with
+10^6 draws cross-checks both estimators point by point.
 """
 
 import math
@@ -234,12 +234,12 @@ def test_criterion_06_smallball_law_window():
     sup_slope, _ = smallball_slope(smallball_sup_nodes(sup_m, law_grid))
     elapsed = time.time() - t0
     l2_ok = all(abs(s - (-1.0)) <= 0.15 for s in slopes.values())
-    sup_ok = abs(sup_slope) <= 1.15
+    sup_ok = abs(sup_slope + 1.0) <= 0.15 and abs(sup_slope) <= 1.15
     report(
         6,
         l2_ok and sup_ok and agree and elapsed < 120,
         f"eps in [0.03, 0.15]: l2 slopes {slopes[1.0]:.3f} (p=1), {slopes[2.0]:.3f} "
-        f"(p=2) vs -1 +-15%; sup slope {sup_slope:.3f} vs magnitude <= 1.15. "
+        f"(p=2) vs -1 +-15%; sup slope {sup_slope:.3f} vs -1 +-15%, magnitude <= 1.15. "
         f"eps in [0.3, 1.5], Monte Carlo 10^6 draws: l2 slopes {mc_slopes[1.0]:.3f}, "
         f"{mc_slopes[2.0]:.3f}, sup {sup_mc_slope:.3f}; deep-regime estimators "
         f"agree with it within 3 SE: {agree}; {elapsed:.0f}s",
@@ -256,7 +256,8 @@ def test_criterion_07_conjugate_crosscheck():
     for i, n in enumerate((1e2, 1e4)):
         data = wn_simulate(w0, n, np.random.default_rng(110 + i))
         mean_u, var_u = wn_conjugate_moments(data, m)
-        chain = wn_posterior_sample(data, m, draws, np.random.default_rng(1100 + i), method="grid")
+        rng = np.random.default_rng(1100 + i)
+        chain = wn_posterior_sample(data, m, draws, rng, method="rejection")
         z_mean = np.abs(chain.u.mean(axis=0) - mean_u) / np.sqrt(var_u / draws)
         z_var = np.abs(chain.u.var(axis=0) - var_u) / (var_u * math.sqrt(2.0 / draws))
         worst_mean_z = max(worst_mean_z, float(z_mean.max()))
@@ -265,7 +266,7 @@ def test_criterion_07_conjugate_crosscheck():
     report(
         7,
         ok,
-        f"grid sampler vs conjugate formulas: worst mean z {worst_mean_z:.2f}, "
+        f"rejection sampler vs conjugate formulas: worst mean z {worst_mean_z:.2f}, "
         f"worst var z {worst_var_z:.2f} (3 MC SE gate, all 40 coords, n in {{1e2, 1e4}})",
     )
 

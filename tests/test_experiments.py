@@ -167,19 +167,23 @@ def test_threads_env_rejects_bad_values(monkeypatch):
 
 
 def test_run_contraction_thread_determinism():
-    cfg = small_wn_config(replicates=3)
-    r1 = run_contraction(cfg, threads=1)
-    r8 = run_contraction(cfg, threads=8)
-    assert r1.fitted_slope == r8.fitted_slope
-    for a, b in zip(r1.rows, r8.rows):
-        assert (a.n, a.rep, a.error_median, a.q90, a.lo, a.hi) == (
-            b.n,
-            b.rep,
-            b.error_median,
-            b.q90,
-            b.lo,
-            b.hi,
-        )
+    density = small_wn_config(
+        model="density", p=1.0, n_grid=[100, 200, 400], replicates=2, posterior_draws=10,
+        burn_in=100, thin=2, levels=3,
+    )
+    for cfg in (small_wn_config(replicates=3), density):
+        r1 = run_contraction(cfg, threads=1)
+        r8 = run_contraction(cfg, threads=8)
+        assert r1.fitted_slope == r8.fitted_slope
+        for a, b in zip(r1.rows, r8.rows):
+            assert (a.n, a.rep, a.error_median, a.q90, a.lo, a.hi) == (
+                b.n,
+                b.rep,
+                b.error_median,
+                b.q90,
+                b.lo,
+                b.hi,
+            )
 
 
 def test_run_contraction_rescaled_laplace_small():

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from pexp.measure import WaveletBasis, pexp_measure
 from pexp.models import (
     ChainConfig,
+    WhiteNoiseData,
     _log_int_exp,
     de_density,
     de_posterior_mcmc,
@@ -85,7 +86,7 @@ def test_wn_simulate_deterministic():
     np.testing.assert_array_equal(a.y.values, b.y.values)
 
 
-def test_wn_grid_sampler_matches_conjugate_moments():
+def test_wn_rejection_sampler_matches_conjugate_moments():
     # p=2 oracle: mean (n g^2/(1+n g^2)) y, var g^2/(1+n g^2)
     spec = lin_spec(2.0, 1.0, 40)
     m = pexp_measure(spec)
@@ -94,12 +95,98 @@ def test_wn_grid_sampler_matches_conjugate_moments():
     for n in (1e2, 1e4):
         data = wn_simulate(w0, n, rng)
         mean_u, var_u = wn_conjugate_moments(data, m)
-        chain = wn_posterior_sample(data, m, 4000, rng, method="grid")
+        chain = wn_posterior_sample(data, m, 4000, rng, method="rejection")
         emp_mean = chain.u.mean(axis=0)
         z = np.abs(emp_mean - mean_u) / np.sqrt(var_u / 4000)
         assert z.max() < 4.0
         ratio = chain.u.var(axis=0) / var_u
         assert np.all(np.abs(ratio - 1) < 4 * math.sqrt(2 / 4000) + 0.01)
+
+
+def laplace_posterior_cdf(y, n, g):
+    """Exact CDF of xi with density prop. to exp(-n (y - g xi)^2 / 2 - |xi|).
+
+    With sigma = 1 / (g sqrt n) and c = y / g each side is a normal piece,
+    N(c - sigma^2, sigma^2) on xi >= 0 with weight e^{-c} Phi((c - sigma^2) / sigma)
+    and N(c + sigma^2, sigma^2) on xi < 0 with weight e^{c} Phi(-(c + sigma^2) / sigma).
+    """
+    sigma, c = 1.0 / (g * math.sqrt(n)), y / g
+    mu_p, mu_m = c - sigma**2, c + sigma**2
+    log_p = -c + stats.norm.logcdf(mu_p / sigma)
+    log_m = c + stats.norm.logcdf(-mu_m / sigma)
+    w_m = 1.0 / (1.0 + math.exp(min(log_p - log_m, 700.0)))
+
+    def F(x):
+        x = np.asarray(x, dtype=float)
+        neg = w_m * np.exp(stats.norm.logcdf((np.minimum(x, 0.0) - mu_m) / sigma)
+                           - stats.norm.logcdf(-mu_m / sigma))
+        pos = w_m + (1.0 - w_m) * -np.expm1(
+            stats.norm.logsf((np.maximum(x, 0.0) - mu_p) / sigma)
+            - stats.norm.logsf(-mu_p / sigma)
+        )
+        return np.where(x < 0.0, neg, pos)
+
+    return F
+
+
+@pytest.mark.parametrize(
+    "y, n, g",
+    [
+        (0.3, 10.0, 1.0),  # ordinary, both sides carry mass
+        (-2.0, 100.0, 0.5),  # ordinary, mostly negative
+        (0.0, 1e6, 1.0),  # posterior sd 1e-3 straddling 0
+        (1e4, 1e-4, 1.0),  # lam = 0 on the positive side: half-normal, sd 100
+        (3.0, 1e8, 1e-3),  # far from 0: mode 3000, sd 0.1
+        (1e-3, 1e-6, 10.0),  # vanishing data: the Laplace prior
+    ],
+)
+def test_wn_laplace_posterior_ks_against_exact_cdf(y, n, g):
+    m = pexp_measure(lin_spec(1.0, 1.0, 1, lam=g))
+    data = WhiteNoiseData(n, CoefVec.linear(np.array([y])))
+    chain = wn_posterior_sample(data, m, 20_000, np.random.default_rng(77))
+    assert chain.step_log["rounds"] == 1  # the envelope is exact at p = 1
+    assert chain.step_log["first_round_accept"] == 1.0
+    d = stats.kstest(chain.xi[:, 0], laplace_posterior_cdf(y, n, g)).statistic
+    assert d < 1.95 / math.sqrt(20_000)
+
+
+def test_wn_rejection_worst_envelope_matches_quadrature():
+    # p = 1.5, n gamma^2 = 1e-4, y sqrt(n) = 100: the Gaussian factor is flat
+    # (sd 100) while the prior tail bounds the posterior near 1, so only about
+    # 2% of the first round is accepted
+    n, y = 1e-4, 100.0 / math.sqrt(1e-4)
+    m = pexp_measure(lin_spec(1.5, 1.0, 1))
+    data = WhiteNoiseData(n, CoefVec.linear(np.array([y])))
+    chain = wn_posterior_sample(data, m, 20_000, np.random.default_rng(78))
+    assert np.isfinite(chain.xi).all()
+    assert 0.005 < chain.step_log["first_round_accept"] < 0.05
+    assert chain.step_log["rounds"] > 1
+
+    def logf(x):  # log posterior less its value at 1, near the mode
+        return -n * ((y - x) ** 2 - (y - 1.0) ** 2) / 2.0 - (abs(x) ** 1.5 - 1.0) / 1.5
+
+    moms = [
+        integrate.quad(lambda x: x**k * math.exp(logf(x)), -60.0, 200.0, points=[0.0, 1.0],
+                       limit=300)[0]
+        for k in range(3)
+    ]
+    mean = moms[1] / moms[0]
+    var = moms[2] / moms[0] - mean**2
+    xs = chain.xi[:, 0]
+    assert abs(xs.mean() - mean) < 4.0 * math.sqrt(var / len(xs))
+    assert abs(xs.var() / var - 1.0) < 4.0 * math.sqrt(3.0 / len(xs))
+
+
+def test_wn_posterior_rejects_non_finite_observations_and_bad_n():
+    for p in (1.0, 1.5, 2.0):
+        m = pexp_measure(lin_spec(p, 1.0, 3))
+        for bad in (math.nan, math.inf):
+            data = WhiteNoiseData(10.0, CoefVec.linear(np.array([0.1, bad, 0.2])))
+            with pytest.raises(ValueError, match="finite"):
+                wn_posterior_sample(data, m, 5, np.random.default_rng(79))
+        data = WhiteNoiseData(0.0, CoefVec.linear(np.array([0.1, 0.3, 0.2])))
+        with pytest.raises(ValueError, match="n > 0"):
+            wn_posterior_sample(data, m, 5, np.random.default_rng(79))
 
 
 def test_wn_posterior_prior_limit():
@@ -337,17 +424,14 @@ def test_de_mcmc_mean_matches_penalized_mle_oracle():
     assert np.all(gap < 4 * post_sd + 0.05)
 
 
-def test_wn_grid_sampler_widens_for_extreme_observations():
+def test_wn_rejection_sampler_finite_for_extreme_observations():
     # very informative data push the posterior far from the prior scale; the
-    # adaptive grid must still capture the mass and return finite draws
+    # tangent envelope must still follow it and return finite draws
     spec = lin_spec(1.5, 1.0, 4)
     m = pexp_measure(spec)
     y = np.array([50.0, -30.0, 10.0, 0.001])
-    from pexp.models import WhiteNoiseData
-    from pexp.sequences import CoefVec as CV
-
-    data = WhiteNoiseData(10.0, CV.linear(y))
-    chain = wn_posterior_sample(data, m, 200, np.random.default_rng(96), method="grid")
+    data = WhiteNoiseData(10.0, CoefVec.linear(y))
+    chain = wn_posterior_sample(data, m, 200, np.random.default_rng(96), method="rejection")
     assert np.isfinite(chain.xi).all()
 
 

@@ -9,6 +9,7 @@ from pexp.univariate import (
     _cdf_generic,
     _quantile_generic,
     cdf,
+    halfline_sample,
     moment,
     pdf,
     quantile,
@@ -160,3 +161,53 @@ def test_moment_against_quadrature():
 def test_moment_rejects_bad_order():
     with pytest.raises(ValueError):
         moment(PExpParams(1.5), 0)
+
+
+def halfline_moments(lam, a):
+    """Independent oracle: mean and variance of the density prop. to
+    exp(-lam x - a x^2) on x >= 0 by quadrature in t = (x - m) / h, with m the
+    mode and h the length scale, where the integrand is
+    exp(-h (lam + 2 a m) t - a h^2 t^2) on t >= -m / h."""
+    m = max(0.0, -lam / (2.0 * a)) if a > 0 else 0.0
+    h = 1.0 / math.sqrt(2.0 * a) if lam < 0 else 1.0 / max(lam, math.sqrt(2.0 * a))
+    b1, b2 = h * (lam + 2.0 * a * m), a * h * h
+    lo = max(-m / h, -40.0)
+    moms = [
+        integrate.quad(lambda t: t**k * math.exp(-b1 * t - b2 * t * t), lo, 60.0,
+                       points=[0.0] if lo < 0 else None, limit=200, epsabs=1e-12)[0]
+        for k in range(3)
+    ]
+    mean_t = moms[1] / moms[0]
+    return m + h * mean_t, h * h * (moms[2] / moms[0] - mean_t**2)
+
+
+@pytest.mark.parametrize(
+    "lam, a",
+    [
+        (1.0, 0.1),  # Exp(lam) proposal
+        (1.0, 3.0),  # half-normal proposal
+        (0.0, 2.0),  # half-normal, always accepted
+        (2.5, 0.0),  # a = 0: exactly Exp(lam)
+        (-0.5, 1.0),  # whole normal, mean near 0
+        (-1e4, 2.0),  # whole normal, mean 2500 sd 0.5
+        (1e6, 1.0),  # Exp proposal at tiny scale
+        (1e6, 1e13),  # half-normal proposal at tiny scale
+    ],
+)
+def test_halfline_sample_moments_against_quadrature(lam, a):
+    draws = 400_000
+    x = halfline_sample(np.full(draws, lam), a, np.random.default_rng(104))
+    assert x.shape == (draws,) and (x >= 0).all()
+    mean, var = halfline_moments(lam, a)
+    assert abs(x.mean() - mean) < 4.0 * math.sqrt(var / draws)
+    # sample variance sd is at most sqrt(8 / draws) var (exponential kurtosis)
+    assert abs(x.var() / var - 1.0) < 4.0 * math.sqrt(8.0 / draws)
+
+
+def test_halfline_sample_broadcasts_and_rejects_bad_input():
+    rng = np.random.default_rng(105)
+    assert halfline_sample(1.0, np.ones((3, 4)), rng).shape == (3, 4)
+    assert halfline_sample(np.array([-1.0, 2.0]), 1.0, rng).shape == (2,)
+    for lam, a in ((1.0, -0.1), (0.0, 0.0), (-1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            halfline_sample(lam, a, rng)
