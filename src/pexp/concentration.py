@@ -3,10 +3,10 @@
 phi_w(eps) = (1/p) inf { ||h||_Z^p : ||h - w||_2 <= eps } - log mu(eps B).
 
 The approximation term is solved exactly: the objective is coordinate
-separable and convex, so an outer bisection on the KKT multiplier combined
-with per-coordinate one-dimensional solves reaches machine-level KKT
-residuals.  The small-ball term is Monte Carlo with Wilson confidence
-intervals mapped through -log.
+separable and convex, so an outer safeguarded Newton solve on log lambda,
+the log of the KKT multiplier, combined with per-coordinate proximal maps
+(``univariate.prox``) reaches machine-level KKT residuals.  The small-ball
+term is Monte Carlo with Wilson confidence intervals mapped through -log.
 
 Plain Monte Carlo resolves -log mu(eps B) only up to about log(samples),
 which leaves the small-ball law -log mu(eps B) ~ eps^{-1/alpha} out of
@@ -63,31 +63,6 @@ class SmallBallEstimate:
     samples: int
 
 
-def _inner_solve(a, c, lam, p, with_bracket=False):
-    """argmin_h c h^p + lam (h - a)^2 over h >= 0, coordinatewise (a >= 0)."""
-    if p == 1.0:
-        h = np.maximum(a - c / (2.0 * lam), 0.0)
-        return (h, h, h) if with_bracket else h
-    if p == 2.0:
-        h = lam * a / (lam + c)
-        return (h, h, h) if with_bracket else h
-    # safeguarded Newton on g(h) = c p h^{p-1} - 2 lam (a - h), increasing on (0, a]
-    lo = np.zeros_like(a)
-    hi = a.copy()
-    h = 0.5 * a
-    for _ in range(90):
-        g = c * p * h ** (p - 1.0) - 2.0 * lam * (a - h)
-        pos = g > 0
-        hi = np.where(pos, h, hi)
-        lo = np.where(pos, lo, h)
-        dg = c * p * (p - 1.0) * np.maximum(h, 1e-300) ** (p - 2.0) + 2.0 * lam
-        step = np.where(dg > 0, g / np.where(dg > 0, dg, 1.0), 0.0)
-        h_new = h - step
-        inside = (h_new > lo) & (h_new < hi)
-        h = np.where(inside, h_new, 0.5 * (lo + hi))
-    return (h, lo, hi) if with_bracket else h
-
-
 def inf_term_exact(w, eps: float, spec: ScalingSpec) -> tuple[float, np.ndarray]:
     """min sum gamma^{-p} |h|^p subject to ||h - w||_2 <= eps, solved by KKT.
 
@@ -106,43 +81,64 @@ def inf_term_exact(w, eps: float, spec: ScalingSpec) -> tuple[float, np.ndarray]
     if math.sqrt(float((w**2).sum())) <= eps:
         return 0.0, np.zeros_like(w)
 
-    def residual(lam):
-        h = _inner_solve(a, c, lam, p)
-        return math.sqrt(float(((h - a) ** 2).sum())), h
+    def residual(t):
+        """r^2 - eps^2 at lam = e^t, r = ||prox - a||, and its derivative in
+        t, from dh/dlam = 2 (a - h) / (c p (p - 1) h^{p-2} + 2 lam) where h > 0."""
+        lam = math.exp(t)
+        h = univariate.prox(a, c, lam, p)[0]
+        d = a - h
+        active = h > 0
+        curv = c * p * (p - 1.0) * np.where(active, h, 1.0) ** (p - 2.0)
+        dh = np.where(active, 2.0 * d / (curv + 2.0 * lam), 0.0)
+        return float((d * d).sum()) - eps * eps, -2.0 * lam * float((d * dh).sum())
 
-    lam_hi = 1.0
-    r_hi, _ = residual(lam_hi)
-    while r_hi > eps:
-        lam_hi *= 4.0
-        if lam_hi > 1e305:
-            raise SolverError("multiplier bracket overflow")
-        r_hi, _ = residual(lam_hi)
-    lam_lo = 0.0
-    for _ in range(220):
-        lam = 0.5 * (lam_lo + lam_hi)
-        if lam == lam_lo or lam == lam_hi:
+    # r - eps decreases in lam = e^t: bracket its root in steps of log 4 from
+    # t = 0, then Newton in t, bisecting where a step leaves the bracket; a
+    # step below 1e-12 leaves an error of order its square, or r^2 is flat
+    above = residual(0.0)[0] > 0
+    step = math.log(4.0) if above else -math.log(4.0)
+    t = 0.0
+    for _ in range(500):  # 4^500 ~ 1e301
+        t += step
+        if (residual(t)[0] > 0) != above:
             break
-        r, _ = residual(lam)
-        if r > eps:
-            lam_lo = lam
+    else:
+        raise SolverError("multiplier bracket left [4^-500, 4^500]")
+    t_lo, t_hi = sorted((t - step, t))
+    t = 0.5 * (t_lo + t_hi)
+    for _ in range(100):  # bisection alone shrinks the bracket below 1e-12 in 41
+        f, df = residual(t)
+        if f > 0:
+            t_lo = t
         else:
-            lam_hi = lam
-    r, h = residual(lam_hi)
+            t_hi = t
+        newton = t - f / df if df < 0 else math.inf
+        if abs(newton - t) <= 1e-12 * max(1.0, abs(t)):
+            t = newton
+            break
+        t = newton if t_lo < newton < t_hi else 0.5 * (t_lo + t_hi)
+        if t_hi - t_lo <= 1e-12 * max(1.0, abs(t)):
+            break
+    else:
+        raise SolverError("multiplier solve did not converge in 100 steps")
+    lam = math.exp(t)
+    h, lo, hi = univariate.prox(a, c, lam, p)
+    r = math.sqrt(float(((h - a) ** 2).sum()))
     if abs(r - eps) > 1e-10 * eps + 1e-14:
         raise SolverError(f"primal residual {abs(r - eps):.3e} above tolerance")
-    kkt = _kkt_residual(a, c, lam_hi, p)
+    kkt = _kkt_residual(a, c, lam, p, h, lo, hi)
     if kkt > 1e-9:
         raise SolverError(f"KKT residual {kkt:.3e} above 1e-9")
     value = float((c * h**p).sum())
     return value, sgn * h
 
 
-def _kkt_residual(a, c, lam, p) -> float:
-    """Per-coordinate optimality residual: the stationarity defect, except
-    where the solve certifies the root through a sign bracket, in which case
-    the relative bracket width bounds the error (the raw defect is
-    ill-conditioned where the gradient of h^{p-1} blows up near zero)."""
-    h, lo, hi = _inner_solve(a, c, lam, p, with_bracket=True)
+def _kkt_residual(a, c, lam, p, h, lo, hi) -> float:
+    """Per-coordinate optimality residual of h = univariate.prox(a, c, lam, p)
+    with its sign bracket [lo, hi]: the stationarity defect, except where the
+    bracket certifies the root, in which case the relative bracket width
+    bounds the error (the raw defect is ill-conditioned where the gradient of
+    h^{p-1} blows up near zero)."""
     scale = c * p * np.maximum(a, 1e-300) ** (p - 1.0) + 2.0 * lam * a + 1e-300
     active = h > 0
     res = np.zeros_like(h)

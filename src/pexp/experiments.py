@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,29 +35,6 @@ class LambdaRule:
         if self.log_exponent:
             lam *= math.log(n) ** self.log_exponent
         return lam
-
-
-_CONFIG_KEYS = {
-    "model",
-    "p",
-    "alpha",
-    "d",
-    "q",
-    "beta",
-    "delta",
-    "truth_file",
-    "truth_signs_seed",
-    "lambda_rule",
-    "levels",
-    "n_grid",
-    "replicates",
-    "posterior_draws",
-    "master_seed",
-    "slope_tol",
-    "burn_in",
-    "thin",
-    "max_truncation",
-}
 
 
 @dataclass
@@ -96,7 +73,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         raw = dict(raw)

@@ -54,9 +54,11 @@ class ChainConfig:
     draws: int = 150
     burn_in: int = 1200
     thin: int = 4
-    target_accept: float = 0.234
-    adapt_batch: int = 25
-    init_scale: float = 0.5
+
+
+TARGET_ACCEPT = 0.234  # adaptation target of each level's acceptance rate
+ADAPT_BATCH = 25  # proposals per level between scale updates
+INIT_SCALE = 0.5  # initial proposal scale in whitened coordinates
 
 
 def wn_simulate(w0, n: float, rng: np.random.Generator) -> WhiteNoiseData:
@@ -78,20 +80,6 @@ def wn_conjugate_moments(data: WhiteNoiseData, m: PExpMeasure):
     return shrink * data.y.values, g**2 / (1.0 + n * g**2)
 
 
-def _posterior_modes(y, gamma, n, p):
-    """Posterior modes of xi per coordinate for the density
-    exp(-n (y - gamma xi)^2 / 2 - |xi|^p / p)."""
-    # strictly decreasing score; mode lies between 0 and y/gamma
-    lo = np.minimum(y / gamma, 0.0)
-    hi = np.maximum(y / gamma, 0.0)
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        score = n * gamma * (y - gamma * mid) - np.sign(mid) * np.abs(mid) ** (p - 1.0)
-        lo = np.where(score > 0, mid, lo)
-        hi = np.where(score > 0, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def wn_posterior_sample(
     data: WhiteNoiseData,
     m: PExpMeasure,
@@ -104,11 +92,13 @@ def wn_posterior_sample(
     method 'auto' uses the conjugate closed form at p = 2 and rejection
     otherwise; 'rejection' forces it (to cross-check the conjugate formulas).
     With a = n gamma^2 / 2 the posterior of xi is prop. to
-    exp(-a (xi - y/gamma)^2 - |xi|^p / p).  Its envelope replaces |xi|^p / p by
-    the tangent in |xi| at x0 = max(|mode|, 1), of slope s = x0^{p-1}: each
+    exp(-a (xi - y/gamma)^2 - |xi|^p / p), whose mode has magnitude
+    univariate.prox(|y|/gamma, 1/p, a, p).  Its envelope replaces |xi|^p / p
+    by the tangent in |xi| at x0 = max(|mode|, 1), of slope s = x0^{p-1}: each
     side is a half-line law exp(-lam x - a x^2), lam = s -+ n gamma y, picked
     by its exact mass and kept with probability exp(tangent - |xi|^p / p),
-    which is 1 at p = 1.
+    which is 1 at p = 1.  Raises univariate.SamplerError if draws are left
+    after univariate.MAX_ROUNDS rounds.
     """
     if m.spec.scheme != "linear":
         raise ValueError("white noise model uses the linear scheme")
@@ -133,9 +123,9 @@ def wn_posterior_sample(
     if method != "rejection":
         raise ValueError(f"unknown method {method!r}")
 
-    x0 = np.maximum(np.abs(_posterior_modes(y, g, n, p)), 1.0)
-    s = x0 ** (p - 1.0)
     a = n * g**2 / 2.0
+    x0 = np.maximum(univariate.prox(np.abs(y) / g, 1.0 / p, a, p)[0], 1.0)
+    s = x0 ** (p - 1.0)
     lam = np.stack([s - n * g * y, s + n * g * y])  # xi >= 0, xi < 0
     # a side holds sqrt(pi / a) e^{lam^2 / (4a)} Phi(-lam / sqrt(2a)); the two
     # lam^2 / (4a) differ by exactly -2 s y / gamma
@@ -146,6 +136,10 @@ def wn_posterior_sample(
     todo = np.arange(xi.size)
     accept = []  # per rejection round
     while todo.size:
+        if len(accept) == univariate.MAX_ROUNDS:
+            raise univariate.SamplerError(
+                f"white-noise rejection: {todo.size} draws left after {len(accept)} rounds"
+            )
         c = col[todo]
         minus = (rng.random(todo.size) >= p_plus[c]).astype(int)
         x = univariate.halfline_sample(lam[minus, c], a[c], rng)
@@ -176,12 +170,6 @@ def wn_error_radii(chain: PosteriorChain, w0) -> np.ndarray:
     if len(w) > ncommon:
         sq += float((w[ncommon:] ** 2).sum())
     return np.sqrt(sq)
-
-
-def wn_error_stats(chain: PosteriorChain, w0) -> tuple[float, float]:
-    """Median and 90th percentile posterior L2 radius about the truth."""
-    radii = wn_error_radii(chain, w0)
-    return float(np.median(radii)), float(np.quantile(radii, 0.9))
 
 
 def _log_int_exp(W: np.ndarray) -> tuple[float, np.ndarray]:
@@ -267,7 +255,7 @@ def de_posterior_mcmc(
     Wx = np.zeros(len(X))
     lpost = 0.0  # at xi = 0, W = 0 and log Z = 0: every term vanishes
 
-    scales = np.full(K + 1, cfg.init_scale)
+    scales = np.full(K + 1, INIT_SCALE)
     acc = np.zeros(K + 1)
     tries = np.zeros(K + 1)
     acc_post = 0
@@ -297,9 +285,9 @@ def de_posterior_mcmc(
             if it >= cfg.burn_in:
                 tries_post += 1
                 acc_post += accept
-            elif tries[k] % cfg.adapt_batch == 0:
+            elif tries[k] % ADAPT_BATCH == 0:
                 rate = acc[k] / tries[k]
-                scales[k] *= np.exp(0.5 * (rate - cfg.target_accept))
+                scales[k] *= np.exp(0.5 * (rate - TARGET_ACCEPT))
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
             kept.append(xi.copy())
     rate_post = acc_post / max(tries_post, 1)

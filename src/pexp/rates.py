@@ -58,12 +58,6 @@ class RateRegime:
     lambda_poly_exponent: Fraction | None = None
     lambda_log_exponent: Fraction | None = None
 
-    def rate_at(self, n: float) -> float:
-        r = float(n) ** (-float(self.poly_exponent))
-        if self.log_exponent:
-            r *= math.log(n) ** float(self.log_exponent)
-        return r
-
 
 def minimax(beta, d: int = 1) -> Fraction:
     """Exponent of the minimax rate n^{-beta/(d+2beta)}."""

@@ -48,6 +48,26 @@ def test_inf_term_single_active_coordinate():
         assert np.all(h[1:] == 0)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("N", [1, 4, 256])
+def test_inf_term_extreme_radii(p, N):
+    # eps / ||w|| = 1e-9 brackets the multiplier upward from 1, 1 - 1e-9 downward
+    spec = lin_spec(p, 0.7, N)
+    w = np.random.default_rng(N).normal(size=N) * np.arange(1, N + 1.0) ** -1.0
+    norm_w = float(np.linalg.norm(w))
+    c = spec.gamma() ** (-p)
+    values = []
+    for frac in (1e-9, 1.0 - 1e-9):
+        eps = frac * norm_w
+        value, h = inf_term_exact(w, eps, spec)
+        assert abs(np.linalg.norm(h - w) - eps) <= 1e-10 * eps + 1e-14
+        assert 0.0 < value <= inf_term_truncation_ub(w, eps, spec)[0] * (1.0 + 1e-12)
+        if N == 1:  # h = sign(w) (|w| - eps)
+            assert value == pytest.approx(c[0] * (norm_w - eps) ** p, rel=1e-6)
+        values.append(value)
+    assert values[0] > values[1]
+
+
 def test_inf_term_monotone_and_continuous_in_eps():
     spec = lin_spec(1.3, 0.7, 40)
     rng = np.random.default_rng(40)

@@ -94,6 +94,7 @@ def test_config_requires_increasing_grid():
 
 def test_config_roundtrip_and_hash(tmp_path):
     cfg = small_wn_config(lambda_rule=LambdaRule(0.2, 0.0))
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     path = tmp_path / "cfg.json"
     with open(path, "w") as fh:
         json.dump(cfg.to_dict(), fh)

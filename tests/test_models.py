@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from pexp import univariate
 from pexp.measure import WaveletBasis, pexp_measure
 from pexp.models import (
     ChainConfig,
@@ -14,7 +15,7 @@ from pexp.models import (
     de_simulate,
     hellinger,
     wn_conjugate_moments,
-    wn_error_stats,
+    wn_error_radii,
     wn_posterior_sample,
     wn_simulate,
 )
@@ -177,6 +178,16 @@ def test_wn_rejection_worst_envelope_matches_quadrature():
     assert abs(xs.var() / var - 1.0) < 4.0 * math.sqrt(3.0 / len(xs))
 
 
+def test_wn_rejection_round_cap_raises(monkeypatch):
+    # the worst-envelope case above accepts about 2.6% of its first round
+    monkeypatch.setattr(univariate, "MAX_ROUNDS", 1)
+    n, y = 1e-4, 100.0 / math.sqrt(1e-4)
+    m = pexp_measure(lin_spec(1.5, 1.0, 1))
+    data = WhiteNoiseData(n, CoefVec.linear(np.array([y])))
+    with pytest.raises(univariate.SamplerError, match="white-noise rejection"):
+        wn_posterior_sample(data, m, 20_000, np.random.default_rng(78))
+
+
 def test_wn_posterior_rejects_non_finite_observations_and_bad_n():
     for p in (1.0, 1.5, 2.0):
         m = pexp_measure(lin_spec(p, 1.0, 3))
@@ -228,36 +239,40 @@ def test_wn_posterior_coordinates_uncorrelated():
     assert abs(corr) < 3 / math.sqrt(len(x))
 
 
-def test_wn_error_stats_trivial_cases():
+def radius_stats(chain, w0):
+    radii = wn_error_radii(chain, w0)
+    return float(np.median(radii)), float(np.quantile(radii, 0.9))
+
+
+def test_wn_error_radii_trivial_cases():
     spec = lin_spec(2.0, 1.0, 4)
-    chain_zero = type("C", (), {})()
     from pexp.models import PosteriorChain
 
     chain = PosteriorChain(np.zeros((10, 4)), spec, 1.0)
-    med, q90 = wn_error_stats(chain, np.zeros(4))
+    med, q90 = radius_stats(chain, np.zeros(4))
     assert med == 0 and q90 == 0
     # constant chain c e_1 against zero truth: radius |c|
     xi = np.zeros((10, 4))
     xi[:, 0] = 2.5 / spec.gamma()[0]
     chain = PosteriorChain(xi, spec, 1.0)
-    med, q90 = wn_error_stats(chain, np.zeros(4))
+    med, q90 = radius_stats(chain, np.zeros(4))
     assert med == pytest.approx(2.5) and q90 == pytest.approx(2.5)
     # permutation invariance
     rng = np.random.default_rng(79)
     xi = rng.normal(size=(50, 4))
     w0 = rng.normal(size=4)
-    a = wn_error_stats(PosteriorChain(xi, spec, 1.0), w0)
-    b = wn_error_stats(PosteriorChain(xi[rng.permutation(50)], spec, 1.0), w0)
+    a = radius_stats(PosteriorChain(xi, spec, 1.0), w0)
+    b = radius_stats(PosteriorChain(xi[rng.permutation(50)], spec, 1.0), w0)
     assert a == b
 
 
-def test_wn_error_stats_pads_truth_tail():
+def test_wn_error_radii_pads_truth_tail():
     spec = lin_spec(2.0, 1.0, 2)
     from pexp.models import PosteriorChain
 
     chain = PosteriorChain(np.zeros((5, 2)), spec, 1.0)
     w0 = np.array([0.0, 0.0, 3.0, 4.0])
-    med, q90 = wn_error_stats(chain, w0)
+    med, q90 = radius_stats(chain, w0)
     assert med == pytest.approx(5.0)
 
 

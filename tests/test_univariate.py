@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from pexp import univariate
 from pexp.univariate import (
     PExpParams,
     _cdf_generic,
@@ -12,6 +14,7 @@ from pexp.univariate import (
     halfline_sample,
     moment,
     pdf,
+    prox,
     quantile,
     sample,
     variance,
@@ -211,3 +214,34 @@ def test_halfline_sample_broadcasts_and_rejects_bad_input():
     for lam, a in ((1.0, -0.1), (0.0, 0.0), (-1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)):
         with pytest.raises(ValueError):
             halfline_sample(lam, a, rng)
+
+
+def test_halfline_round_cap_raises(monkeypatch):
+    # the half-normal proposal at (lam, a) = (1, 3) accepts under 90% of a round
+    monkeypatch.setattr(univariate, "MAX_ROUNDS", 1)
+    with pytest.raises(univariate.SamplerError, match="halfline_sample"):
+        halfline_sample(np.ones(1000), 3.0, np.random.default_rng(106))
+
+
+def prox_oracle(a, c, lam, p):
+    """Independent oracle: plain bisection of the stationarity condition
+    c p h^{p-1} = 2 lam (a - h) on [0, a], run until the bracket stops moving."""
+    lo, hi = np.zeros_like(a), a.copy()
+    for _ in range(1200):  # a <= 1e8 reaches the smallest subnormal in 1100 halvings
+        mid = 0.5 * (lo + hi)
+        pos = c * p * mid ** (p - 1.0) - 2.0 * lam * (a - mid) > 0
+        lo, hi = np.where(pos, lo, mid), np.where(pos, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("p", P_GRID)
+def test_prox_matches_bisection_oracle(p):
+    # every (a, c, lam) in {1e-8, 1e-6, ..., 1e8}^3; the minimizer spans 1e-119 to 1e8
+    vals = 10.0 ** np.arange(-8, 9, 2)
+    a, c, lam = (np.array(v) for v in zip(*itertools.product(vals, repeat=3)))
+    h, lo, hi = prox(a, c, lam, p)
+    assert (lo <= h).all() and (h <= hi).all()
+    # at p = 1 and p = 2 this checks the closed forms
+    np.testing.assert_allclose(h, prox_oracle(a, c, lam, p), rtol=1e-14, atol=0.0)
+    if p in (1.0, 2.0):
+        assert (lo == h).all() and (hi == h).all()
