@@ -99,10 +99,12 @@ def cmd_conc(args) -> int:
     m = pexp_measure(spec)
     rng = np.random.default_rng(args.seed)
     basis = WaveletBasis(spec.levels) if spec.scheme == "dyadic" else None
+    # one sample for the whole grid: phi is then non-increasing in eps
+    sample = concentration.unit_norm_sample(m, args.norm, args.mc_samples, rng, basis)
     print("eps,inf_term,inf_argmin_l2norm,neglog,neglog_lo,neglog_hi,phi")
     for eps in _parse_eps_grid(args.eps_grid):
         est = concentration.concentration_fn(
-            w, float(eps), m, args.norm, args.mc_samples, rng, basis
+            w, float(eps), m, args.norm, args.mc_samples, rng, basis, sample
         )
         print(
             f"{eps},{est.inf_term:.17g},{np.linalg.norm(est.argmin):.17g},"

@@ -7,6 +7,10 @@ separable and convex, so an outer safeguarded Newton solve on log lambda,
 the log of the KKT multiplier, combined with per-coordinate proximal maps
 (``univariate.prox``) reaches machine-level KKT residuals.  The small-ball
 term is Monte Carlo with Wilson confidence intervals mapped through -log.
+Rescaling factors out of the small ball, so one sorted sample of norms
+under the unit-scaling measure (``unit_norm_sample``) answers every eps by
+``searchsorted``: the rate solver and ``pexp conc`` draw it once, which makes
+phi, and the solver's bisection predicate, monotone in eps by construction.
 
 Plain Monte Carlo resolves -log mu(eps B) only up to about log(samples),
 which leaves the small-ball law -log mu(eps B) ~ eps^{-1/alpha} out of
@@ -136,9 +140,9 @@ def inf_term_exact(w, eps: float, spec: ScalingSpec) -> tuple[float, np.ndarray]
 def _kkt_residual(a, c, lam, p, h, lo, hi) -> float:
     """Per-coordinate optimality residual of h = univariate.prox(a, c, lam, p)
     with its sign bracket [lo, hi]: the stationarity defect, except where the
-    bracket certifies the root, in which case the relative bracket width
-    bounds the error (the raw defect is ill-conditioned where the gradient of
-    h^{p-1} blows up near zero)."""
+    bracket certifies the root, in which case the bracket width relative to
+    h bounds the error (the raw defect is ill-conditioned where the gradient
+    of h^{p-1} blows up near zero)."""
     scale = c * p * np.maximum(a, 1e-300) ** (p - 1.0) + 2.0 * lam * a + 1e-300
     active = h > 0
     res = np.zeros_like(h)
@@ -147,7 +151,7 @@ def _kkt_residual(a, c, lam, p, h, lo, hi) -> float:
     if p == 1.0:
         res[~active] = np.maximum(2.0 * lam * a - c, 0.0)[~active]
     rel = res / scale
-    bracket = (hi - lo) / np.maximum(a, 1e-300)
+    bracket = (hi - lo) / np.maximum(h, 1e-300)
     return float(np.minimum(rel, bracket).max(initial=0.0))
 
 
@@ -183,8 +187,12 @@ def _norm_samples(
     samples: int,
     rng: np.random.Generator,
     basis: WaveletBasis | None,
-    block: int,
+    block: int = 50_000,
 ) -> np.ndarray:
+    """Norms of ``samples`` prior draws, ``block`` draws at a time.  |xi| is
+    drawn exactly: Exp(1) at p = 1, |N(0, 1)| at p = 2, (p G)^{1/p} with
+    G ~ Gamma(1/p) otherwise."""
+    p = m.spec.p
     gamma = m.spec.gamma()
     ncoef = m.spec.size
     out = np.empty(samples)
@@ -197,9 +205,12 @@ def _norm_samples(
     done = 0
     while done < samples:
         b = min(block, samples - done)
-        mags = (m.spec.p * rng.standard_gamma(1.0 / m.spec.p, size=(b, ncoef))) ** (
-            1.0 / m.spec.p
-        )
+        if p == 1.0:
+            mags = rng.standard_exponential((b, ncoef))
+        elif p == 2.0:
+            mags = np.abs(rng.standard_normal((b, ncoef)))
+        else:
+            mags = (p * rng.standard_gamma(1.0 / p, size=(b, ncoef))) ** (1.0 / p)
         if norm == "l2":
             # signs are irrelevant for the l2 norm
             out[done : done + b] = np.sqrt(((mags * gamma) ** 2).sum(axis=1))
@@ -213,6 +224,24 @@ def _norm_samples(
     return out
 
 
+def unit_norm_sample(
+    m: PExpMeasure,
+    norm: str,
+    samples: int,
+    rng: np.random.Generator,
+    basis: WaveletBasis | None = None,
+) -> np.ndarray:
+    """Sorted norms of ``samples`` draws from the unit-scaling measure of m.
+
+    This is the ``sample`` that ``concentration_fn`` takes: the ball of
+    radius eps under m is the ball of radius eps / lam under the unit
+    measure, so one sample serves every eps.
+    """
+    norms = _norm_samples(PExpMeasure(m.spec.unit()), norm, samples, rng, basis)
+    norms.sort()
+    return norms
+
+
 def smallball_mc(
     m: PExpMeasure,
     eps,
@@ -221,19 +250,27 @@ def smallball_mc(
     rng: np.random.Generator | None = None,
     basis: WaveletBasis | None = None,
     block: int = 50_000,
+    sample: np.ndarray | None = None,
 ):
     """-log mu(eps B) by Monte Carlo; eps may be a scalar or a grid.
 
-    Returns a SmallBallEstimate (or a list of them for a grid).  Raises
-    ZeroHitsError when no draw lands inside a ball.
+    ``sample``, a sorted array of norms under m, replaces the draw: nothing
+    is drawn and ``samples`` is its length.  Returns a SmallBallEstimate (or
+    a list of them for a grid).  Raises ZeroHitsError when no draw lands
+    inside a ball.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
     if (eps_arr <= 0).any():
         raise ValueError("eps must be positive")
-    norms = _norm_samples(m, norm, samples, rng, basis, block)
-    norms.sort()
+    if sample is None:
+        if rng is None:
+            rng = np.random.default_rng()
+        norms = _norm_samples(m, norm, samples, rng, basis, block)
+        norms.sort()
+    else:
+        norms, samples = sample, len(sample)
+        if (norms[1:] < norms[:-1]).any():
+            raise ValueError("sample must be sorted")
     results = []
     for e in eps_arr:
         hits = int(np.searchsorted(norms, e, side="right"))
@@ -456,19 +493,22 @@ def concentration_fn(
     mc_samples: int = 10**5,
     rng: np.random.Generator | None = None,
     basis: WaveletBasis | None = None,
+    sample: np.ndarray | None = None,
 ) -> ConcEstimate:
     """Assemble phi_w(eps) = inf_term / p + neglog small ball.
 
     Rescaling by lam factors out exactly: the approximation term is lam^{-p}
     times its unit-scaling value (same minimizer), and the centered ball of
     radius eps under the rescaled measure is the ball of radius eps / lam
-    under the unit-scaling measure.
+    under the unit-scaling measure.  Given ``sample`` from
+    ``unit_norm_sample``, nothing is drawn and ``mc_samples`` is its length;
+    calls sharing one sample give phi non-increasing in eps.
     """
     lam = m.spec.lam
     unit = PExpMeasure(m.spec.unit())
     value, argmin = inf_term_exact(w, eps, unit.spec)
     value *= lam ** (-m.spec.p)
-    sb = smallball_mc(unit, eps / lam, norm, mc_samples, rng, basis)
+    sb = smallball_mc(unit, eps / lam, norm, mc_samples, rng, basis, sample=sample)
     phi = value / m.spec.p + sb.neglog
     return ConcEstimate(float(eps), value, argmin, sb.neglog, sb.ci, phi)
 
@@ -506,20 +546,26 @@ def rate_solve_numeric(
 ) -> float:
     """Smallest grid eps with phi_w(eps) <= n eps^2, using the CI upper bound.
 
-    phi is decreasing and n eps^2 increasing, so the crossing is unique; the
-    search bisects in log eps.  Raises SmallBallResolutionError when the
-    crossing requires probabilities below the MC guard.
+    One sorted sample of ``mc_samples`` unit-measure norms is drawn per solve
+    (``unit_norm_sample``), and every bisection step reads its hit count from
+    it.  The hit count, hence the Wilson upper bound on -log mu, moves
+    monotonically in eps and the approximation term is deterministic, so the
+    predicate phi_w(eps) > n eps^2 is monotone by construction and the
+    crossing is unique; the search bisects in log eps.  Raises
+    SmallBallResolutionError when the crossing requires probabilities below
+    the MC guard.
     """
     if rng is None:
         rng = np.random.default_rng()
     if n < 1:
         raise ValueError("n must be >= 1")
     guard = -math.log(P_MIN_GUARD)
+    sample = unit_norm_sample(m, norm, mc_samples, rng, basis)
 
     def exceeds(e) -> bool:
         """True when phi_w(e) provably exceeds n e^2 at CI confidence."""
         try:
-            est = concentration_fn(w, e, m, norm, mc_samples, rng, basis)
+            est = concentration_fn(w, e, m, norm, mc_samples, rng, basis, sample)
         except ZeroHitsError as exc:
             if n * e**2 < guard:
                 return True

@@ -122,6 +122,19 @@ def test_conc_csv_output(tmp_path, capsys):
     assert float(rows[0][6]) > float(rows[1][6])  # phi decreasing in eps
 
 
+def test_conc_shares_one_sample_across_the_grid(tmp_path, capsys):
+    # a fresh draw per eps would give two different rows at the same eps
+    path = tmp_path / "w.csv"
+    save_coefvec(make_truth(BesovParams(1.0, 2.0, 1), n=16), path)
+    code, out = run_cli(
+        capsys, "conc", "--w-file", str(path), "--eps-grid", "0.6,0.6",
+        "--p", "1.5", "--alpha", "1", "--mc-samples", "5000", "--seed", "5",
+    )
+    assert code == 0
+    first, second = out.strip().splitlines()[1:]
+    assert first == second
+
+
 def test_smallball_fit_slope(capsys):
     code, out = run_cli(
         capsys,

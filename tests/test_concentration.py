@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from oracles import projected_subgradient_batch, smallball_agree
 
+from pexp import concentration
 from pexp.concentration import (
     SmallBallResolutionError,
     ZeroHitsError,
+    _kkt_residual,
     concentration_fn,
     fg_values,
     inf_term_exact,
@@ -16,10 +18,11 @@ from pexp.concentration import (
     smallball_mc,
     smallball_slope,
     smallball_sup_nodes,
+    unit_norm_sample,
 )
-from pexp.measure import pexp_measure
+from pexp.measure import WaveletBasis, pexp_measure
 from pexp.sequences import BesovParams, CoefVec, ScalingSpec, make_truth
-from pexp.univariate import PExpParams, cdf
+from pexp.univariate import PExpParams, cdf, prox
 
 
 def lin_spec(p, alpha, n, lam=1.0):
@@ -66,6 +69,18 @@ def test_inf_term_extreme_radii(p, N):
             assert value == pytest.approx(c[0] * (norm_w - eps) ** p, rel=1e-6)
         values.append(value)
     assert values[0] > values[1]
+
+
+def test_kkt_certificate_sees_tiny_coordinates():
+    # c p h^{p-1} = 2 lam (a - h) has its root at 1.3e-89; h = 4e-32 is off by
+    # 57 orders of magnitude, yet its bracket [0, h] is narrow relative to a
+    a = np.array([1e-4])
+    c, lam, p = 1e8, 1e-6, 1.2
+    wrong = np.array([4e-32])
+    assert _kkt_residual(a, c, lam, p, wrong, np.zeros(1), wrong) > 1e-9
+    h, lo, hi = prox(a, c, lam, p)
+    assert h[0] == pytest.approx(1.286008e-89, rel=1e-6)
+    assert _kkt_residual(a, c, lam, p, h, lo, hi) <= 1e-9
 
 
 def test_inf_term_monotone_and_continuous_in_eps():
@@ -177,6 +192,30 @@ def test_smallball_slope_fit():
     assert slope < 0 and se < 0.1
 
 
+@pytest.mark.parametrize("norm", ["l2", "sup"])
+def test_smallball_passed_sample_matches_plain_call(norm):
+    # the sorted sample drawn from a generator answers every eps exactly as a
+    # plain call on a copy of that generator does
+    if norm == "l2":
+        m, basis = pexp_measure(lin_spec(1.5, 1.0, 64)), None
+    else:
+        m = pexp_measure(ScalingSpec(1.0, 1.0, scheme="dyadic", levels=5))
+        basis = WaveletBasis(5)
+    eps = [0.4, 0.7, 1.0, 1.4]
+    sample = unit_norm_sample(m, norm, 20000, np.random.default_rng(70), basis)
+    plain = smallball_mc(m, eps, norm, 20000, np.random.default_rng(70), basis)
+    passed = smallball_mc(m, eps, norm, sample=sample)
+    assert [(e.hits, e.samples, e.neglog, e.ci) for e in passed] == [
+        (e.hits, e.samples, e.neglog, e.ci) for e in plain
+    ]
+
+
+def test_smallball_rejects_unsorted_sample():
+    m = pexp_measure(lin_spec(1.0, 1.0, 8))
+    with pytest.raises(ValueError):
+        smallball_mc(m, 0.5, "l2", sample=np.array([1.0, 0.5, 2.0]))
+
+
 # --- deep-regime small balls ---------------------------------------------------
 
 
@@ -270,6 +309,19 @@ def test_concentration_monotone_within_ci():
     assert e1.phi >= e2.phi - width
 
 
+def test_concentration_monotone_with_one_sample():
+    # one passed sample: phi and its CI bounds are non-increasing in eps
+    m = pexp_measure(lin_spec(1.5, 1.0, 32, lam=0.8))
+    w = make_truth(BesovParams(1.0, 2.0, 1), n=32).values
+    sample = unit_norm_sample(m, "l2", 20000, np.random.default_rng(71))
+    ests = [
+        concentration_fn(w, e, m, "l2", sample=sample)
+        for e in np.geomspace(0.2, 1.5, 200)
+    ]
+    for key in (lambda e: e.phi, lambda e: e.neglog_ci[0], lambda e: e.neglog_ci[1]):
+        assert np.all(np.diff([key(e) for e in ests]) <= 0.0)
+
+
 def test_concentration_rescaled_identity():
     # phi_lam(eps) assembled from the unit measure matches the lam-spec path
     w = make_truth(BesovParams(1.5, 2.0, 1), n=48).values
@@ -283,6 +335,9 @@ def test_concentration_rescaled_identity():
     sb = smallball_mc(m_u, 0.5 / lam, "l2", 40000, np.random.default_rng(58))
     assert est.inf_term == pytest.approx(manual_inf, rel=1e-12)
     assert est.neglog_smallball == sb.neglog  # identical stream, identical estimate
+    sample = unit_norm_sample(m_l, "l2", 40000, np.random.default_rng(58))
+    passed = concentration_fn(w, 0.5, m_l, "l2", sample=sample)
+    assert passed.neglog_smallball == sb.neglog
     assert est.phi == pytest.approx(manual_inf / 1.0 + sb.neglog, rel=1e-12)
 
 
@@ -369,6 +424,26 @@ def test_rate_solve_reports_resolution_failure():
     w = make_truth(BesovParams(1.0, 2.0, 1), n=32).values
     with pytest.raises(SmallBallResolutionError):
         rate_solve_numeric(w, m, 10**7, mc_samples=20000, rng=np.random.default_rng(64))
+
+
+@pytest.mark.parametrize("norm", ["l2", "sup"])
+def test_rate_solve_draws_one_sample(norm, monkeypatch):
+    calls = []
+    original = concentration._norm_samples
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(concentration, "_norm_samples", counting)
+    if norm == "l2":
+        m = pexp_measure(lin_spec(1.5, 1.0, 32))
+        w = make_truth(BesovParams(1.0, 2.0, 1), n=32).values
+    else:
+        m = pexp_measure(ScalingSpec(1.0, 1.0, scheme="dyadic", levels=4))
+        w = np.zeros(m.spec.size)
+    rate_solve_numeric(w, m, 16.0, 5000, np.random.default_rng(72), norm)
+    assert calls == [5000]
 
 
 @pytest.mark.slow
