@@ -1,8 +1,8 @@
 """The one-dimensional building block: density exp(-|x|^p / p), p in [1, 2].
 
 p = 1 is the Laplace distribution, p = 2 the standard normal; everything in
-between interpolates the tail weight.  The sampler is exact: |X| = (p G)^{1/p}
-with G ~ Gamma(1/p), a random sign on top.
+between interpolates the tail weight.  The sampler is exact: X = (p G)^{1/p}
+(2U - 1) with G ~ Gamma(1 + 1/p) and U uniform, a mixture of uniforms.
 """
 
 import numpy as np

@@ -9,6 +9,7 @@ peaking at 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -177,6 +178,14 @@ def regularity_scan(
     return rows
 
 
+def _check_ball(eps: float, shift: np.ndarray) -> None:
+    """ValueError unless the radius is finite and > 0 and the shift finite."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"ball radius eps must be finite and > 0, got {eps}")
+    if not np.isfinite(shift).all():
+        raise ValueError("shift must be finite")
+
+
 @dataclass
 class AndersonResult:
     p_centered: float
@@ -199,6 +208,9 @@ def anderson_check(
     shift = np.asarray(shift, dtype=float)
     if shift.shape != (n,):
         raise ValueError("shift length must match the spec truncation")
+    _check_ball(eps, shift)
+    if mc_samples < 1:
+        raise ValueError(f"anderson_check needs mc_samples >= 1, got {mc_samples}")
     gamma = m.spec.gamma()
     hits_c = 0
     hits_s = 0
@@ -237,33 +249,44 @@ def _leggauss(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def _gl_panels(splits, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [-pi/2, pi/2], panel-split at the
-    given interior angles (where the integrand loses smoothness)."""
+_ROW_BLOCK = 64  # radii per quadrature block; each temporary is 64 rows x (kinks + 1) nodes
+
+
+def _gl_panels(splits: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [-pi/2, pi/2], one row per row of
+    ``splits`` (rows, k): each row is panel-split at its k sorted interior
+    angles (where the integrand loses smoothness).  Returns two arrays of
+    shape (rows, (k + 1) nodes)."""
     t, w = _leggauss(nodes)
-    pts = [-0.5 * np.pi]
-    pts += sorted(s for s in splits if -0.5 * np.pi < s < 0.5 * np.pi)
-    pts.append(0.5 * np.pi)
-    xs, ws = [], []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        xs.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * t)
-        ws.append(0.5 * (hi - lo) * w)
-    return np.concatenate(xs), np.concatenate(ws)
+    rows = splits.shape[0]
+    pts = np.empty((rows, splits.shape[1] + 2))
+    pts[:, 0] = -0.5 * np.pi
+    pts[:, 1:-1] = splits
+    pts[:, -1] = 0.5 * np.pi
+    lo, hi = pts[:, :-1, None], pts[:, 1:, None]
+    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+    ws = 0.5 * (hi - lo) * w
+    return xs.reshape(rows, -1), ws.reshape(rows, -1)
 
 
-def _kink_angles_sin(c: float, r: float) -> list[float]:
-    """Angles where c + r sin(theta) crosses zero (density cusp of f_p)."""
-    if r > 0 and abs(c) < r:
-        return [float(np.arcsin(-c / r))]
-    return []
+def _kink_angles_sin(c: float, r: np.ndarray) -> np.ndarray:
+    """Per radius, the angle where c + r sin(theta) crosses zero (density
+    cusp of f_p); NaN where there is none.  Shape (len(r), 1)."""
+    out = np.full((r.size, 1), np.nan)
+    cut = (r > 0) & (abs(c) < r)
+    out[cut, 0] = np.arcsin(-c / r[cut])
+    return out
 
 
-def _kink_angles_cos(c: float, r: float) -> list[float]:
-    """Angles where r cos(theta) equals |c| (CDF-difference cusp)."""
-    if r > 0 and abs(c) < r:
-        a = float(np.arccos(abs(c) / r))
-        return [-a, a]
-    return []
+def _kink_angles_cos(c: float, r: np.ndarray) -> np.ndarray:
+    """Per radius, the angles -a, a where r cos(theta) equals |c| (CDF-difference
+    cusp); NaN where there are none.  Shape (len(r), 2)."""
+    out = np.full((r.size, 2), np.nan)
+    cut = (r > 0) & (abs(c) < r)
+    a = np.arccos(abs(c) / r[cut])
+    out[cut, 0] = -a
+    out[cut, 1] = a
+    return out
 
 
 def _ball_probability(m: PExpMeasure, eps: float, center: np.ndarray, nodes: int) -> float:
@@ -272,48 +295,44 @@ def _ball_probability(m: PExpMeasure, eps: float, center: np.ndarray, nodes: int
     The innermost axis is integrated exactly through the univariate CDF;
     outer axes use the substitution x = c + eps sin(theta), which removes the
     square-root edge singularity, with panels split where the p-exponential
-    density or the inner CDF difference loses smoothness.
+    density or the inner CDF difference loses smoothness.  One recursion
+    integrates a whole vector of radii per axis: the rows that share a kink
+    count share a node layout, so each block of them is one array call per
+    level, and its inner radii are the flattened (rows x nodes) array.
     """
     gamma = m.spec.gamma()
     dim = m.spec.size
     pr = m.params
+    if dim > 3:
+        raise ValueError("decentering quadrature supports dimension <= 3")
 
-    def F(i, x):
-        return univariate.cdf(pr, x / gamma[i])
+    def mass(i: int, r: np.ndarray) -> np.ndarray:
+        """Mass of the disc of radius r (each entry) about center[i:] in
+        coordinates i, ..., dim - 1."""
+        c = center[i]
+        if i == dim - 1:
+            return univariate.cdf(pr, (c + r) / gamma[i]) - univariate.cdf(pr, (c - r) / gamma[i])
+        r = np.atleast_1d(r)
+        kinks = np.hstack([_kink_angles_sin(c, r)] + [_kink_angles_cos(ck, r) for ck in center[i + 1 :]])
+        inside = (-0.5 * np.pi < kinks) & (kinks < 0.5 * np.pi)
+        kinks = np.sort(np.where(inside, kinks, np.nan), axis=1)
+        count = inside.sum(axis=1)
+        out = np.empty(r.size)
+        for k in np.unique(count):
+            group = np.flatnonzero(count == k)
+            for s in range(0, group.size, _ROW_BLOCK):
+                rows = group[s : s + _ROW_BLOCK]
+                rb = r[rows, None]
+                theta, wts = _gl_panels(kinks[rows, :k], nodes)
+                x = c + rb * np.sin(theta)
+                cos = np.cos(theta)
+                inner = mass(i + 1, (rb * cos).ravel()).reshape(theta.shape)
+                dens = univariate.pdf(pr, x / gamma[i]) / gamma[i]
+                out[rows] = np.sum(wts * dens * inner * rb * cos, axis=1)
+        return out
 
-    def f(i, x):
-        return univariate.pdf(pr, np.asarray(x) / gamma[i]) / gamma[i]
-
-    if dim == 1:
-        return float(F(0, center[0] + eps) - F(0, center[0] - eps))
-
-    if dim == 2:
-        splits = _kink_angles_sin(center[0], eps) + _kink_angles_cos(center[1], eps)
-        theta, wts = _gl_panels(splits, nodes)
-        x1 = center[0] + eps * np.sin(theta)
-        r = eps * np.cos(theta)
-        inner = F(1, center[1] + r) - F(1, center[1] - r)
-        return float(np.sum(wts * f(0, x1) * inner * eps * np.cos(theta)))
-
-    if dim == 3:
-        splits = (
-            _kink_angles_sin(center[0], eps)
-            + _kink_angles_cos(center[1], eps)
-            + _kink_angles_cos(center[2], eps)
-        )
-        theta, wts = _gl_panels(splits, nodes)
-        x1 = center[0] + eps * np.sin(theta)
-        rho = eps * np.cos(theta)
-        mid = np.empty_like(theta)
-        for j, rj in enumerate(rho):
-            sp = _kink_angles_sin(center[1], rj) + _kink_angles_cos(center[2], rj)
-            phi, wphi = _gl_panels(sp, nodes)
-            x2 = center[1] + rj * np.sin(phi)
-            r2 = rj * np.cos(phi)
-            inner = F(2, center[2] + r2) - F(2, center[2] - r2)
-            mid[j] = np.sum(wphi * f(1, x2) * inner * rj * np.cos(phi))
-        return float(np.sum(wts * f(0, x1) * mid * eps * np.cos(theta)))
-    raise ValueError("decentering quadrature supports dimension <= 3")
+    # a scalar radius keeps dimension 1 on the scalar path of the ufuncs
+    return float(np.ravel(mass(0, float(eps)))[0])
 
 
 def decentering_check(
@@ -330,6 +349,7 @@ def decentering_check(
     h = np.asarray(h, dtype=float)
     if h.shape != (dim,):
         raise ValueError("shift length must match the spec truncation")
+    _check_ball(eps, h)
     lhs = _ball_probability(m, eps, h, nodes)
     centered = _ball_probability(m, eps, np.zeros(dim), nodes)
     cost = float(np.exp(-z_norm_p(h, m.spec) / m.spec.p))

@@ -61,7 +61,8 @@ def cdf(params: PExpParams, x):
     """P(X <= x).  Closed forms at p = 1 (Laplace) and p = 2 (normal)."""
     x = np.asarray(x, dtype=float)
     if params.p == 1.0:
-        out = np.where(x < 0, 0.5 * np.exp(-np.abs(x)), 1.0 - 0.5 * np.exp(-np.abs(x)))
+        tail = 0.5 * np.exp(-np.abs(x))
+        out = np.where(x < 0, tail, 1.0 - tail)
     elif params.p == 2.0:
         out = special.ndtr(x)
     else:
@@ -91,11 +92,25 @@ def quantile(params: PExpParams, u):
 
 
 def sample(params: PExpParams, rng: np.random.Generator, size=None):
-    """Exact draw: |X| = (p G)^{1/p} with G ~ Gamma(1/p, 1), independent random sign."""
+    """Exact draw, with one generator draw per coordinate plus one uniform at p < 2.
+
+    p = 1: a standard exponential times a random sign (numpy draws
+    Gamma(1, 1) as exactly this exponential).  p = 2: a standard normal.
+    1 < p < 2: X = (p G)^{1/p} (2 U - 1) with G ~ Gamma(1 + 1/p, 1) and
+    U ~ U(0, 1).  The density is decreasing in |x|, so X is a uniform on
+    (-R, R) mixed over R (Khinchine's theorem; Devroye, Non-Uniform Random
+    Variate Generation, 1986), and the mixing law of R^p / p is
+    Gamma(1 + 1/p, 1).
+    """
     p = params.p
-    g = rng.standard_gamma(1.0 / p, size=size)
-    signs = np.where(rng.random(size=size) < 0.5, -1.0, 1.0)
-    out = signs * (p * g) ** (1.0 / p)
+    if p == 1.0:
+        e = rng.standard_exponential(size=size)
+        out = np.where(rng.random(size=size) < 0.5, -1.0, 1.0) * e
+    elif p == 2.0:
+        out = rng.standard_normal(size=size)
+    else:
+        g = rng.standard_gamma(1.0 + 1.0 / p, size=size)
+        out = (p * g) ** (1.0 / p) * (2.0 * rng.random(size=size) - 1.0)
     return out if np.ndim(out) else float(out)
 
 

@@ -3,12 +3,16 @@
 These deliberately avoid the package's solver machinery: the projection
 solver is checked against plain projected subgradient descent on the raw
 objective, vectorized across instances and restarts.  Small-ball estimators
-are checked against each other through ``smallball_agree``.
+are checked against each other through ``smallball_agree``, and the
+row-batched ball quadrature against ``ball_probability_loop``, the same rule
+written one outer node at a time.
 """
 
 import math
 
 import numpy as np
+
+from pexp import univariate
 
 
 def smallball_agree(a, b, z=3.0) -> bool:
@@ -101,3 +105,68 @@ def projected_subgradient_batch(ws, cs, epss, ps, iters=10**6, restarts=3, seed=
             np.minimum(best, objective(), out=best)
     np.minimum(best, objective(), out=best)
     return best.reshape(n_inst, restarts).min(axis=1)
+
+
+def ball_probability_loop(m, eps, center, nodes):
+    """mu(eps B_{l2} + center) in dimension <= 3 by iterated Gauss-Legendre,
+    one outer node at a time with scalar kink and panel helpers.
+
+    The rule is that of ``measure._ball_probability``: the innermost axis is
+    the exact CDF difference, outer axes use x = c + r sin(theta) on
+    [-pi/2, pi/2], split at the arcsin density cusp and at the arccos cusps of
+    the inner CDF differences lying strictly inside.  Every product keeps the
+    same operand order, so the two agree bit for bit.
+    """
+    gamma = m.spec.gamma()
+    dim = m.spec.size
+    pr = m.params
+    t, w = np.polynomial.legendre.leggauss(nodes)
+
+    def panels(splits):
+        pts = [-0.5 * np.pi]
+        pts += sorted(s for s in splits if -0.5 * np.pi < s < 0.5 * np.pi)
+        pts.append(0.5 * np.pi)
+        xs, ws = [], []
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            xs.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * t)
+            ws.append(0.5 * (hi - lo) * w)
+        return np.concatenate(xs), np.concatenate(ws)
+
+    def kink_sin(c, r):
+        return [float(np.arcsin(-c / r))] if r > 0 and abs(c) < r else []
+
+    def kink_cos(c, r):
+        if r > 0 and abs(c) < r:
+            a = float(np.arccos(abs(c) / r))
+            return [-a, a]
+        return []
+
+    def F(i, x):
+        return univariate.cdf(pr, x / gamma[i])
+
+    def f(i, x):
+        return univariate.pdf(pr, np.asarray(x) / gamma[i]) / gamma[i]
+
+    if dim == 1:
+        return float(F(0, center[0] + eps) - F(0, center[0] - eps))
+    if dim == 2:
+        theta, wts = panels(kink_sin(center[0], eps) + kink_cos(center[1], eps))
+        x1 = center[0] + eps * np.sin(theta)
+        r = eps * np.cos(theta)
+        inner = F(1, center[1] + r) - F(1, center[1] - r)
+        return float(np.sum(wts * f(0, x1) * inner * eps * np.cos(theta)))
+    if dim == 3:
+        theta, wts = panels(
+            kink_sin(center[0], eps) + kink_cos(center[1], eps) + kink_cos(center[2], eps)
+        )
+        x1 = center[0] + eps * np.sin(theta)
+        rho = eps * np.cos(theta)
+        mid = np.empty_like(theta)
+        for j, rj in enumerate(rho):
+            phi, wphi = panels(kink_sin(center[1], rj) + kink_cos(center[2], rj))
+            x2 = center[1] + rj * np.sin(phi)
+            r2 = rj * np.cos(phi)
+            inner = F(2, center[2] + r2) - F(2, center[2] - r2)
+            mid[j] = np.sum(wphi * f(1, x2) * inner * rj * np.cos(phi))
+        return float(np.sum(wts * f(0, x1) * mid * eps * np.cos(theta)))
+    raise ValueError("the loop oracle supports dimension <= 3")

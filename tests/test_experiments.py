@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from oracles import ball_probability_loop
 
+from pexp import measure
 from pexp.experiments import (
     ExperimentConfig,
     LambdaRule,
@@ -228,6 +230,16 @@ def test_run_inequalities_all_pass():
     assert all(r.verdict == "PASS" for r in rows)
     checks = {r.check for r in rows}
     assert checks == {"anderson", "decentering", "tail-lower-bound"}
+
+
+def test_run_inequalities_decentering_rows_match_loop_oracle(monkeypatch):
+    # the same seed gives the same h draws, so only the quadrature differs
+    kw = dict(seed=3, anderson_shifts=2, anderson_samples=500, lemma_grid=10)
+    rows = [r for r in run_inequalities(**kw) if r.check == "decentering"]
+    monkeypatch.setattr(measure, "_ball_probability", ball_probability_loop)
+    ref = [r for r in run_inequalities(**kw) if r.check == "decentering"]
+    assert len(rows) == 12
+    assert rows == ref
 
 
 @pytest.mark.slow

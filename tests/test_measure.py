@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import ball_probability_loop
 
 from pexp.measure import (
     PExpMeasure,
+    QuadratureError,
     WaveletBasis,
+    _ball_probability,
     anderson_check,
     decentering_check,
     evaluate_function,
@@ -190,7 +193,72 @@ def test_anderson_rejects_large_dimension():
         anderson_check(m, 1.0, np.zeros(60), 100, np.random.default_rng(0))
 
 
+def test_anderson_rejects_zero_samples():
+    m = pexp_measure(lin_spec(1.0, 1.0, 2))
+    with pytest.raises(ValueError):
+        anderson_check(m, 1.0, np.zeros(2), 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
+def test_anderson_rejects_bad_radius(eps):
+    m = pexp_measure(lin_spec(1.0, 1.0, 2))
+    with pytest.raises(ValueError):
+        anderson_check(m, eps, np.zeros(2), 1000, np.random.default_rng(0))
+
+
+def test_anderson_rejects_nonfinite_shift():
+    m = pexp_measure(lin_spec(1.0, 1.0, 2))
+    with pytest.raises(ValueError):
+        anderson_check(m, 1.0, [math.nan, 0.0], 1000, np.random.default_rng(0))
+
+
 # --- decentering bound -------------------------------------------------------
+
+
+@pytest.mark.parametrize("eps", [0.0, math.nan])
+def test_decentering_rejects_bad_radius(eps):
+    m = pexp_measure(lin_spec(1.5, 1.0, 2))
+    with pytest.raises(ValueError):
+        decentering_check(m, eps, [0.3, 0.1])
+
+
+def test_decentering_rejects_nonfinite_shift():
+    m = pexp_measure(lin_spec(1.5, 1.0, 2))
+    with pytest.raises(ValueError):
+        decentering_check(m, 0.7, [math.nan, 0.1])
+
+
+def test_decentering_negative_radius_is_not_a_quadrature_error():
+    m = pexp_measure(lin_spec(1.0, 1.0, 3))
+    with pytest.raises(ValueError) as info:
+        decentering_check(m, -0.7, [0.2, 0.1, 0.0])
+    assert not isinstance(info.value, QuadratureError)
+
+
+# Centres with zero components put the arccos kinks on +-pi/2, where they are
+# dropped; |c_i| > eps gives no kinks; the rest mix the two.
+BALL_CENTERS = [
+    [0.0, 0.0, 0.0],
+    [0.0, 0.3, 0.0],
+    [0.2, 0.0, -0.5],
+    [0.9, -1.1, 0.8],
+    [0.9, 0.1, 0.0],
+    [-0.3, 0.3, 0.3],
+]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("nodes", [200, 160])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_probability_matches_loop_oracle_exactly(p, nodes, dim):
+    rng = np.random.default_rng(int(10 * p) + nodes + dim)
+    centers = [np.array(c[:dim]) for c in BALL_CENTERS]
+    centers += [rng.normal(scale=0.5, size=dim) for _ in range(2)]
+    m = pexp_measure(lin_spec(p, 1.0, dim))
+    for c in centers:
+        for eps in (0.7, 0.45):
+            assert _ball_probability(m, eps, c, nodes) == ball_probability_loop(m, eps, c, nodes)
+
 
 
 def test_decentering_zero_shift_identity():

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -130,7 +131,7 @@ def test_sampler_variance_laplace():
     assert abs(x.var() - 2.0) < 0.02
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 1.8, 2.0])
 def test_sampler_ks_against_cdf(p):
     # 1% KS critical value at N = 1e6 is 1.63/sqrt(N)
     pr = PExpParams(p)
@@ -138,6 +139,23 @@ def test_sampler_ks_against_cdf(p):
     x = sample(pr, rng, 10**6)
     d = stats.kstest(x, lambda t: cdf(pr, t)).statistic
     assert d < 1.63 / math.sqrt(10**6)
+
+
+def test_sampler_laplace_stream_is_signed_exponential():
+    # numpy draws Gamma(1, 1) as its standard exponential, so this pins the
+    # p = 1 stream of the former gamma-power sampler too
+    rng = np.random.default_rng(104)
+    twin = copy.deepcopy(rng)
+    x = sample(PExpParams(1.0), rng, (500, 3))
+    e = twin.standard_exponential((500, 3))
+    signs = np.where(twin.random((500, 3)) < 0.5, -1.0, 1.0)
+    assert np.array_equal(x.view(np.int64), (signs * e).view(np.int64))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_sampler_scalar_draw_is_float(p):
+    x = sample(PExpParams(p), np.random.default_rng(105))
+    assert type(x) is float
 
 
 def test_generic_cdf_against_quadrature():
