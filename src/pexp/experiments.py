@@ -69,6 +69,10 @@ class ExperimentConfig:
             raise ValueError("n_grid must be strictly increasing")
         if any(n < 1 for n in ns):
             raise ValueError("n_grid entries must be positive")
+        if not (self.replicates >= 1 and self.posterior_draws >= 1):
+            raise ValueError("replicates and posterior_draws must be >= 1")
+        if not (self.thin >= 1 and self.burn_in >= 0):
+            raise ValueError("thin must be >= 1 and burn_in >= 0")
         self.n_grid = [int(n) for n in ns]
 
     @classmethod

@@ -6,8 +6,10 @@ under a p-exponential prior factorizes over coordinates, so it is sampled
 exactly (conjugate formulas at p = 2, otherwise rejection from a
 two-sided truncated-Gaussian envelope, which is exact at p = 1).  The
 density model exponentiates a Faber-Schauder expansion, which is linear
-between dyadic nodes so that its normalizer is exact, and uses adaptive
-random-walk Metropolis in whitened coordinates.
+between dyadic nodes so that its normalizer is exact on the node grid, and
+uses adaptive random-walk Metropolis in whitened coordinates.  Its
+log-likelihood is linear in the coefficients, sum_i W(X_i) = S . u with
+S_l = sum_i psi_l(X_i), so the sample enters a chain only through S.
 """
 
 from __future__ import annotations
@@ -55,10 +57,18 @@ class ChainConfig:
     burn_in: int = 1200
     thin: int = 4
 
+    def __post_init__(self):
+        if not (self.draws >= 1 and self.thin >= 1 and self.burn_in >= 0):
+            raise ValueError(
+                f"ChainConfig needs draws >= 1, thin >= 1 and burn_in >= 0, got "
+                f"draws={self.draws}, thin={self.thin}, burn_in={self.burn_in}"
+            )
+
 
 TARGET_ACCEPT = 0.234  # adaptation target of each level's acceptance rate
 ADAPT_BATCH = 25  # proposals per level between scale updates
 INIT_SCALE = 0.5  # initial proposal scale in whitened coordinates
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 def wn_simulate(w0, n: float, rng: np.random.Generator) -> WhiteNoiseData:
@@ -174,13 +184,18 @@ def wn_error_radii(chain: PosteriorChain, w0) -> np.ndarray:
 
 def _log_int_exp(W: np.ndarray) -> tuple[float, np.ndarray]:
     """log int_0^1 e^w for w linear between equally spaced node values W, and
-    each node segment's share of that integral.  A segment of width h with end
-    values a, b holds h e^{max(a,b)} (1 - e^{-|b-a|}) / |b-a|, or h e^a if b = a."""
-    d = np.abs(np.diff(W))
-    top = np.maximum(W[:-1], W[1:])
+    each node segment's share of that integral.
+
+    The integral is exact: a segment of width h with end values a, b holds
+    h e^{max(a,b)} (1 - e^{-d}) / d with d = |b - a|.  The shape factor
+    (1 - e^{-d}) / d rounds to exactly 1 for every d below about 1e-16, so
+    flooring d at the smallest normal float changes no value and avoids 0 / 0.
+    """
+    a, b = W[:-1], W[1:]
+    d = np.maximum(np.abs(b - a), _TINY)
+    top = np.maximum(a, b)
     mx = top.max()
-    shape = np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d > 0)
-    seg = np.exp(top - mx) * shape
+    seg = np.exp(top - mx) * (-np.expm1(-d) / d)
     total = seg.sum()
     return mx + math.log(total / len(d)), seg / total
 
@@ -234,8 +249,11 @@ def de_posterior_mcmc(
 
     Proposals update one resolution level at a time; each level's scale is
     adapted toward the 0.234 acceptance target during burn-in and then
-    frozen.  The log-posterior is sum_i log pi(X_i) - sum |xi|^p / p with the
-    normalizer computed exactly from W on the basis node grid.
+    frozen.  The log-posterior is sum_i W(X_i) - n log int e^W - sum |xi|^p / p.
+    The likelihood term is linear in the coefficients: sum_i W(X_i) =
+    (gamma S) . xi with S_l = sum_i psi_l(X_i), built once per chain, so a
+    proposal costs one dot product whatever n is.  W is kept only on the
+    basis node grid, where the normalizer is exact (``_log_int_exp``).
     """
     if m.spec.scheme != "dyadic":
         raise ValueError("density model requires a dyadic spec")
@@ -245,14 +263,19 @@ def de_posterior_mcmc(
     p = m.spec.p
     gamma = m.spec.gamma()
     X = np.asarray(sample.points, dtype=float)
+    n = len(X)
+    S = np.zeros(m.spec.size)
+    for idx, val in basis.gather(X)[: K + 1]:
+        S += np.bincount(idx, weights=val, minlength=m.spec.size)
+    gS = gamma * S
     nodes = basis.node_grid()
-    gathers_grid = basis.gather(nodes)[: K + 1]
-    gathers_X = basis.gather(X)[: K + 1]
-    level_slices = [slice(2**k - 1, 2 ** (k + 1) - 1) for k in range(K + 1)]
+    levels = []  # per level: coefficient slice, its node gather and gamma
+    for k, (gidx, gval) in enumerate(basis.gather(nodes)[: K + 1]):
+        sl = slice(2**k - 1, 2 ** (k + 1) - 1)
+        levels.append((sl, gidx - sl.start, gval, gamma[sl]))
 
     xi = np.zeros(m.spec.size)
     Wg = np.zeros(len(nodes))
-    Wx = np.zeros(len(X))
     lpost = 0.0  # at xi = 0, W = 0 and log Z = 0: every term vanishes
 
     scales = np.full(K + 1, INIT_SCALE)
@@ -263,23 +286,18 @@ def de_posterior_mcmc(
     kept = []
     total = cfg.burn_in + cfg.draws * cfg.thin
     for it in range(total):
-        for k in range(K + 1):
-            sl = level_slices[k]
+        for k, (sl, gidx, gval, gam) in enumerate(levels):
             step = scales[k] * rng.standard_normal(2**k)
-            du = gamma[sl] * step
-            gidx, gval = gathers_grid[k]
-            xidx, xval = gathers_X[k]
-            Wg2 = Wg + du[gidx - (2**k - 1)] * gval
-            Wx2 = Wx + du[xidx - (2**k - 1)] * xval
+            Wg2 = Wg + (gam * step)[gidx] * gval
             xi2 = xi.copy()
             xi2[sl] += step
-            prior = float(np.sum(np.abs(xi2) ** p) / p)
-            lpost2 = Wx2.sum() - len(X) * _log_int_exp(Wg2)[0] - prior
-            if not np.isfinite(lpost2):
+            prior = float((np.abs(xi2) ** p).sum()) / p
+            lpost2 = float(gS @ xi2) - n * _log_int_exp(Wg2)[0] - prior
+            if not math.isfinite(lpost2):
                 raise FloatingPointError(f"non-finite log-posterior at level {k}")
             accept = np.log(rng.random()) < lpost2 - lpost
             if accept:
-                xi, Wg, Wx, lpost = xi2, Wg2, Wx2, lpost2
+                xi, Wg, lpost = xi2, Wg2, lpost2
             tries[k] += 1
             acc[k] += accept
             if it >= cfg.burn_in:

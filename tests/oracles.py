@@ -5,7 +5,8 @@ solver is checked against plain projected subgradient descent on the raw
 objective, vectorized across instances and restarts.  Small-ball estimators
 are checked against each other through ``smallball_agree``, and the
 row-batched ball quadrature against ``ball_probability_loop``, the same rule
-written one outer node at a time.
+written one outer node at a time, and the density Metropolis kernel against
+``metropolis_loop``, which keeps the likelihood as the sum of an (n,) state.
 """
 
 import math
@@ -170,3 +171,81 @@ def ball_probability_loop(m, eps, center, nodes):
             mid[j] = np.sum(wphi * f(1, x2) * inner * rj * np.cos(phi))
         return float(np.sum(wts * f(0, x1) * mid * eps * np.cos(theta)))
     raise ValueError("the loop oracle supports dimension <= 3")
+
+
+def log_int_exp_where(W):
+    """log int_0^1 e^w for w linear between equally spaced node values W, and
+    each node segment's share, with the d = 0 limit of (1 - e^{-d}) / d set
+    by a masked divide."""
+    d = np.abs(np.diff(W))
+    top = np.maximum(W[:-1], W[1:])
+    mx = top.max()
+    shape = np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d > 0)
+    seg = np.exp(top - mx) * shape
+    total = seg.sum()
+    return mx + math.log(total / len(d)), seg / total
+
+
+def metropolis_loop(sample, m, basis, cfg, rng):
+    """The density model's adaptive random-walk Metropolis with the
+    likelihood sum_i W(X_i) kept as an (n,) state W(X) and updated through
+    each level's gather at the sample points.
+
+    Same proposals, adaptation and random stream as
+    ``models.de_posterior_mcmc``; returns its chain fields as a dict.
+    """
+    K = m.spec.levels
+    p = m.spec.p
+    gamma = m.spec.gamma()
+    X = np.asarray(sample.points, dtype=float)
+    nodes = basis.node_grid()
+    gathers_grid = basis.gather(nodes)[: K + 1]
+    gathers_X = basis.gather(X)[: K + 1]
+    level_slices = [slice(2**k - 1, 2 ** (k + 1) - 1) for k in range(K + 1)]
+
+    xi = np.zeros(m.spec.size)
+    Wg = np.zeros(len(nodes))
+    Wx = np.zeros(len(X))
+    lpost = 0.0
+
+    scales = np.full(K + 1, 0.5)
+    acc = np.zeros(K + 1)
+    tries = np.zeros(K + 1)
+    acc_post = 0
+    tries_post = 0
+    kept = []
+    total = cfg.burn_in + cfg.draws * cfg.thin
+    for it in range(total):
+        for k in range(K + 1):
+            sl = level_slices[k]
+            step = scales[k] * rng.standard_normal(2**k)
+            du = gamma[sl] * step
+            gidx, gval = gathers_grid[k]
+            xidx, xval = gathers_X[k]
+            Wg2 = Wg + du[gidx - (2**k - 1)] * gval
+            Wx2 = Wx + du[xidx - (2**k - 1)] * xval
+            xi2 = xi.copy()
+            xi2[sl] += step
+            prior = float(np.sum(np.abs(xi2) ** p) / p)
+            lpost2 = Wx2.sum() - len(X) * log_int_exp_where(Wg2)[0] - prior
+            if not np.isfinite(lpost2):
+                raise FloatingPointError(f"non-finite log-posterior at level {k}")
+            accept = np.log(rng.random()) < lpost2 - lpost
+            if accept:
+                xi, Wg, Wx, lpost = xi2, Wg2, Wx2, lpost2
+            tries[k] += 1
+            acc[k] += accept
+            if it >= cfg.burn_in:
+                tries_post += 1
+                acc_post += accept
+            elif tries[k] % 25 == 0:
+                rate = acc[k] / tries[k]
+                scales[k] *= np.exp(0.5 * (rate - 0.234))
+        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
+            kept.append(xi.copy())
+    return {
+        "xi": np.array(kept),
+        "acceptance_rate": float(acc_post / max(tries_post, 1)),
+        "scales": scales,
+        "per_level_accept": acc / np.maximum(tries, 1),
+    }

@@ -94,6 +94,18 @@ def test_config_requires_increasing_grid():
         small_wn_config(n_grid=[64, 128])  # too short
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"replicates": 0}, {"posterior_draws": 0}, {"thin": 0}, {"burn_in": -5}],
+)
+def test_config_rejects_empty_or_negative_sizes(bad):
+    # each used to run: a NaN verdict, failed cells or too few draws
+    with pytest.raises(ValueError, match="must be >= "):
+        small_wn_config(**bad)
+    with pytest.raises(ValueError, match="must be >= "):
+        ExperimentConfig.from_dict(dict(small_wn_config().to_dict(), model="density", **bad))
+
+
 def test_config_roundtrip_and_hash(tmp_path):
     cfg = small_wn_config(lambda_rule=LambdaRule(0.2, 0.0))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg

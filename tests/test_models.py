@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import log_int_exp_where, metropolis_loop
 from scipy import integrate, stats
 
 from pexp import univariate
-from pexp.measure import WaveletBasis, pexp_measure
+from pexp.measure import WaveletBasis, evaluate_function, pexp_measure
 from pexp.models import (
     ChainConfig,
     WhiteNoiseData,
@@ -348,6 +349,68 @@ def test_de_simulate_deterministic():
     a = de_simulate(u, basis, 100, np.random.default_rng(86))
     b = de_simulate(u, basis, 100, np.random.default_rng(86))
     np.testing.assert_array_equal(a.points, b.points)
+
+
+def test_log_normalizer_matches_masked_divide_oracle_exactly():
+    # the gap floored at the smallest normal float gives the d = 0 limit 1
+    # exactly, so ties, flat stretches and subnormal gaps agree bit for bit
+    rng = np.random.default_rng(98)
+    cases = [np.zeros(129), np.round(2.0 * rng.normal(size=129)), 700.0 * rng.normal(size=129)]
+    for gap in (1e-300, 1e-310, 5e-324):
+        W = np.zeros(129)
+        W[1::2] = gap
+        cases.append(W)
+        cases.append(np.repeat(rng.normal(size=65), 2)[:129] + np.tile([0.0, gap], 65)[:129])
+    for W in cases:
+        got, want = _log_int_exp(W), log_int_exp_where(W)
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_sufficient_statistic_gives_the_log_likelihood():
+    # sum_i W(X_i) = sum_l u_l S_l with S_l = sum_i psi_l(X_i)
+    basis = WaveletBasis(6)
+    gamma = ScalingSpec(1.0, 1.0, scheme="dyadic", levels=6).gamma()
+    rng = np.random.default_rng(99)
+    X = rng.random(4000)
+    S = sum(np.bincount(idx, weights=val, minlength=127) for idx, val in basis.gather(X))
+    for _ in range(5):
+        xi = 3.0 * rng.normal(size=127)
+        target = evaluate_function(CoefVec.dyadic(gamma * xi, 6), basis, X).sum()
+        assert (gamma * S) @ xi == pytest.approx(target, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("levels", [3, 6])
+@pytest.mark.parametrize("n", [0, 200, 4000])
+def test_de_mcmc_matches_metropolis_loop_oracle_exactly(p, levels, n):
+    # same stream, same decisions: the sufficient statistic moves the
+    # log-posterior by ulps only, so every kept draw and scale is equal
+    spec = ScalingSpec(p, 1.0, scheme="dyadic", levels=levels)
+    m = pexp_measure(spec)
+    basis = WaveletBasis(levels)
+    if n:
+        rng = np.random.default_rng(100 + n)
+        truth = CoefVec.dyadic(spec.gamma() * rng.normal(size=spec.size), levels)
+        sample = de_simulate(truth, basis, n, rng)
+    else:
+        sample = type("S", (), {"points": np.empty(0), "n": 0})()
+    cfg = ChainConfig(draws=50, burn_in=200, thin=2)
+    chain = de_posterior_mcmc(sample, m, basis, cfg, np.random.default_rng(101))
+    want = metropolis_loop(sample, m, basis, cfg, np.random.default_rng(101))
+    assert chain.xi.shape == (50, spec.size)
+    np.testing.assert_array_equal(chain.xi, want["xi"])
+    assert chain.acceptance_rate == want["acceptance_rate"]
+    np.testing.assert_array_equal(chain.step_log["scales"], want["scales"])
+    np.testing.assert_array_equal(chain.step_log["per_level_accept"], want["per_level_accept"])
+
+
+@pytest.mark.parametrize(
+    "bad", [{"thin": 0}, {"draws": 0}, {"draws": -2}, {"burn_in": -3, "draws": 5}]
+)
+def test_chain_config_rejects_empty_or_negative_sizes(bad):
+    with pytest.raises(ValueError, match="ChainConfig"):
+        ChainConfig(**bad)
 
 
 @pytest.mark.slow
