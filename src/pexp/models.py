@@ -316,6 +316,7 @@ def de_posterior_mcmc(
         {
             "scales": scales.copy(),
             "per_level_accept": (acc / np.maximum(tries, 1)).copy(),
+            "log_posterior": lpost,
             "warning": None if 0.1 <= rate_post <= 0.5 else "acceptance outside [0.1, 0.5]",
         },
     )

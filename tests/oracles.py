@@ -109,28 +109,35 @@ def projected_subgradient_batch(ws, cs, epss, ps, iters=10**6, restarts=3, seed=
 
 
 def ball_probability_loop(m, eps, center, nodes):
-    """mu(eps B_{l2} + center) in dimension <= 3 by iterated Gauss-Legendre,
-    one outer node at a time with scalar kink and panel helpers.
+    """mu(eps B_{l2} + center) in dimension <= 3 by iterated graded
+    Gauss-Legendre, one outer node at a time with scalar kink and panel helpers.
 
     The rule is that of ``measure._ball_probability``: the innermost axis is
     the exact CDF difference, outer axes use x = c + r sin(theta) on
-    [-pi/2, pi/2], split at the arcsin density cusp and at the arccos cusps of
-    the inner CDF differences lying strictly inside.  Every product keeps the
-    same operand order, so the two agree bit for bit.
+    [-pi/2, pi/2], split at the arcsin density cusp, at the arccos cusps of
+    the inner CDF differences and, on the outer axis of a 3-D ball, at the
+    arccos corner where the inner disc reaches the zero of both remaining
+    coordinates, wherever these lie strictly inside.  Each panel [lo, hi]
+    maps Gauss-Legendre through theta = lo + (hi - lo) s^2 (3 - 2 s),
+    s = (t + 1) / 2.  Every product keeps the same operand order, so the two
+    agree bit for bit.
     """
     gamma = m.spec.gamma()
     dim = m.spec.size
     pr = m.params
     t, w = np.polynomial.legendre.leggauss(nodes)
+    s = 0.5 * (t + 1.0)
+    g = s * s * (3.0 - 2.0 * s)
+    gw = 3.0 * s * (1.0 - s) * w
 
     def panels(splits):
         pts = [-0.5 * np.pi]
-        pts += sorted(s for s in splits if -0.5 * np.pi < s < 0.5 * np.pi)
+        pts += sorted(a for a in splits if -0.5 * np.pi < a < 0.5 * np.pi)
         pts.append(0.5 * np.pi)
         xs, ws = [], []
         for lo, hi in zip(pts[:-1], pts[1:]):
-            xs.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * t)
-            ws.append(0.5 * (hi - lo) * w)
+            xs.append(lo + (hi - lo) * g)
+            ws.append((hi - lo) * gw)
         return np.concatenate(xs), np.concatenate(ws)
 
     def kink_sin(c, r):
@@ -158,7 +165,10 @@ def ball_probability_loop(m, eps, center, nodes):
         return float(np.sum(wts * f(0, x1) * inner * eps * np.cos(theta)))
     if dim == 3:
         theta, wts = panels(
-            kink_sin(center[0], eps) + kink_cos(center[1], eps) + kink_cos(center[2], eps)
+            kink_sin(center[0], eps)
+            + kink_cos(center[1], eps)
+            + kink_cos(center[2], eps)
+            + kink_cos(math.hypot(center[1], center[2]), eps)
         )
         x1 = center[0] + eps * np.sin(theta)
         rho = eps * np.cos(theta)
@@ -192,7 +202,8 @@ def metropolis_loop(sample, m, basis, cfg, rng):
     each level's gather at the sample points.
 
     Same proposals, adaptation and random stream as
-    ``models.de_posterior_mcmc``; returns its chain fields as a dict.
+    ``models.de_posterior_mcmc``; returns its chain fields and the final
+    state's log-posterior as a dict.
     """
     K = m.spec.levels
     p = m.spec.p
@@ -248,4 +259,5 @@ def metropolis_loop(sample, m, basis, cfg, rng):
         "acceptance_rate": float(acc_post / max(tries_post, 1)),
         "scales": scales,
         "per_level_accept": acc / np.maximum(tries, 1),
+        "log_posterior": lpost,
     }

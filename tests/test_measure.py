@@ -5,6 +5,8 @@ import pytest
 from oracles import ball_probability_loop
 
 from pexp.measure import (
+    MIN_NODES,
+    QUADRATURE_TOL,
     PExpMeasure,
     QuadratureError,
     WaveletBasis,
@@ -19,7 +21,7 @@ from pexp.measure import (
     sup_norm_exact,
 )
 from pexp.sequences import CoefVec, ScalingSpec
-from pexp.univariate import PExpParams, cdf, variance
+from pexp.univariate import PExpParams, cdf, sample, variance
 
 
 def lin_spec(p, alpha, n, lam=1.0):
@@ -187,6 +189,18 @@ def test_anderson_random_shifts_pass():
             assert res.verdict == "PASS"
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_anderson_counts_match_row_sums(dim):
+    # the column-accumulated squared norms give the counts of np.sum(axis=1)
+    m = pexp_measure(lin_spec(1.5, 1.0, dim))
+    shift = np.random.default_rng(40 + dim).normal(scale=0.8, size=dim)
+    n = 50_000
+    res = anderson_check(m, 1.0, shift, n, np.random.default_rng(41))
+    u = m.spec.gamma() * sample(m.params, np.random.default_rng(41), size=(n, dim))
+    assert round(res.p_centered * n) == (np.sum(u**2, axis=1) <= 1.0).sum()
+    assert round(res.p_shifted * n) == (np.sum((u - shift) ** 2, axis=1) <= 1.0).sum()
+
+
 def test_anderson_rejects_large_dimension():
     m = pexp_measure(lin_spec(1.0, 1.0, 60))
     with pytest.raises(ValueError):
@@ -247,8 +261,9 @@ BALL_CENTERS = [
 ]
 
 
+# 64 and 51 are decentering_check's default rule and its coarse rule
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-@pytest.mark.parametrize("nodes", [200, 160])
+@pytest.mark.parametrize("nodes", [200, 160, 64, 51])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_ball_probability_matches_loop_oracle_exactly(p, nodes, dim):
     rng = np.random.default_rng(int(10 * p) + nodes + dim)
@@ -259,6 +274,34 @@ def test_ball_probability_matches_loop_oracle_exactly(p, nodes, dim):
         for eps in (0.7, 0.45):
             assert _ball_probability(m, eps, c, nodes) == ball_probability_loop(m, eps, c, nodes)
 
+
+@pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 1.8, 2.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_probability_default_rule_converged(p, dim):
+    # graded panels split at every kink converge spectrally: the 64-node
+    # rule agrees with 256 nodes to 1e-11 (worst case 3.7e-12, at p = 1.2)
+    m = pexp_measure(lin_spec(p, 1.0, dim))
+    for c in BALL_CENTERS:
+        c = np.array(c[:dim])
+        for eps in (0.7, 0.45):
+            ref = _ball_probability(m, eps, c, 256)
+            assert _ball_probability(m, eps, c, 64) == pytest.approx(ref, rel=1e-11, abs=0)
+
+
+
+def test_decentering_coarse_rule_is_coarser_at_minimum_nodes():
+    # at the minimum the coarse rule (nodes * 4 // 5) still differs from the
+    # main one, so achieved_tol is a real estimate, not 0
+    m = pexp_measure(lin_spec(1.5, 1.0, 3))
+    res = decentering_check(m, 0.7, [0.3, -0.2, 0.4], nodes=MIN_NODES)
+    assert 0.0 < res.achieved_tol <= QUADRATURE_TOL
+    assert res.verdict == "PASS"
+
+
+def test_decentering_rejects_too_few_nodes():
+    m = pexp_measure(lin_spec(1.5, 1.0, 3))
+    with pytest.raises(ValueError, match="nodes"):
+        decentering_check(m, 0.7, [0.3, -0.2, 0.4], nodes=MIN_NODES - 1)
 
 
 def test_decentering_zero_shift_identity():

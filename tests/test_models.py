@@ -403,6 +403,8 @@ def test_de_mcmc_matches_metropolis_loop_oracle_exactly(p, levels, n):
     assert chain.acceptance_rate == want["acceptance_rate"]
     np.testing.assert_array_equal(chain.step_log["scales"], want["scales"])
     np.testing.assert_array_equal(chain.step_log["per_level_accept"], want["per_level_accept"])
+    # equal decisions do not pin the value: check the log-posterior itself
+    assert chain.step_log["log_posterior"] == pytest.approx(want["log_posterior"], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
