@@ -288,7 +288,6 @@ def test_ball_probability_default_rule_converged(p, dim):
             assert _ball_probability(m, eps, c, 64) == pytest.approx(ref, rel=1e-11, abs=0)
 
 
-
 def test_decentering_coarse_rule_is_coarser_at_minimum_nodes():
     # at the minimum the coarse rule (nodes * 4 // 5) still differs from the
     # main one, so achieved_tol is a real estimate, not 0
