@@ -1,8 +1,7 @@
 """Command line interface: pexp <subcommand>.
 
 Subcommands: rate, conc, smallball, sample-prior, wn-experiment,
-de-experiment, check-inequalities.  The PEXP_THREADS environment variable
-overrides --threads.
+de-experiment, check-inequalities.
 """
 
 from __future__ import annotations
@@ -98,14 +97,11 @@ def cmd_conc(args) -> int:
     spec = _spec_from_args(args, n=len(w))
     m = pexp_measure(spec)
     rng = np.random.default_rng(args.seed)
-    basis = WaveletBasis(spec.levels) if spec.scheme == "dyadic" else None
     # one sample for the whole grid: phi is then non-increasing in eps
-    sample = concentration.unit_norm_sample(m, args.norm, args.mc_samples, rng, basis)
+    sample = concentration.unit_norm_sample(m, args.norm, args.mc_samples, rng)
     print("eps,inf_term,inf_argmin_l2norm,neglog,neglog_lo,neglog_hi,phi")
     for eps in _parse_eps_grid(args.eps_grid):
-        est = concentration.concentration_fn(
-            w, float(eps), m, args.norm, args.mc_samples, rng, basis, sample
-        )
+        est = concentration.concentration_fn(w, float(eps), m, args.norm, sample=sample)
         print(
             f"{eps},{est.inf_term:.17g},{np.linalg.norm(est.argmin):.17g},"
             f"{est.neglog_smallball:.17g},{est.neglog_ci[0]:.17g},"
@@ -118,9 +114,8 @@ def cmd_smallball(args) -> int:
     spec = _spec_from_args(args)
     m = pexp_measure(spec)
     rng = np.random.default_rng(args.seed)
-    basis = WaveletBasis(spec.levels) if spec.scheme == "dyadic" else None
     eps = _parse_eps_grid(args.eps_grid)
-    ests = concentration.smallball_mc(m, eps, args.norm, args.mc_samples, rng, basis)
+    ests = concentration.smallball_mc(m, eps, args.norm, args.mc_samples, rng)
     print("eps,p_hat,neglog,neglog_lo,neglog_hi")
     for e in ests:
         print(f"{e.eps},{e.p_hat:.17g},{e.neglog:.17g},{e.ci[0]:.17g},{e.ci[1]:.17g}")

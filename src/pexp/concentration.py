@@ -7,10 +7,11 @@ separable and convex, so an outer safeguarded Newton solve on log lambda,
 the log of the KKT multiplier, combined with per-coordinate proximal maps
 (``univariate.prox``) reaches machine-level KKT residuals.  The small-ball
 term is Monte Carlo with Wilson confidence intervals mapped through -log.
-Rescaling factors out of the small ball, so one sorted sample of norms
-under the unit-scaling measure (``unit_norm_sample``) answers every eps by
-``searchsorted``: the rate solver and ``pexp conc`` draw it once, which makes
-phi, and the solver's bisection predicate, monotone in eps by construction.
+Rescaling factors out of the small ball, so a ``sample`` is always sorted
+norms under the unit-scaling measure, read by ``searchsorted`` at eps / lam,
+and ``unit_norm_sample`` is the only draw: the rate solver and ``pexp conc``
+draw it once, which makes phi, and the solver's bisection predicate,
+monotone in eps by construction.
 
 Plain Monte Carlo resolves -log mu(eps B) only up to about log(samples),
 which leaves the small-ball law -log mu(eps B) ~ eps^{-1/alpha} out of
@@ -28,7 +29,7 @@ import numpy as np
 from scipy import special
 
 from . import univariate
-from .measure import PExpMeasure, WaveletBasis
+from .measure import PExpMeasure, WaveletBasis, sample_prior_block
 from .sequences import ScalingSpec, coef_values, loglog_fit
 
 
@@ -181,47 +182,7 @@ def _wilson_ci(hits: int, n: int, z: float = 1.959963984540054) -> tuple[float, 
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _norm_samples(
-    m: PExpMeasure,
-    norm: str,
-    samples: int,
-    rng: np.random.Generator,
-    basis: WaveletBasis | None,
-    block: int = 50_000,
-) -> np.ndarray:
-    """Norms of ``samples`` prior draws, ``block`` draws at a time.  |xi| is
-    drawn exactly: Exp(1) at p = 1, |N(0, 1)| at p = 2, (p G)^{1/p} with
-    G ~ Gamma(1/p) otherwise."""
-    p = m.spec.p
-    gamma = m.spec.gamma()
-    ncoef = m.spec.size
-    out = np.empty(samples)
-    if norm == "sup":
-        if m.spec.scheme != "dyadic":
-            raise ValueError("sup-norm small balls require the dyadic scheme")
-        if basis is None:
-            basis = WaveletBasis(m.spec.levels)
-        Psi = basis.evaluation_matrix(basis.node_grid())[:, :ncoef]
-    done = 0
-    while done < samples:
-        b = min(block, samples - done)
-        if p == 1.0:
-            mags = rng.standard_exponential((b, ncoef))
-        elif p == 2.0:
-            mags = np.abs(rng.standard_normal((b, ncoef)))
-        else:
-            mags = (p * rng.standard_gamma(1.0 / p, size=(b, ncoef))) ** (1.0 / p)
-        if norm == "l2":
-            # signs are irrelevant for the l2 norm
-            out[done : done + b] = np.sqrt(((mags * gamma) ** 2).sum(axis=1))
-        elif norm == "sup":
-            signs = np.where(rng.random((b, ncoef)) < 0.5, -1.0, 1.0)
-            u = signs * mags * gamma
-            out[done : done + b] = np.abs(u @ Psi.T).max(axis=1)
-        else:
-            raise ValueError(f"unknown norm {norm!r}")
-        done += b
-    return out
+BLOCK_FLOATS = 1 << 22  # floats in the widest temporary of one block of draws (32 MiB)
 
 
 def unit_norm_sample(
@@ -233,13 +194,39 @@ def unit_norm_sample(
 ) -> np.ndarray:
     """Sorted norms of ``samples`` draws from the unit-scaling measure of m.
 
-    This is the ``sample`` that ``concentration_fn`` takes: the ball of
-    radius eps under m is the ball of radius eps / lam under the unit
-    measure, so one sample serves every eps.
+    The one Monte Carlo draw of prior norms, and the ``sample`` that
+    ``smallball_mc`` and ``concentration_fn`` take: the ball of radius eps
+    under m is the ball of radius eps / lam under the unit measure, so one
+    sample serves every eps.  l2 norms need only |xi|
+    (``univariate.abs_sample``); sup norms take signed draws
+    (``sample_prior_block``) to the node grid.  Rows are drawn in blocks
+    that keep the widest temporary within BLOCK_FLOATS; the l2 stream is
+    the same for any split.
     """
-    norms = _norm_samples(PExpMeasure(m.spec.unit()), norm, samples, rng, basis)
-    norms.sort()
-    return norms
+    unit = PExpMeasure(m.spec.unit())
+    gamma = unit.spec.gamma()
+    width = len(gamma)
+    if norm == "sup":
+        if unit.spec.scheme != "dyadic":
+            raise ValueError("sup-norm small balls require the dyadic scheme")
+        if basis is None:
+            basis = WaveletBasis(unit.spec.levels)
+        Psi = basis.evaluation_matrix(basis.node_grid())[:, :width]
+        width = len(Psi)  # the node values outnumber the coefficients
+    elif norm != "l2":
+        raise ValueError(f"unknown norm {norm!r}")
+    block = max(1, BLOCK_FLOATS // width)
+    out = np.empty(samples)
+    for start in range(0, samples, block):
+        rows = min(block, samples - start)
+        if norm == "l2":
+            mags = univariate.abs_sample(unit.params, rng, (rows, len(gamma)))
+            out[start : start + rows] = np.sqrt(((mags * gamma) ** 2).sum(axis=1))
+        else:
+            u = sample_prior_block(unit, rng, rows)
+            out[start : start + rows] = np.abs(u @ Psi.T).max(axis=1)
+    out.sort()
+    return out
 
 
 def smallball_mc(
@@ -249,15 +236,15 @@ def smallball_mc(
     samples: int = 10**6,
     rng: np.random.Generator | None = None,
     basis: WaveletBasis | None = None,
-    block: int = 50_000,
     sample: np.ndarray | None = None,
 ):
     """-log mu(eps B) by Monte Carlo; eps may be a scalar or a grid.
 
-    ``sample``, a sorted array of norms under m, replaces the draw: nothing
-    is drawn and ``samples`` is its length.  Returns a SmallBallEstimate (or
-    a list of them for a grid).  Raises ZeroHitsError when no draw lands
-    inside a ball.
+    Hits are counted at eps / lam in sorted norms under the unit-scaling
+    measure: ``sample`` from ``unit_norm_sample`` when given (nothing is
+    drawn and ``samples`` is its length), else a fresh ``unit_norm_sample``
+    of ``samples`` draws.  Returns a SmallBallEstimate (or a list of them
+    for a grid).  Raises ZeroHitsError when no draw lands inside a ball.
     """
     eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
     if (eps_arr <= 0).any():
@@ -265,15 +252,13 @@ def smallball_mc(
     if sample is None:
         if rng is None:
             rng = np.random.default_rng()
-        norms = _norm_samples(m, norm, samples, rng, basis, block)
-        norms.sort()
-    else:
-        norms, samples = sample, len(sample)
-        if (norms[1:] < norms[:-1]).any():
-            raise ValueError("sample must be sorted")
+        sample = unit_norm_sample(m, norm, samples, rng, basis)
+    elif (sample[1:] < sample[:-1]).any():
+        raise ValueError("sample must be sorted")
+    samples = len(sample)
     results = []
     for e in eps_arr:
-        hits = int(np.searchsorted(norms, e, side="right"))
+        hits = int(np.searchsorted(sample, e / m.spec.lam, side="right"))
         if hits == 0:
             raise ZeroHitsError(
                 f"no draws inside the ball at eps={e}; raise eps or samples"
@@ -498,17 +483,14 @@ def concentration_fn(
     """Assemble phi_w(eps) = inf_term / p + neglog small ball.
 
     Rescaling by lam factors out exactly: the approximation term is lam^{-p}
-    times its unit-scaling value (same minimizer), and the centered ball of
-    radius eps under the rescaled measure is the ball of radius eps / lam
-    under the unit-scaling measure.  Given ``sample`` from
-    ``unit_norm_sample``, nothing is drawn and ``mc_samples`` is its length;
-    calls sharing one sample give phi non-increasing in eps.
+    times its unit-scaling value (same minimizer), and ``smallball_mc``
+    counts the centered ball in sorted unit-measure norms.  Given ``sample``
+    from ``unit_norm_sample``, nothing is drawn and ``mc_samples`` is its
+    length; calls sharing one sample give phi non-increasing in eps.
     """
-    lam = m.spec.lam
-    unit = PExpMeasure(m.spec.unit())
-    value, argmin = inf_term_exact(w, eps, unit.spec)
-    value *= lam ** (-m.spec.p)
-    sb = smallball_mc(unit, eps / lam, norm, mc_samples, rng, basis, sample=sample)
+    value, argmin = inf_term_exact(w, eps, m.spec.unit())
+    value *= m.spec.lam ** (-m.spec.p)
+    sb = smallball_mc(m, eps, norm, mc_samples, rng, basis, sample=sample)
     phi = value / m.spec.p + sb.neglog
     return ConcEstimate(float(eps), value, argmin, sb.neglog, sb.ci, phi)
 

@@ -245,11 +245,6 @@ def run_contraction(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult
     """Sweep n and replicates, fit the q90-radius slope, compare to theory.
     Density cells run serially whatever ``threads`` says: their Metropolis
     loop is bound by per-call overhead under the GIL, so threads slow them."""
-    env = os.environ.get("PEXP_THREADS")
-    if env is not None:
-        if not env.strip().isdecimal() or int(env) < 1:
-            raise ValueError(f"PEXP_THREADS must be an integer >= 1, got {env!r}")
-        threads = int(env)
     truth = _wn_truth(cfg) if cfg.model == "white-noise" else _de_truth(cfg)
     cell = _wn_cell if cfg.model == "white-noise" else _de_cell
     jobs = [(i, r) for i in range(len(cfg.n_grid)) for r in range(cfg.replicates)]

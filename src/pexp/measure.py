@@ -311,7 +311,8 @@ def _kink_angles_cos(c: float, r: np.ndarray) -> np.ndarray:
 def _ball_probability(m: PExpMeasure, eps: float, center: np.ndarray, nodes: int) -> float:
     """mu(eps B_{l2} + center) in dimension <= 3 by iterated graded Gauss-Legendre.
 
-    The innermost axis is integrated exactly through the univariate CDF;
+    The innermost axis is integrated exactly through the univariate CDF, in
+    one evaluation of ``univariate.abs_cdf`` where its center is 0;
     outer axes use the substitution x = c + eps sin(theta), which removes the
     square-root edge singularity, with panels split wherever the p-exponential
     density or the inner disc mass loses smoothness, and graded toward each
@@ -331,6 +332,8 @@ def _ball_probability(m: PExpMeasure, eps: float, center: np.ndarray, nodes: int
         coordinates i, ..., dim - 1."""
         c = center[i]
         if i == dim - 1:
+            if c == 0.0:
+                return univariate.abs_cdf(pr, r / gamma[i])
             return univariate.cdf(pr, (c + r) / gamma[i]) - univariate.cdf(pr, (c - r) / gamma[i])
         r = np.atleast_1d(r)
         # the inner disc mass about rest is non-smooth where the disc meets a

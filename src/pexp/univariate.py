@@ -70,6 +70,20 @@ def cdf(params: PExpParams, x):
     return out if out.ndim else float(out)
 
 
+def abs_cdf(params: PExpParams, r):
+    """P(|X| <= r) for r >= 0 in one evaluation, free of the cancellation in
+    cdf(r) - cdf(-r) at small r; |X|^p / p ~ Gamma(1/p, 1)."""
+    r = np.asarray(r, dtype=float)
+    p = params.p
+    if p == 1.0:
+        out = -np.expm1(-r)
+    elif p == 2.0:
+        out = special.erf(r / math.sqrt(2.0))
+    else:
+        out = special.gammainc(1.0 / p, r**p / p)
+    return out if out.ndim else float(out)
+
+
 def _quantile_generic(params: PExpParams, u):
     u = np.asarray(u, dtype=float)
     p = params.p
@@ -94,8 +108,7 @@ def quantile(params: PExpParams, u):
 def sample(params: PExpParams, rng: np.random.Generator, size=None):
     """Exact draw, with one generator draw per coordinate plus one uniform at p < 2.
 
-    p = 1: a standard exponential times a random sign (numpy draws
-    Gamma(1, 1) as exactly this exponential).  p = 2: a standard normal.
+    p = 1: ``abs_sample`` times a random sign.  p = 2: a standard normal.
     1 < p < 2: X = (p G)^{1/p} (2 U - 1) with G ~ Gamma(1 + 1/p, 1) and
     U ~ U(0, 1).  The density is decreasing in |x|, so X is a uniform on
     (-R, R) mixed over R (Khinchine's theorem; Devroye, Non-Uniform Random
@@ -104,13 +117,23 @@ def sample(params: PExpParams, rng: np.random.Generator, size=None):
     """
     p = params.p
     if p == 1.0:
-        e = rng.standard_exponential(size=size)
+        e = abs_sample(params, rng, size)
         out = np.where(rng.random(size=size) < 0.5, -1.0, 1.0) * e
     elif p == 2.0:
         out = rng.standard_normal(size=size)
     else:
         g = rng.standard_gamma(1.0 + 1.0 / p, size=size)
         out = (p * g) ** (1.0 / p) * (2.0 * rng.random(size=size) - 1.0)
+    return out if np.ndim(out) else float(out)
+
+
+def abs_sample(params: PExpParams, rng: np.random.Generator, size=None):
+    """Exact draw of |X|: a standard exponential at p = 1 (numpy draws
+    Gamma(1, 1) as exactly this exponential), else |``sample``|."""
+    if params.p == 1.0:
+        out = rng.standard_exponential(size=size)
+    else:
+        out = np.abs(sample(params, rng, size))
     return out if np.ndim(out) else float(out)
 
 

@@ -7,6 +7,9 @@ are checked against each other through ``smallball_agree``, and the
 row-batched ball quadrature against ``ball_probability_loop``, the same rule
 written one outer node at a time, and the density Metropolis kernel against
 ``metropolis_loop``, which keeps the likelihood as the sum of an (n,) state.
+``norm_samples_blocks`` is the earlier Monte Carlo norm draw with its own
+|xi| sampler and sign draw, kept as the reference stream for
+``concentration.unit_norm_sample``.
 """
 
 import math
@@ -14,6 +17,7 @@ import math
 import numpy as np
 
 from pexp import univariate
+from pexp.measure import WaveletBasis
 
 
 def smallball_agree(a, b, z=3.0) -> bool:
@@ -113,8 +117,9 @@ def ball_probability_loop(m, eps, center, nodes):
     Gauss-Legendre, one outer node at a time with scalar kink and panel helpers.
 
     The rule is that of ``measure._ball_probability``: the innermost axis is
-    the exact CDF difference, outer axes use x = c + r sin(theta) on
-    [-pi/2, pi/2], split at the arcsin density cusp, at the arccos cusps of
+    the exact CDF difference, or ``univariate.abs_cdf`` at a zero center;
+    outer axes use x = c + r sin(theta) on [-pi/2, pi/2], split at the
+    arcsin density cusp, at the arccos cusps of
     the inner CDF differences and, on the outer axis of a 3-D ball, at the
     arccos corner where the inner disc reaches the zero of both remaining
     coordinates, wherever these lie strictly inside.  Each panel [lo, hi]
@@ -149,19 +154,21 @@ def ball_probability_loop(m, eps, center, nodes):
             return [-a, a]
         return []
 
-    def F(i, x):
-        return univariate.cdf(pr, x / gamma[i])
+    def disc(i, c, r):
+        if c == 0.0:
+            return univariate.abs_cdf(pr, r / gamma[i])
+        return univariate.cdf(pr, (c + r) / gamma[i]) - univariate.cdf(pr, (c - r) / gamma[i])
 
     def f(i, x):
         return univariate.pdf(pr, np.asarray(x) / gamma[i]) / gamma[i]
 
     if dim == 1:
-        return float(F(0, center[0] + eps) - F(0, center[0] - eps))
+        return float(disc(0, center[0], eps))
     if dim == 2:
         theta, wts = panels(kink_sin(center[0], eps) + kink_cos(center[1], eps))
         x1 = center[0] + eps * np.sin(theta)
         r = eps * np.cos(theta)
-        inner = F(1, center[1] + r) - F(1, center[1] - r)
+        inner = disc(1, center[1], r)
         return float(np.sum(wts * f(0, x1) * inner * eps * np.cos(theta)))
     if dim == 3:
         theta, wts = panels(
@@ -177,7 +184,7 @@ def ball_probability_loop(m, eps, center, nodes):
             phi, wphi = panels(kink_sin(center[1], rj) + kink_cos(center[2], rj))
             x2 = center[1] + rj * np.sin(phi)
             r2 = rj * np.cos(phi)
-            inner = F(2, center[2] + r2) - F(2, center[2] - r2)
+            inner = disc(2, center[2], r2)
             mid[j] = np.sum(wphi * f(1, x2) * inner * rj * np.cos(phi))
         return float(np.sum(wts * f(0, x1) * mid * eps * np.cos(theta)))
     raise ValueError("the loop oracle supports dimension <= 3")
@@ -261,3 +268,35 @@ def metropolis_loop(sample, m, basis, cfg, rng):
         "per_level_accept": acc / np.maximum(tries, 1),
         "log_posterior": lpost,
     }
+
+
+def norm_samples_blocks(m, norm, samples, rng, basis=None, block=50_000):
+    """Unsorted norms of ``samples`` draws from m, ``block`` draws at a time.
+    |xi| is drawn as Exp(1) at p = 1, |N(0, 1)| at p = 2 and (p G)^{1/p} with
+    G ~ Gamma(1/p) otherwise; sup norms take a separate uniform sign draw
+    per block."""
+    p = m.spec.p
+    gamma = m.spec.gamma()
+    ncoef = m.spec.size
+    out = np.empty(samples)
+    if norm == "sup":
+        if basis is None:
+            basis = WaveletBasis(m.spec.levels)
+        Psi = basis.evaluation_matrix(basis.node_grid())[:, :ncoef]
+    done = 0
+    while done < samples:
+        b = min(block, samples - done)
+        if p == 1.0:
+            mags = rng.standard_exponential((b, ncoef))
+        elif p == 2.0:
+            mags = np.abs(rng.standard_normal((b, ncoef)))
+        else:
+            mags = (p * rng.standard_gamma(1.0 / p, size=(b, ncoef))) ** (1.0 / p)
+        if norm == "l2":
+            out[done : done + b] = np.sqrt(((mags * gamma) ** 2).sum(axis=1))
+        else:
+            signs = np.where(rng.random((b, ncoef)) < 0.5, -1.0, 1.0)
+            u = signs * mags * gamma
+            out[done : done + b] = np.abs(u @ Psi.T).max(axis=1)
+        done += b
+    return out

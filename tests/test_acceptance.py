@@ -226,7 +226,6 @@ def test_criterion_06_smallball_law_window():
         norm="sup",
         samples=10**6,
         rng=np.random.default_rng(66),
-        block=20000,
     )
     sup_mc_slope, _ = smallball_slope(sup_ests)
     nodes = smallball_sup_nodes(sup_m, eps_grid)

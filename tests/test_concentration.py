@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import projected_subgradient_batch, smallball_agree
+from oracles import norm_samples_blocks, projected_subgradient_batch, smallball_agree
 
 from pexp import concentration
 from pexp.concentration import (
@@ -20,7 +20,7 @@ from pexp.concentration import (
     smallball_sup_nodes,
     unit_norm_sample,
 )
-from pexp.measure import WaveletBasis, pexp_measure
+from pexp.measure import PExpMeasure, WaveletBasis, pexp_measure
 from pexp.sequences import BesovParams, CoefVec, ScalingSpec, make_truth
 from pexp.univariate import PExpParams, cdf, prox
 
@@ -208,6 +208,42 @@ def test_smallball_passed_sample_matches_plain_call(norm):
     assert [(e.hits, e.samples, e.neglog, e.ci) for e in passed] == [
         (e.hits, e.samples, e.neglog, e.ci) for e in plain
     ]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_unit_norm_sample_l2_matches_block_oracle_for_any_split(p, monkeypatch):
+    # four blocks of 300 rows against the oracle's one block of 1000: the l2
+    # draw at p = 1 and p = 2 is one |xi| draw per coordinate, so the split
+    # moves neither the norms nor the generator state left behind
+    m = pexp_measure(lin_spec(p, 1.0, 32, lam=2.0))
+    monkeypatch.setattr(concentration, "BLOCK_FLOATS", 300 * 32)
+    rng, ref_rng = np.random.default_rng(73), np.random.default_rng(73)
+    got = unit_norm_sample(m, "l2", 1000, rng)
+    ref = norm_samples_blocks(PExpMeasure(m.spec.unit()), "l2", 1000, ref_rng)
+    assert np.array_equal(got, np.sort(ref))
+    assert rng.random() == ref_rng.random()
+
+
+def test_unit_norm_sample_sup_matches_block_oracle_in_one_block():
+    # at p = 1 the signed draw is the oracle's exponential block, then its
+    # sign block
+    m = pexp_measure(ScalingSpec(1.0, 1.0, lam=0.5, scheme="dyadic", levels=5))
+    rng, ref_rng = np.random.default_rng(74), np.random.default_rng(74)
+    got = unit_norm_sample(m, "sup", 3000, rng)
+    ref = norm_samples_blocks(PExpMeasure(m.spec.unit()), "sup", 3000, ref_rng)
+    assert np.array_equal(got, np.sort(ref))
+    assert rng.random() == ref_rng.random()
+
+
+def test_smallball_generic_p_matches_exact_one_coordinate_law():
+    # N = 1: the norm is lam |xi|, so mu(eps B) = 2 F(eps / lam) - 1 exactly
+    lam = 0.7
+    m = pexp_measure(lin_spec(1.5, 1.0, 1, lam=lam))
+    eps = [0.1, 0.5, 1.5]
+    ests = smallball_mc(m, eps, "l2", 10**5, np.random.default_rng(75))
+    for e, est in zip(eps, ests):
+        exact = -math.log(2.0 * cdf(m.params, e / lam) - 1.0)
+        assert est.ci[0] <= exact <= est.ci[1]
 
 
 def test_smallball_rejects_unsorted_sample():
@@ -429,13 +465,13 @@ def test_rate_solve_reports_resolution_failure():
 @pytest.mark.parametrize("norm", ["l2", "sup"])
 def test_rate_solve_draws_one_sample(norm, monkeypatch):
     calls = []
-    original = concentration._norm_samples
+    original = concentration.unit_norm_sample
 
     def counting(*args, **kwargs):
         calls.append(args[2])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(concentration, "_norm_samples", counting)
+    monkeypatch.setattr(concentration, "unit_norm_sample", counting)
     if norm == "l2":
         m = pexp_measure(lin_spec(1.5, 1.0, 32))
         w = make_truth(BesovParams(1.0, 2.0, 1), n=32).values

@@ -164,23 +164,6 @@ def test_run_contraction_underpowered_with_two_replicates():
     assert res.verdict == "UNDERPOWERED"
 
 
-def test_threads_env_override(monkeypatch):
-    cfg = small_wn_config(replicates=2, n_grid=[32, 64, 128, 256])
-    base = run_contraction(cfg, threads=1)
-    monkeypatch.setenv("PEXP_THREADS", "4")
-    overridden = run_contraction(cfg, threads=1)
-    assert overridden.fitted_slope == base.fitted_slope
-    assert [r.q90 for r in overridden.rows] == [r.q90 for r in base.rows]
-
-
-def test_threads_env_rejects_bad_values(monkeypatch):
-    cfg = small_wn_config(replicates=2, n_grid=[32, 64, 128, 256])
-    for bad in ("abc", "2.5", "", "0", "-3"):
-        monkeypatch.setenv("PEXP_THREADS", bad)
-        with pytest.raises(ValueError, match="PEXP_THREADS"):
-            run_contraction(cfg, threads=1)
-
-
 def test_run_contraction_thread_determinism():
     density = small_wn_config(
         model="density", p=1.0, n_grid=[100, 200, 400], replicates=2, posterior_draws=10,

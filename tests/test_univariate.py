@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from pexp import univariate
 from pexp.univariate import (
     PExpParams,
     _cdf_generic,
     _quantile_generic,
+    abs_cdf,
+    abs_sample,
     cdf,
     halfline_sample,
     moment,
@@ -156,6 +158,29 @@ def test_sampler_laplace_stream_is_signed_exponential():
 def test_sampler_scalar_draw_is_float(p):
     x = sample(PExpParams(p), np.random.default_rng(105))
     assert type(x) is float
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_abs_sample_moments(p):
+    # E|X| and E X^2 within 4 standard errors of the exact moments
+    pr = PExpParams(p)
+    n = 2 * 10**5
+    x = abs_sample(pr, np.random.default_rng(106), n)
+    assert (x >= 0).all()
+    m1, m2, m4 = moment(pr, 1), moment(pr, 2), moment(pr, 4)
+    assert abs(x.mean() - m1) <= 4.0 * math.sqrt((m2 - m1**2) / n)
+    assert abs((x * x).mean() - m2) <= 4.0 * math.sqrt((m4 - m2**2) / n)
+    assert type(abs_sample(pr, np.random.default_rng(107))) is float
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_abs_cdf_against_incomplete_gamma(p):
+    # P(|X| <= r) = P(|X|^p / p <= r^p / p), and |X|^p / p ~ Gamma(1/p)
+    pr = PExpParams(p)
+    r = np.array([1e-9, 1e-4, 0.5])
+    ref = special.gammainc(1.0 / p, r**p / p)
+    assert np.allclose(abs_cdf(pr, r), ref, rtol=1e-14, atol=0.0)
+    assert type(abs_cdf(pr, 0.5)) is float
 
 
 def test_generic_cdf_against_quadrature():
