@@ -14,6 +14,7 @@ from pexp.concentration import (
     inf_term_truncation_ub,
     rate_solve_numeric,
     smallball_mc,
+    unit_norm_sample,
 )
 from pexp.measure import pexp_measure
 from pexp.sequences import BesovParams, ScalingSpec, make_truth
@@ -36,8 +37,10 @@ for e in ests:
     print(f"  eps={e.eps:<4} -log p = {e.neglog:.3f}  CI ({e.ci[0]:.3f}, {e.ci[1]:.3f})")
 
 print("\nassembled phi and the rate equation crossing:")
+# one sample of unit-measure norms serves every eps, as in `pexp conc`
+sample = unit_norm_sample(m, "l2", 10**5, rng)
 for eps in (0.3, 0.6):
-    est = concentration_fn(w.values, eps, m, "l2", 10**5, rng)
+    est = concentration_fn(w.values, eps, m, "l2", sample)
     print(f"  phi({eps}) = {est.phi:.3f}  (inf/p {est.inf_term:.3f}, -log {est.neglog_smallball:.3f})")
 for n in (32, 128, 512):
     eps_n = rate_solve_numeric(w.values, m, n, mc_samples=5 * 10**4, rng=rng)

@@ -26,15 +26,14 @@ def _spec_from_args(args, n=None) -> ScalingSpec:
     return ScalingSpec(args.p, args.alpha, args.d, args.lam, "linear", n=n or args.n)
 
 
-def _add_prior_args(sp, scheme_choice=True):
+def _add_prior_args(sp):
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--d", type=int, default=1)
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    if scheme_choice:
-        sp.add_argument("--scheme", choices=["linear", "dyadic"], default="linear")
-        sp.add_argument("--levels", type=int, default=6)
-        sp.add_argument("--n", type=int, default=256)
+    sp.add_argument("--scheme", choices=["linear", "dyadic"], default="linear")
+    sp.add_argument("--levels", type=int, default=6)
+    sp.add_argument("--n", type=int, default=256)
 
 
 def _regime_dict(r: rates.RateRegime | None) -> dict:
@@ -101,7 +100,7 @@ def cmd_conc(args) -> int:
     sample = concentration.unit_norm_sample(m, args.norm, args.mc_samples, rng)
     print("eps,inf_term,inf_argmin_l2norm,neglog,neglog_lo,neglog_hi,phi")
     for eps in _parse_eps_grid(args.eps_grid):
-        est = concentration.concentration_fn(w, float(eps), m, args.norm, sample=sample)
+        est = concentration.concentration_fn(w, float(eps), m, args.norm, sample)
         print(
             f"{eps},{est.inf_term:.17g},{np.linalg.norm(est.argmin):.17g},"
             f"{est.neglog_smallball:.17g},{est.neglog_ci[0]:.17g},"

@@ -9,9 +9,10 @@ the log of the KKT multiplier, combined with per-coordinate proximal maps
 term is Monte Carlo with Wilson confidence intervals mapped through -log.
 Rescaling factors out of the small ball, so a ``sample`` is always sorted
 norms under the unit-scaling measure, read by ``searchsorted`` at eps / lam,
-and ``unit_norm_sample`` is the only draw: the rate solver and ``pexp conc``
-draw it once, which makes phi, and the solver's bisection predicate,
-monotone in eps by construction.
+and ``unit_norm_sample`` is the only draw.  ``concentration_fn`` requires
+such a sample and draws nothing: the rate solver and ``pexp conc`` draw it
+once, which makes phi, and the solver's bisection predicate, monotone in eps
+by construction.
 
 Plain Monte Carlo resolves -log mu(eps B) only up to about log(samples),
 which leaves the small-ball law -log mu(eps B) ~ eps^{-1/alpha} out of
@@ -22,6 +23,7 @@ sup-norm balls of the dyadic Faber-Schauder prior.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +48,7 @@ class SmallBallResolutionError(RuntimeError):
 
 
 P_MIN_GUARD = 1e-4  # smallest probability treated as MC-estimable at desk scale
+Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 
 
 @dataclass
@@ -74,8 +77,8 @@ def inf_term_exact(w, eps: float, spec: ScalingSpec) -> tuple[float, np.ndarray]
     Returns the optimal value (the p-th power of the Z-norm, without the 1/p
     factor) and the minimizer.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     w = coef_values(w)
     if len(w) != spec.size:
         raise ValueError("w length must match the spec truncation")
@@ -174,12 +177,30 @@ def inf_term_truncation_ub(w, eps: float, spec: ScalingSpec) -> tuple[float, int
     return value, L
 
 
-def _wilson_ci(hits: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def _wilson_ci(hits: int, n: int) -> tuple[float, float]:
     ph = hits / n
-    denom = 1.0 + z**2 / n
-    center = (ph + z**2 / (2 * n)) / denom
-    half = z * math.sqrt(ph * (1 - ph) / n + z**2 / (4 * n**2)) / denom
+    denom = 1.0 + Z95**2 / n
+    center = (ph + Z95**2 / (2 * n)) / denom
+    half = Z95 * math.sqrt(ph * (1 - ph) / n + Z95**2 / (4 * n**2)) / denom
     return max(center - half, 0.0), min(center + half, 1.0)
+
+
+def _eps_grid(estimator):
+    """Front end of the small-ball estimators: ``estimator(m, radii, ...)``
+    maps a 1-d array of radii to a list of estimates; the wrapped function
+    takes eps as a scalar or a grid, raises ValueError unless every radius
+    is finite and > 0, and returns one estimate for a scalar, else the list.
+    """
+
+    @functools.wraps(estimator)
+    def front(m, eps, *args, **kwargs):
+        radii = np.atleast_1d(np.asarray(eps, dtype=float))
+        if not (np.isfinite(radii) & (radii > 0)).all():
+            raise ValueError(f"eps must be finite and > 0, got {eps}")
+        results = estimator(m, radii, *args, **kwargs)
+        return results[0] if np.ndim(eps) == 0 else results
+
+    return front
 
 
 BLOCK_FLOATS = 1 << 22  # floats in the widest temporary of one block of draws (32 MiB)
@@ -229,13 +250,13 @@ def unit_norm_sample(
     return out
 
 
+@_eps_grid
 def smallball_mc(
     m: PExpMeasure,
     eps,
     norm: str = "l2",
     samples: int = 10**6,
     rng: np.random.Generator | None = None,
-    basis: WaveletBasis | None = None,
     sample: np.ndarray | None = None,
 ):
     """-log mu(eps B) by Monte Carlo; eps may be a scalar or a grid.
@@ -246,18 +267,15 @@ def smallball_mc(
     of ``samples`` draws.  Returns a SmallBallEstimate (or a list of them
     for a grid).  Raises ZeroHitsError when no draw lands inside a ball.
     """
-    eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
-    if (eps_arr <= 0).any():
-        raise ValueError("eps must be positive")
     if sample is None:
         if rng is None:
             rng = np.random.default_rng()
-        sample = unit_norm_sample(m, norm, samples, rng, basis)
+        sample = unit_norm_sample(m, norm, samples, rng)
     elif (sample[1:] < sample[:-1]).any():
         raise ValueError("sample must be sorted")
     samples = len(sample)
     results = []
-    for e in eps_arr:
+    for e in eps:
         hits = int(np.searchsorted(sample, e / m.spec.lam, side="right"))
         if hits == 0:
             raise ZeroHitsError(
@@ -275,7 +293,7 @@ def smallball_mc(
                 samples,
             )
         )
-    return results[0] if np.isscalar(eps) or np.ndim(eps) == 0 else results
+    return results
 
 
 def _log_mgf_sq(p: float, a: np.ndarray) -> np.ndarray:
@@ -340,6 +358,7 @@ def _tilted_squares(p: float, a: np.ndarray, rows: int, rng: np.random.Generator
     return x * x
 
 
+@_eps_grid
 def smallball_l2_tilted(
     m: PExpMeasure,
     eps,
@@ -370,12 +389,9 @@ def smallball_l2_tilted(
         raise ValueError("samples must be at least 2")
     if rng is None:
         rng = np.random.default_rng()
-    eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
-    if (eps_arr <= 0).any():
-        raise ValueError("eps must be positive")
     g2 = m.spec.gamma() ** 2
     results = []
-    for e in eps_arr:
+    for e in eps:
         e2 = float(e) ** 2
         theta = _saddlepoint_theta(p, g2, e2)
         a = theta * g2
@@ -392,7 +408,7 @@ def smallball_l2_tilted(
             )
         w = np.where(inside, np.exp(theta * (np.minimum(x, e2) - e2)), 0.0)
         mean = float(w.mean())
-        half = 1.959963984540054 * float(w.std(ddof=1)) / math.sqrt(samples)
+        half = Z95 * float(w.std(ddof=1)) / math.sqrt(samples)
         neglog = -(log_bound + math.log(mean))
         lo = mean - half
         results.append(
@@ -408,9 +424,10 @@ def smallball_l2_tilted(
                 samples,
             )
         )
-    return results[0] if np.isscalar(eps) or np.ndim(eps) == 0 else results
+    return results
 
 
+@_eps_grid
 def smallball_sup_nodes(m: PExpMeasure, eps, cells: int = 101):
     """-log mu(eps B_sup) for the dyadic Faber-Schauder prior by a node recursion.
 
@@ -437,13 +454,10 @@ def smallball_sup_nodes(m: PExpMeasure, eps, cells: int = 101):
         raise ValueError("sup-norm node recursion requires the dyadic scheme")
     if cells < 1 or cells % 2 == 0:
         raise ValueError(f"cells must be a positive odd number, got {cells}")
-    eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
-    if (eps_arr <= 0).any():
-        raise ValueError("eps must be positive")
     gamma = spec.gamma()
     scales = [gamma[2**k - 1] * 2.0 ** (k / 2.0) for k in range(spec.levels + 1)]
     results = []
-    for e in eps_arr:
+    for e in eps:
         edges = np.linspace(-e, e, cells + 1)
         width = edges[1] - edges[0]
         # (c_i + c_j) / 2 depends on i + j only
@@ -462,7 +476,7 @@ def smallball_sup_nodes(m: PExpMeasure, eps, cells: int = 101):
             )
         neglog = -math.log(prob)
         results.append(SmallBallEstimate(float(e), prob, neglog, (neglog, neglog), 0, 0))
-    return results[0] if np.isscalar(eps) or np.ndim(eps) == 0 else results
+    return results
 
 
 def smallball_slope(estimates) -> tuple[float, float]:
@@ -471,26 +485,20 @@ def smallball_slope(estimates) -> tuple[float, float]:
 
 
 def concentration_fn(
-    w,
-    eps: float,
-    m: PExpMeasure,
-    norm: str = "l2",
-    mc_samples: int = 10**5,
-    rng: np.random.Generator | None = None,
-    basis: WaveletBasis | None = None,
-    sample: np.ndarray | None = None,
+    w, eps: float, m: PExpMeasure, norm: str, sample: np.ndarray
 ) -> ConcEstimate:
-    """Assemble phi_w(eps) = inf_term / p + neglog small ball.
+    """Assemble phi_w(eps) = inf_term / p + neglog small ball from a sample.
 
-    Rescaling by lam factors out exactly: the approximation term is lam^{-p}
-    times its unit-scaling value (same minimizer), and ``smallball_mc``
-    counts the centered ball in sorted unit-measure norms.  Given ``sample``
-    from ``unit_norm_sample``, nothing is drawn and ``mc_samples`` is its
-    length; calls sharing one sample give phi non-increasing in eps.
+    ``sample`` is required: the sorted ``norm`` norms under the unit-scaling
+    measure that ``unit_norm_sample`` returns.  Nothing is drawn, so calls
+    that share one sample give phi non-increasing in eps.  Rescaling by lam
+    factors out exactly: the approximation term is lam^{-p} times its
+    unit-scaling value (same minimizer), and ``smallball_mc`` counts the
+    centered ball in the sample at eps / lam.
     """
     value, argmin = inf_term_exact(w, eps, m.spec.unit())
     value *= m.spec.lam ** (-m.spec.p)
-    sb = smallball_mc(m, eps, norm, mc_samples, rng, basis, sample=sample)
+    sb = smallball_mc(m, eps, norm, len(sample), sample=sample)
     phi = value / m.spec.p + sb.neglog
     return ConcEstimate(float(eps), value, argmin, sb.neglog, sb.ci, phi)
 
@@ -547,7 +555,7 @@ def rate_solve_numeric(
     def exceeds(e) -> bool:
         """True when phi_w(e) provably exceeds n e^2 at CI confidence."""
         try:
-            est = concentration_fn(w, e, m, norm, mc_samples, rng, basis, sample)
+            est = concentration_fn(w, e, m, norm, sample)
         except ZeroHitsError as exc:
             if n * e**2 < guard:
                 return True

@@ -188,9 +188,10 @@ def _de_truth(cfg: ExperimentConfig) -> CoefVec:
     return CoefVec.dyadic(mags * signs, K)
 
 
-def _row(n: int, rep: int, errors: np.ndarray, q: float = 0.9) -> ExperimentRow:
-    """Median and q-quantile of a cell's per-draw errors, with the quantile's
-    order-statistic normal-approximation 95% CI."""
+def _row(n: int, rep: int, errors: np.ndarray) -> ExperimentRow:
+    """Median and 0.9-quantile (q90) of a cell's per-draw errors, with the
+    quantile's order-statistic normal-approximation 95% CI."""
+    q = 0.9
     s = np.sort(errors)
     k = q * (len(s) - 1)
     half = 1.959963984540054 * math.sqrt(len(s) * q * (1 - q))
@@ -291,12 +292,14 @@ class InequalityRow:
     verdict: str
 
 
+BATTERY_P = (1.0, 1.5, 2.0)  # p values of the Anderson and decentering rows
+
+
 def run_inequalities(
     seed: int = 0,
     anderson_shifts: int = 20,
     anderson_samples: int = 200_000,
     lemma_grid: int = 1000,
-    p_values=(1.0, 1.5, 2.0),
 ) -> list[InequalityRow]:
     """Battery: Anderson shifts (MC), decentering bound (quadrature), and the
     univariate lower-tail bound P(|xi| <= x) >= r1 x (exact CDF)."""
@@ -305,7 +308,7 @@ def run_inequalities(
     # Anderson inequality across dims 1..3
     for j in range(anderson_shifts):
         dim = 1 + j % 3
-        p = p_values[j % len(p_values)]
+        p = BATTERY_P[j % len(BATTERY_P)]
         spec = ScalingSpec(p, 1.0, 1, 1.0, "linear", n=dim)
         m = pexp_measure(spec)
         shift = rng.normal(scale=0.8, size=dim)
@@ -327,7 +330,7 @@ def run_inequalities(
         )
     )
     # decentering bound by quadrature
-    for p in p_values:
+    for p in BATTERY_P:
         for dim in (1, 2, 3):
             spec = ScalingSpec(p, 1.0, 1, 1.0, "linear", n=dim)
             m = pexp_measure(spec)

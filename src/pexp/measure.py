@@ -86,8 +86,7 @@ class WaveletBasis:
 
 def sample_prior(m: PExpMeasure, rng: np.random.Generator) -> CoefVec:
     """One draw u_ell = gamma_ell xi_ell."""
-    xi = univariate.sample(m.params, rng, size=m.spec.size)
-    values = m.spec.gamma() * xi
+    values = sample_prior_block(m, rng, 1)[0]
     if m.spec.scheme == "dyadic":
         return CoefVec.dyadic(values, m.spec.levels)
     return CoefVec.linear(values)
@@ -135,20 +134,16 @@ def regularity_scan(
     q: float,
     trials: int,
     rng: np.random.Generator,
-    truncations=None,
-    slope_threshold: float = 0.05,
-    increment_threshold: float = 0.01,
 ) -> list[RegularityRow]:
-    """Empirical norm-growth verdicts across truncations for each smoothness s.
+    """Empirical norm-growth verdicts across truncations N = 2^6, ..., 2^14
+    for each smoothness s.
 
     CONVERGED when the median norm stabilizes (relative increment below 1%),
     DIVERGING when it grows as a power of N (log-log slope above 0.05).
     """
     if trials < 30:
         raise ValueError("regularity_scan needs at least 30 trials")
-    if truncations is None:
-        truncations = 2 ** np.arange(6, 15)
-    truncations = np.asarray(truncations, dtype=int)
+    truncations = 2 ** np.arange(6, 15)
     nmax = int(truncations.max())
     spec_full = ScalingSpec(
         m.spec.p, m.spec.alpha, m.spec.d, m.spec.lam, "linear", n=nmax
@@ -168,9 +163,9 @@ def regularity_scan(
         med = np.median(norms[:, i, :], axis=0)
         slope = loglog_fit(truncations, med)[0]
         last_inc = med[-1] / med[-2] - 1.0
-        if slope > slope_threshold:
+        if slope > 0.05:
             verdict = "DIVERGING"
-        elif last_inc < increment_threshold:
+        elif last_inc < 0.01:
             verdict = "CONVERGED"
         else:
             verdict = "UNDECIDED"
@@ -211,14 +206,13 @@ def anderson_check(
     _check_ball(eps, shift)
     if mc_samples < 1:
         raise ValueError(f"anderson_check needs mc_samples >= 1, got {mc_samples}")
-    gamma = m.spec.gamma()
     hits_c = 0
     hits_s = 0
     block = 200_000
     done = 0
     while done < mc_samples:
         b = min(block, mc_samples - done)
-        u = gamma * univariate.sample(m.params, rng, size=(b, n))
+        u = sample_prior_block(m, rng, b)
         # column by column: a reduction along a short axis is far slower than
         # n column adds, and below 8 columns np.sum adds in this same order
         # (longer rows it sums pairwise, so they differ by rounding)

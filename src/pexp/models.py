@@ -120,18 +120,13 @@ def wn_posterior_sample(
     g = m.spec.gamma()
     n = data.n
     p = m.spec.p
-    if method == "auto":
-        method = "conjugate" if p == 2.0 else "rejection"
+    if method not in ("auto", "rejection"):
+        raise ValueError(f"unknown method {method!r}")
 
-    if method == "conjugate":
-        if p != 2.0:
-            raise ValueError("conjugate sampling requires p = 2")
+    if method == "auto" and p == 2.0:
         mean_u, var_u = wn_conjugate_moments(data, m)
         u = mean_u + np.sqrt(var_u) * rng.standard_normal((draws, len(y)))
         return PosteriorChain(u / g, m.spec, 1.0, {"method": "conjugate"})
-
-    if method != "rejection":
-        raise ValueError(f"unknown method {method!r}")
 
     a = n * g**2 / 2.0
     x0 = np.maximum(univariate.prox(np.abs(y) / g, 1.0 / p, a, p)[0], 1.0)

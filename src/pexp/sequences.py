@@ -201,15 +201,13 @@ def q_norm(h, spec: ScalingSpec) -> float:
     return float(np.sqrt(np.sum((v / spec.gamma()) ** 2)))
 
 
-def make_truth(
-    bp: BesovParams, delta: float = 0.05, n: int | None = None, signs=None
-) -> CoefVec:
+def make_truth(bp: BesovParams, delta: float = 0.05, n: int | None = None) -> CoefVec:
     """Boundary-decay test sequence sitting strictly inside B^s_q for all s < bp.s.
 
     |w_ell| = ell^{-s/d - 1/2 - delta}; the power boundary of membership in
     B^s_q is the exponent s/d + 1/2, so the margin delta places w in B^t_q
-    exactly for t < s + d*delta.  Signs alternate unless supplied.  When n is
-    omitted it is chosen so the relative ell_2 tail mass is below 1e-6.
+    exactly for t < s + d*delta.  Signs alternate, starting with +.  When n
+    is omitted it is chosen so the relative ell_2 tail mass is below 1e-6.
     """
     if delta <= 0:
         raise ValueError(f"margin delta must be positive, got {delta}")
@@ -220,13 +218,7 @@ def make_truth(
         n = max(16, min(n, 2**16))
     ell = np.arange(1, n + 1, dtype=float)
     mags = ell ** (-expo)
-    if signs is None:
-        signs = np.where(ell % 2 == 0, -1.0, 1.0)
-    else:
-        signs = np.asarray(signs, dtype=float)
-        if len(signs) != n:
-            raise ValueError("sign pattern length must match n")
-    return CoefVec.linear(mags * signs)
+    return CoefVec.linear(mags * np.where(ell % 2 == 0, -1.0, 1.0))
 
 
 def embedding_check(bp: BesovParams) -> bool:

@@ -159,6 +159,13 @@ def test_smallball_fit_slope(capsys):
     assert "theory_slope,-1" in lines[-1]
 
 
+def test_smallball_rejects_non_finite_eps(capsys):
+    # a nan radius used to print p_hat = 1
+    with pytest.raises(ValueError, match="finite and > 0"):
+        run_cli(capsys, "smallball", "--eps-grid", "0.5,nan", "--p", "1", "--alpha", "1",
+                "--n", "16", "--mc-samples", "1000")
+
+
 def test_wn_experiment_end_to_end(tmp_path, capsys):
     cfg = dict(
         model="white-noise",

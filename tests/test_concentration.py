@@ -203,7 +203,7 @@ def test_smallball_passed_sample_matches_plain_call(norm):
         basis = WaveletBasis(5)
     eps = [0.4, 0.7, 1.0, 1.4]
     sample = unit_norm_sample(m, norm, 20000, np.random.default_rng(70), basis)
-    plain = smallball_mc(m, eps, norm, 20000, np.random.default_rng(70), basis)
+    plain = smallball_mc(m, eps, norm, 20000, np.random.default_rng(70))
     passed = smallball_mc(m, eps, norm, sample=sample)
     assert [(e.hits, e.samples, e.neglog, e.ci) for e in passed] == [
         (e.hits, e.samples, e.neglog, e.ci) for e in plain
@@ -325,12 +325,48 @@ def test_smallball_sup_nodes_rejects_bad_input():
         smallball_sup_nodes(pexp_measure(lin_spec(1.0, 1.0, 8)), 0.5)
 
 
+# --- non-finite radii ------------------------------------------------------------
+
+BAD_EPS = [math.nan, math.inf, [0.5, math.nan], [0.5, math.inf]]
+BAD_IDS = ["nan", "inf", "grid-nan", "grid-inf"]
+
+
+@pytest.mark.parametrize("eps", BAD_EPS, ids=BAD_IDS)
+def test_smallball_mc_rejects_non_finite_eps(eps):
+    m = pexp_measure(lin_spec(1.0, 1.0, 8))
+    with pytest.raises(ValueError, match="finite and > 0"):
+        smallball_mc(m, eps, "l2", 1000, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("eps", BAD_EPS, ids=BAD_IDS)
+def test_smallball_tilted_rejects_non_finite_eps(eps):
+    m = pexp_measure(lin_spec(1.0, 1.0, 8))
+    with pytest.raises(ValueError, match="finite and > 0"):
+        smallball_l2_tilted(m, eps, 1000, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("eps", BAD_EPS, ids=BAD_IDS)
+def test_smallball_sup_nodes_rejects_non_finite_eps(eps):
+    m = pexp_measure(ScalingSpec(1.0, 1.0, scheme="dyadic", levels=3))
+    with pytest.raises(ValueError, match="finite and > 0"):
+        smallball_sup_nodes(m, eps, 11)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_inf_term_exact_rejects_non_finite_eps(eps):
+    spec = lin_spec(1.5, 1.0, 8)
+    w = make_truth(BesovParams(1.0, 2.0, 1), n=8).values
+    with pytest.raises(ValueError, match="finite and > 0"):
+        inf_term_exact(w, eps, spec)
+
+
 # --- assembled concentration function ------------------------------------------
 
 
 def test_concentration_zero_center_is_smallball_only():
     m = pexp_measure(lin_spec(1.5, 1.0, 32))
-    est = concentration_fn(np.zeros(32), 0.5, m, "l2", 20000, np.random.default_rng(56))
+    sample = unit_norm_sample(m, "l2", 20000, np.random.default_rng(56))
+    est = concentration_fn(np.zeros(32), 0.5, m, "l2", sample)
     assert est.inf_term == 0.0
     assert est.phi == est.neglog_smallball
 
@@ -339,8 +375,8 @@ def test_concentration_monotone_within_ci():
     m = pexp_measure(lin_spec(1.5, 1.0, 32))
     w = make_truth(BesovParams(1.0, 2.0, 1), n=32).values
     rng = np.random.default_rng(57)
-    e1 = concentration_fn(w, 0.4, m, "l2", 10**5, rng)
-    e2 = concentration_fn(w, 0.8, m, "l2", 10**5, rng)
+    e1 = concentration_fn(w, 0.4, m, "l2", unit_norm_sample(m, "l2", 10**5, rng))
+    e2 = concentration_fn(w, 0.8, m, "l2", unit_norm_sample(m, "l2", 10**5, rng))
     width = (e1.neglog_ci[1] - e1.neglog_ci[0]) + (e2.neglog_ci[1] - e2.neglog_ci[0])
     assert e1.phi >= e2.phi - width
 
@@ -351,7 +387,7 @@ def test_concentration_monotone_with_one_sample():
     w = make_truth(BesovParams(1.0, 2.0, 1), n=32).values
     sample = unit_norm_sample(m, "l2", 20000, np.random.default_rng(71))
     ests = [
-        concentration_fn(w, e, m, "l2", sample=sample)
+        concentration_fn(w, e, m, "l2", sample)
         for e in np.geomspace(0.2, 1.5, 200)
     ]
     for key in (lambda e: e.phi, lambda e: e.neglog_ci[0], lambda e: e.neglog_ci[1]):
@@ -365,14 +401,16 @@ def test_concentration_rescaled_identity():
     spec_l = lin_spec(1.0, 1.0, 48, lam=lam)
     m_l = pexp_measure(spec_l)
     m_u = pexp_measure(spec_l.unit())
-    est = concentration_fn(w, 0.5, m_l, "l2", 40000, np.random.default_rng(58))
+    est = concentration_fn(
+        w, 0.5, m_l, "l2", unit_norm_sample(m_l, "l2", 40000, np.random.default_rng(58))
+    )
     v_unit, _ = inf_term_exact(w, 0.5, m_u.spec)
     manual_inf = lam ** (-1.0) * v_unit
     sb = smallball_mc(m_u, 0.5 / lam, "l2", 40000, np.random.default_rng(58))
     assert est.inf_term == pytest.approx(manual_inf, rel=1e-12)
     assert est.neglog_smallball == sb.neglog  # identical stream, identical estimate
     sample = unit_norm_sample(m_l, "l2", 40000, np.random.default_rng(58))
-    passed = concentration_fn(w, 0.5, m_l, "l2", sample=sample)
+    passed = concentration_fn(w, 0.5, m_l, "l2", sample)
     assert passed.neglog_smallball == sb.neglog
     assert est.phi == pytest.approx(manual_inf / 1.0 + sb.neglog, rel=1e-12)
 
@@ -380,8 +418,10 @@ def test_concentration_rescaled_identity():
 def test_concentration_lam_one_equals_plain():
     w = make_truth(BesovParams(1.0, 2.0, 1), n=32).values
     m = pexp_measure(lin_spec(1.5, 1.0, 32))
-    a = concentration_fn(w, 0.5, m, "l2", 20000, np.random.default_rng(59))
-    b = concentration_fn(w, 0.5, m, "l2", 20000, np.random.default_rng(59))
+    sample_a = unit_norm_sample(m, "l2", 20000, np.random.default_rng(59))
+    sample_b = unit_norm_sample(m, "l2", 20000, np.random.default_rng(59))
+    a = concentration_fn(w, 0.5, m, "l2", sample_a)
+    b = concentration_fn(w, 0.5, m, "l2", sample_b)
     assert a.phi == b.phi
 
 

@@ -105,6 +105,15 @@ def test_wn_rejection_sampler_matches_conjugate_moments():
         assert np.all(np.abs(ratio - 1) < 4 * math.sqrt(2 / 4000) + 0.01)
 
 
+@pytest.mark.parametrize("method", ["conjugate", "gibbs"])
+def test_wn_posterior_sample_rejects_other_methods(method):
+    # "auto" already takes the conjugate form at p = 2
+    m = pexp_measure(lin_spec(2.0, 1.0, 4))
+    data = wn_simulate(np.zeros(4), 100.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="unknown method"):
+        wn_posterior_sample(data, m, 10, np.random.default_rng(1), method=method)
+
+
 def laplace_posterior_cdf(y, n, g):
     """Exact CDF of xi with density prop. to exp(-n (y - g xi)^2 / 2 - |xi|).
 
