@@ -52,6 +52,8 @@ def _regime_dict(r: rates.RateRegime | None) -> dict:
 
 
 def cmd_rate(args) -> int:
+    if args.setting == "sup" and args.d != 1:
+        raise SystemExit(f"--setting sup is one-dimensional, got d={args.d}")
     rq = rates.RateQuery(args.alpha, args.beta, args.p, args.q, args.d)
     if args.grid is not None:
         lo, hi, count = args.grid
@@ -70,7 +72,9 @@ def cmd_rate(args) -> int:
         return 0
     out = {
         "minimax": float(rates.minimax(args.beta, args.d)),
-        "linear_minimax": float(rates.linear_minimax(args.beta, args.q)),
+        "linear_minimax": (  # a d = 1 formula
+            float(rates.linear_minimax(args.beta, args.q)) if args.d == 1 else None
+        ),
     }
     if args.setting == "l2":
         out.update(_regime_dict(rates.rate_l2(rq)))

@@ -13,11 +13,12 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import measure, models, rates, univariate
+from .concentration import Z95
 from .measure import WaveletBasis, pexp_measure
 from .sequences import BesovParams, CoefVec, ScalingSpec, load_coefvec, make_truth
 from .sequences import dyadic_level_index, loglog_fit
@@ -25,20 +26,18 @@ from .sequences import dyadic_level_index, loglog_fit
 
 @dataclass(frozen=True)
 class LambdaRule:
-    """Per-n rescaling lam_n = n^{-poly_exponent} * log(n)^{log_exponent}."""
+    """Per-n rescaling lam_n = n^{-poly_exponent}."""
 
     poly_exponent: float
-    log_exponent: float = 0.0
 
     def at(self, n: float) -> float:
-        lam = float(n) ** (-self.poly_exponent)
-        if self.log_exponent:
-            lam *= math.log(n) ** self.log_exponent
-        return lam
+        return float(n) ** (-self.poly_exponent)
 
 
 @dataclass
 class ExperimentConfig:
+    """One contraction sweep in dimension d = 1; README lists every key."""
+
     model: str  # "white-noise" | "density"
     p: float
     alpha: float
@@ -48,10 +47,7 @@ class ExperimentConfig:
     replicates: int
     posterior_draws: int
     master_seed: int
-    d: int = 1
-    delta: float = 0.05
     truth_file: str | None = None
-    truth_signs_seed: int | None = None
     lambda_rule: LambdaRule | None = None
     levels: int = 6  # density model resolution
     slope_tol: float = 0.1
@@ -83,7 +79,7 @@ class ExperimentConfig:
         raw = dict(raw)
         rule = raw.get("lambda_rule")
         if rule is not None:
-            extra = set(rule) - {"poly_exponent", "log_exponent"}
+            extra = set(rule) - {"poly_exponent"}
             if extra:
                 raise ValueError(f"unknown lambda_rule keys: {sorted(extra)}")
             raw["lambda_rule"] = LambdaRule(**rule)
@@ -127,11 +123,10 @@ class ExperimentResult:
     theory_exponent: float
     verdict: str
     config: ExperimentConfig
-    config_sha: str = ""
+    config_sha: str = field(init=False)
 
     def __post_init__(self):
-        if not self.config_sha:
-            self.config_sha = config_hash(self.config)
+        self.config_sha = config_hash(self.config)
 
 
 def fit_slope(ns, values) -> tuple[float, float]:
@@ -145,7 +140,7 @@ def fit_slope(ns, values) -> tuple[float, float]:
 
 def theory_exponent(cfg: ExperimentConfig) -> float:
     """Decay exponent of the theoretical contraction rate for the config."""
-    rq = rates.RateQuery(cfg.alpha, cfg.beta, cfg.p, cfg.q, cfg.d)
+    rq = rates.RateQuery(cfg.alpha, cfg.beta, cfg.p, cfg.q)
     if cfg.model == "white-noise":
         if cfg.lambda_rule is not None:
             return float(rates.rate_l2_rescaled(rq).poly_exponent)
@@ -155,23 +150,17 @@ def theory_exponent(cfg: ExperimentConfig) -> float:
 
 def _truncation_for(cfg: ExperimentConfig, n: int, lam: float) -> int:
     """Smallest N with prior tail sum_{ell > N} gamma_ell^2 below (0.01 m_n)^2."""
-    mn = float(n) ** (-float(rates.minimax(cfg.beta, cfg.d)))
-    a_over_d = cfg.alpha / cfg.d
+    mn = float(n) ** (-float(rates.minimax(cfg.beta)))
     budget = (0.01 * mn) ** 2
-    # integral tail bound: lam^2 N^{-2 alpha/d} / (2 alpha/d)
-    N = math.ceil((lam**2 / (2 * a_over_d) / budget) ** (1.0 / (2 * a_over_d)))
+    # integral tail bound: lam^2 N^{-2 alpha} / (2 alpha)
+    N = math.ceil((lam**2 / (2 * cfg.alpha) / budget) ** (1.0 / (2 * cfg.alpha)))
     return max(16, min(N, cfg.max_truncation))
 
 
 def _wn_truth(cfg: ExperimentConfig) -> CoefVec:
     if cfg.truth_file:
         return load_coefvec(cfg.truth_file)
-    w = make_truth(BesovParams(cfg.beta, cfg.q, cfg.d), cfg.delta)
-    if cfg.truth_signs_seed is not None:
-        rng = np.random.default_rng(cfg.truth_signs_seed)
-        signs = np.where(rng.random(len(w)) < 0.5, -1.0, 1.0)
-        w = CoefVec.linear(np.abs(w.values) * signs)
-    return w
+    return make_truth(BesovParams(cfg.beta, cfg.q))
 
 
 def _de_truth(cfg: ExperimentConfig) -> CoefVec:
@@ -181,9 +170,7 @@ def _de_truth(cfg: ExperimentConfig) -> CoefVec:
     K = cfg.levels
     ks = dyadic_level_index(K)
     mags = 2.0 ** (-(0.5 + cfg.beta) * ks)
-    rng = np.random.default_rng(
-        cfg.truth_signs_seed if cfg.truth_signs_seed is not None else cfg.master_seed
-    )
+    rng = np.random.default_rng(cfg.master_seed)
     signs = np.where(rng.random(len(ks)) < 0.5, -1.0, 1.0)
     return CoefVec.dyadic(mags * signs, K)
 
@@ -194,7 +181,7 @@ def _row(n: int, rep: int, errors: np.ndarray) -> ExperimentRow:
     q = 0.9
     s = np.sort(errors)
     k = q * (len(s) - 1)
-    half = 1.959963984540054 * math.sqrt(len(s) * q * (1 - q))
+    half = Z95 * math.sqrt(len(s) * q * (1 - q))
     lo = int(np.clip(math.floor(k - half), 0, len(s) - 1))
     hi = int(np.clip(math.ceil(k + half), 0, len(s) - 1))
     median, qq = float(np.median(errors)), float(np.quantile(errors, q))
@@ -206,7 +193,7 @@ def _wn_cell(cfg: ExperimentConfig, truth: CoefVec, i_n: int, rep: int) -> Exper
     rng = np.random.default_rng((cfg.master_seed, i_n, rep))
     lam = cfg.lambda_rule.at(n) if cfg.lambda_rule else 1.0
     N = _truncation_for(cfg, n, lam)
-    spec = ScalingSpec(cfg.p, cfg.alpha, cfg.d, lam, "linear", n=N)
+    spec = ScalingSpec(cfg.p, cfg.alpha, 1, lam, "linear", n=N)
     m = pexp_measure(spec)
     w_model = truth.values[:N]
     if len(w_model) < N:
@@ -220,7 +207,7 @@ def _de_cell(cfg: ExperimentConfig, truth: CoefVec, i_n: int, rep: int) -> Exper
     n = cfg.n_grid[i_n]
     rng = np.random.default_rng((cfg.master_seed, i_n, rep))
     basis = WaveletBasis(cfg.levels)
-    m = pexp_measure(ScalingSpec(cfg.p, cfg.alpha, cfg.d, 1.0, "dyadic", levels=cfg.levels))
+    m = pexp_measure(ScalingSpec(cfg.p, cfg.alpha, 1, 1.0, "dyadic", levels=cfg.levels))
     pi0 = models.de_density(truth, basis)
     sample = models.de_simulate(truth, basis, n, rng)
     ccfg = models.ChainConfig(

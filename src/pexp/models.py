@@ -22,7 +22,7 @@ from scipy import special
 
 from . import univariate
 from .measure import PExpMeasure, WaveletBasis, evaluate_function
-from .sequences import CoefVec
+from .sequences import CoefVec, coef_values
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def wn_simulate(w0, n: float, rng: np.random.Generator) -> WhiteNoiseData:
     """Observe y_ell = w0_ell + n^{-1/2} z_ell, z i.i.d. standard normal."""
     if n <= 0:
         raise ValueError("noise precision parameter n must be positive")
-    w = w0.values if isinstance(w0, CoefVec) else np.asarray(w0, dtype=float)
+    w = coef_values(w0)
     y = w + rng.standard_normal(len(w)) / np.sqrt(n)
     return WhiteNoiseData(n, CoefVec.linear(y))
 
@@ -166,7 +166,7 @@ def wn_error_radii(chain: PosteriorChain, w0) -> np.ndarray:
     The truth may be longer or shorter than the model truncation; the missing
     coordinates of either side count as zeros.
     """
-    w = w0.values if isinstance(w0, CoefVec) else np.asarray(w0, dtype=float)
+    w = coef_values(w0)
     u = chain.u
     ncommon = min(u.shape[1], len(w))
     sq = ((u[:, :ncommon] - w[:ncommon]) ** 2).sum(axis=1)

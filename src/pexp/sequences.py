@@ -52,7 +52,7 @@ class ScalingSpec:
     """Prior hyperparameters defining the scaling sequence gamma.
 
     linear scheme: gamma_ell = lam * ell^{-1/2 - alpha/d}, ell = 1..n.
-    dyadic scheme: gamma_{kl} = lam * 2^{-(1/2 + alpha) k}, k = 0..levels.
+    dyadic scheme (d = 1 only): gamma_{kl} = lam * 2^{-(1/2 + alpha) k}, k = 0..levels.
     """
 
     p: float
@@ -78,6 +78,8 @@ class ScalingSpec:
         elif self.scheme == "dyadic":
             if self.levels is None or self.levels < 0:
                 raise ValueError("dyadic scheme requires max level >= 0")
+            if self.d != 1:
+                raise ValueError(f"dyadic scheme is one-dimensional, got d={self.d}")
         else:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 

@@ -43,6 +43,22 @@ def test_rate_rescaled_output(capsys):
     assert payload["lambda_poly_exponent"] == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("grid", [(), ("--grid", "0.5", "2.0", "4")])
+def test_rate_sup_rejects_other_dimensions(capsys, grid):
+    # rate_sup is a d = 1 calculator; d = 2 used to print its d = 1 legs
+    with pytest.raises(SystemExit, match="d=2"):
+        run_cli(capsys, "rate", "--setting", "sup", "--alpha", "1", "--beta", "1",
+                "--p", "1", "--d", "2", *grid)
+
+
+def test_rate_linear_minimax_is_null_for_other_dimensions(capsys):
+    code, out = run_cli(capsys, "rate", "--alpha", "1", "--beta", "1", "--p", "2", "--d", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["linear_minimax"] is None
+    assert payload["minimax"] == pytest.approx(1 / 4)
+
+
 def test_rate_grid_sweep(capsys):
     code, out = run_cli(
         capsys,

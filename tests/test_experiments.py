@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from pexp import measure
 from pexp.experiments import (
     ExperimentConfig,
     LambdaRule,
+    _de_truth,
+    _wn_truth,
     config_hash,
     fit_slope,
     run_contraction,
@@ -15,6 +19,7 @@ from pexp.experiments import (
     theory_exponent,
     write_outputs,
 )
+from pexp.sequences import save_coefvec
 
 
 def small_wn_config(**overrides):
@@ -107,7 +112,7 @@ def test_config_rejects_empty_or_negative_sizes(bad):
 
 
 def test_config_roundtrip_and_hash(tmp_path):
-    cfg = small_wn_config(lambda_rule=LambdaRule(0.2, 0.0))
+    cfg = small_wn_config(lambda_rule=LambdaRule(0.2))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     path = tmp_path / "cfg.json"
     with open(path, "w") as fh:
@@ -116,6 +121,32 @@ def test_config_roundtrip_and_hash(tmp_path):
     assert cfg2 == cfg
     assert config_hash(cfg2) == config_hash(cfg)
     assert len(config_hash(cfg)) == 40
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"d": 1},
+        {"delta": 0.05},
+        {"truth_signs_seed": 0},
+        {"lambda_rule": {"poly_exponent": 0.2, "log_exponent": 0.0}},
+    ],
+    ids=["d", "delta", "truth_signs_seed", "log_exponent"],
+)
+def test_config_rejects_deleted_keys(raw):
+    with pytest.raises(ValueError, match="unknown"):
+        ExperimentConfig.from_dict(dict(small_wn_config().to_dict(), **raw))
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = readme.index("| key | default | meaning |") + 2
+    keys = []
+    for line in readme[start:]:
+        if not line.startswith("|"):
+            break
+        keys.append(line.split("|")[1].strip().strip("`"))
+    assert keys == [f.name for f in fields(ExperimentConfig)]
 
 
 def test_theory_exponent_dispatch():
@@ -137,6 +168,19 @@ def test_theory_exponent_dispatch():
 
 
 # --- contraction runs ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", ["white-noise", "density"])
+def test_truth_file_reproduces_the_default_truth(tmp_path, model):
+    cfg = small_wn_config(
+        model=model, p=1.0, n_grid=[40, 80, 160], replicates=1, posterior_draws=10,
+        burn_in=50, thin=1, levels=3,
+    )
+    truth = _wn_truth(cfg) if model == "white-noise" else _de_truth(cfg)
+    path = tmp_path / "truth.csv"
+    save_coefvec(truth, path)
+    from_file = run_contraction(replace(cfg, truth_file=str(path)))
+    assert from_file.rows == run_contraction(cfg).rows
 
 
 def test_run_contraction_small_gaussian():

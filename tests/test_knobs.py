@@ -1,12 +1,16 @@
-"""Knob census: every defaulted parameter of a function defined in src/pexp
-is set by at least one call in src/pexp, demos/ or perfbench/.
+"""Knob census: every defaulted parameter of a function defined in src/pexp,
+and every defaulted field of a dataclass defined there, is set by at least one
+call in src/pexp, demos/ or perfbench/.
 
 A default that no caller overrides is a constant with an option's cost: each
 settable value multiplies the configurations that tests must cover.  Calls
 are matched by the called name (``f(...)`` or ``mod.f(...)``); a parameter
 counts as set when a call passes it by keyword or passes at least as many
-positional arguments as its position needs.  ALLOWED lists the knobs that
-only the tests set, kept on purpose.
+positional arguments as its position needs.  A dataclass is called by its
+class name, or as ``cls(...)`` inside one of its classmethods; ``init=False``
+fields are not knobs.  JSON_CONFIGS are built from JSON dicts, so a string key
+of any dict literal in the caller directories also sets their fields.
+ALLOWED lists the knobs that only the tests set, kept on purpose.
 """
 
 import ast
@@ -14,6 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src/pexp", "demos", "perfbench")
+JSON_CONFIGS = ("ExperimentConfig",)
 
 ALLOWED = {
     "decentering_check.nodes": "the tests check the quadrature at its MIN_NODES floor",
@@ -24,6 +29,9 @@ ALLOWED = {
     "run_inequalities.anderson_samples": "the tests run a cheaper battery",
     "run_inequalities.lemma_grid": "the tests run a coarser tail-bound grid",
     "wn_posterior_sample.method": "the tests force rejection at p = 2 against the conjugate law",
+    "make_truth.delta": "the tests move the Besov margin; criterion 5 passes it",
+    "ExperimentConfig.truth_file": "the tests pass a custom truth; the lacunary truth will come this way",
+    "ExperimentConfig.max_truncation": "the tests cap N so that sweeps stay cheap",
 }
 
 
@@ -31,19 +39,35 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _is_dataclass(cls):
+    # @dataclass or @dataclass(...)
+    return any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in cls.decorator_list
+    )
+
+
+def _field_knob(stmt):
+    """(in __init__, has a default) of one annotated class-body statement."""
+    value = stmt.value
+    if value is None:
+        return True, False
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        kw = {k.arg: k.value for k in value.keywords}
+        init = kw.get("init")
+        in_init = not (isinstance(init, ast.Constant) and init.value is False)
+        return in_init, "default" in kw or "default_factory" in kw
+    return True, True
+
+
 def _defaulted_parameters():
-    """{function name: [(parameter, positional index or None), ...]} over the
-    defaulted parameters of every function in src/pexp."""
+    """{function or dataclass name: [(parameter, positional index or None), ...]}
+    over the defaulted parameters of every function and the defaulted fields
+    of every dataclass in src/pexp."""
     out = {}
     for path in sorted((ROOT / "src/pexp").glob("*.py")):
         tree = _parse(path)
-        methods = {
-            id(fn)
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef)
-            for fn in cls.body
-            if isinstance(fn, ast.FunctionDef)
-        }
+        classes = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        methods = {id(fn) for cls in classes for fn in cls.body if isinstance(fn, ast.FunctionDef)}
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
                 continue
@@ -63,37 +87,75 @@ def _defaulted_parameters():
             ]
             if knobs:
                 out.setdefault(fn.name, []).extend(knobs)
+        for cls in filter(_is_dataclass, classes):
+            index = 0
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                in_init, defaulted = _field_knob(stmt)
+                if not in_init:
+                    continue
+                if defaulted:
+                    out.setdefault(cls.name, []).append((stmt.target.id, index))
+                index += 1
     return out
+
+
+def _call_args(node):
+    """(positional argument count, keyword names) of a call; starred
+    arguments set nothing."""
+    npos = 0
+    for arg in node.args:
+        if isinstance(arg, ast.Starred):
+            break
+        npos += 1
+    return npos, {k.arg for k in node.keywords if k.arg is not None}
+
+
+def _is_classmethod(fn):
+    return isinstance(fn, ast.FunctionDef) and any(
+        isinstance(d, ast.Name) and d.id == "classmethod" for d in fn.decorator_list
+    )
 
 
 def _calls():
     """{called name: [(positional argument count, keyword names), ...]} over
-    every call in the caller directories; starred arguments set nothing."""
-    out = {}
+    every call in the caller directories, and the set of string keys of
+    their dict literals."""
+    out, keys = {}, set()
     for d in CALLER_DIRS:
         for path in sorted((ROOT / d).rglob("*.py")):
-            for node in ast.walk(_parse(path)):
+            tree = _parse(path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Dict):
+                    keys.update(
+                        k.value
+                        for k in node.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                    )
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name is None:
+                if name is not None:
+                    out.setdefault(name, []).append(_call_args(node))
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
                     continue
-                npos = 0
-                for arg in node.args:
-                    if isinstance(arg, ast.Starred):
-                        break
-                    npos += 1
-                keywords = {k.arg for k in node.keywords if k.arg is not None}
-                out.setdefault(name, []).append((npos, keywords))
-    return out
+                for fn in filter(_is_classmethod, cls.body):
+                    for node in ast.walk(fn):
+                        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "cls":
+                            out.setdefault(cls.name, []).append(_call_args(node))
+    return out, keys
 
 
 def _unset_knobs():
-    calls = _calls()
+    calls, keys = _calls()
     unset = set()
     for name, knobs in _defaulted_parameters().items():
         for param, index in knobs:
+            if name in JSON_CONFIGS and param in keys:
+                continue
             if not any(
                 param in keywords or (index is not None and index < npos)
                 for npos, keywords in calls.get(name, ())

@@ -39,6 +39,12 @@ def test_dyadic_gamma_levels():
     np.testing.assert_allclose(g, 2.0 ** (-1.5 * ks))
 
 
+def test_dyadic_spec_rejects_other_dimensions():
+    # its gamma has no d in it, so d = 3 used to give the d = 1 sequence
+    with pytest.raises(ValueError, match="d=3"):
+        ScalingSpec(1.0, 1.0, 3, 1.0, "dyadic", levels=2)
+
+
 def test_dyadic_level_index_counts():
     ks = dyadic_level_index(4)
     np.testing.assert_array_equal(np.bincount(ks), 2 ** np.arange(5))
