@@ -214,11 +214,7 @@ def _de_cell(cfg: ExperimentConfig, truth: CoefVec, i_n: int, rep: int) -> Exper
         draws=cfg.posterior_draws, burn_in=cfg.burn_in, thin=cfg.thin
     )
     chain = models.de_posterior_mcmc(sample, m, basis, ccfg, rng)
-    dists = [
-        models.hellinger(models.de_density(CoefVec.dyadic(u, cfg.levels), basis), pi0)
-        for u in chain.u
-    ]
-    return _row(n, rep, np.array(dists))
+    return _row(n, rep, models.hellinger(models.de_density(chain.u, basis), pi0))
 
 
 class ExperimentError(RuntimeError):

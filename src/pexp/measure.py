@@ -98,18 +98,30 @@ def sample_prior_block(m: PExpMeasure, rng: np.random.Generator, count: int) -> 
     return m.spec.gamma() * xi
 
 
-def evaluate_function(u: CoefVec, basis: WaveletBasis, xgrid) -> np.ndarray:
-    """Pointwise sum over levels of u_{kl} psi_{kl}(x); exact for the hat system."""
-    if u.scheme != "dyadic":
-        raise ValueError("evaluate_function requires a dyadic coefficient vector")
-    if u.levels > basis.levels:
+def evaluate_function(u, basis: WaveletBasis, xgrid) -> np.ndarray:
+    """Pointwise sum over levels of u_{kl} psi_{kl}(x); exact for the hat system.
+
+    ``u`` is a dyadic CoefVec, or a (draws, 2^{K+1} - 1) array of dyadic
+    coefficient rows such as ``PosteriorChain.u``, which gives one row of
+    values per draw from a single gather.
+    """
+    if isinstance(u, CoefVec):
+        if u.scheme != "dyadic":
+            raise ValueError("evaluate_function requires a dyadic coefficient vector")
+        values, levels = u.values, u.levels
+    else:
+        values = np.asarray(u, dtype=float)
+        levels = values.shape[-1].bit_length() - 1
+        if values.shape[-1] != 2 ** (levels + 1) - 1:
+            raise ValueError(f"{values.shape[-1]} coefficients fill no whole dyadic level")
+    if levels > basis.levels:
         raise ValueError("coefficient levels exceed basis levels")
     xgrid = np.asarray(xgrid, dtype=float)
-    out = np.zeros_like(xgrid)
+    out = np.zeros(values.shape[:-1] + xgrid.shape)
     for k, (idx, val) in enumerate(basis.gather(xgrid)):
-        if k > u.levels:
+        if k > levels:
             break
-        out += u.values[idx] * val
+        out += values[..., idx] * val
     return out
 
 

@@ -109,6 +109,13 @@ def wn_posterior_sample(
     by its exact mass and kept with probability exp(tangent - |xi|^p / p),
     which is 1 at p = 1.  Raises univariate.SamplerError if draws are left
     after univariate.MAX_ROUNDS rounds.
+
+    The stream is fixed by the draw order.  Each round takes one uniform per
+    pending entry, in C order of the (draws, N) array, to pick the side; then
+    univariate.halfline_sample's draws for those entries; then, at p != 1,
+    one standard exponential per entry whose tangent gap is positive.  At
+    p = 1 the gap is exactly 0 and no exponential is drawn.  The conjugate
+    form draws one (draws, N) block of standard normals.
     """
     if m.spec.scheme != "linear":
         raise ValueError("white noise model uses the linear scheme")
@@ -125,8 +132,11 @@ def wn_posterior_sample(
 
     if method == "auto" and p == 2.0:
         mean_u, var_u = wn_conjugate_moments(data, m)
-        u = mean_u + np.sqrt(var_u) * rng.standard_normal((draws, len(y)))
-        return PosteriorChain(u / g, m.spec, 1.0, {"method": "conjugate"})
+        xi = rng.standard_normal((draws, len(y)))
+        xi *= np.sqrt(var_u)
+        xi += mean_u
+        xi /= g
+        return PosteriorChain(xi, m.spec, 1.0, {"method": "conjugate"})
 
     a = n * g**2 / 2.0
     x0 = np.maximum(univariate.prox(np.abs(y) / g, 1.0 / p, a, p)[0], 1.0)
@@ -136,28 +146,39 @@ def wn_posterior_sample(
     # lam^2 / (4a) differ by exactly -2 s y / gamma
     log_odds = -2.0 * s * y / g + np.subtract(*special.log_ndtr(-lam / np.sqrt(2.0 * a)))
     p_plus = special.expit(log_odds)
-    col = np.tile(np.arange(len(y)), draws)
-    xi = np.empty(draws * len(y))
-    todo = np.arange(xi.size)
+    xi = np.empty((draws, len(y)))  # round 1 replaces it with its own draws
+    todo = None if xi.size else np.arange(0)  # flat positions pending; None in round 1
     accept = []  # per rejection round
-    while todo.size:
+    while todo is None or todo.size:
         if len(accept) == univariate.MAX_ROUNDS:
             raise univariate.SamplerError(
                 f"white-noise rejection: {todo.size} draws left after {len(accept)} rounds"
             )
-        c = col[todo]
-        minus = (rng.random(todo.size) >= p_plus[c]).astype(int)
-        x = univariate.halfline_sample(lam[minus, c], a[c], rng)
-        gap = (x**p - x0[c] ** p) / p - s[c] * (x - x0[c])  # exactly 0 at p = 1
-        tight = gap > 0.0
-        ok = ~tight
-        ok[tight] = rng.standard_exponential(int(tight.sum())) >= gap[tight]
-        xi[todo[ok]] = np.where(minus[ok], -x[ok], x[ok])
+        if todo is None:
+            minus = rng.random(xi.shape) >= p_plus
+            lam_c, a_c, x0_c, s_c = np.where(minus, lam[1], lam[0]), a, x0, s
+        else:
+            c = todo % len(y)
+            minus = rng.random(todo.size) >= p_plus[c]
+            lam_c, a_c, x0_c, s_c = np.where(minus, lam[1, c], lam[0, c]), a[c], x0[c], s[c]
+        x = univariate.halfline_sample(lam_c, a_c, rng)
+        if p == 1.0:  # the tangent is |xi| itself: every proposal is kept
+            ok = np.ones(x.shape, dtype=bool)
+        else:
+            gap = (x**p - x0_c**p) / p - s_c * (x - x0_c)
+            tight = gap > 0.0
+            ok = ~tight
+            ok[tight] = rng.standard_exponential(int(tight.sum())) >= gap[tight]
+        x *= 1.0 - 2.0 * minus  # a product with -1 is an exact negation
+        if todo is None:
+            xi, todo = x, np.flatnonzero(~ok)
+        else:
+            xi.reshape(-1)[todo[ok]] = x[ok]
+            todo = todo[~ok]
         accept.append(float(ok.mean()))
-        todo = todo[~ok]
     log = {"method": "rejection", "rounds": len(accept),
            "first_round_accept": accept[0] if accept else 1.0}
-    return PosteriorChain(xi.reshape(draws, len(y)), m.spec, 1.0, log)
+    return PosteriorChain(xi, m.spec, 1.0, log)
 
 
 def wn_error_radii(chain: PosteriorChain, w0) -> np.ndarray:
@@ -167,11 +188,13 @@ def wn_error_radii(chain: PosteriorChain, w0) -> np.ndarray:
     coordinates of either side count as zeros.
     """
     w = coef_values(w0)
-    u = chain.u
+    u = chain.u  # a new array, squared in place
     ncommon = min(u.shape[1], len(w))
-    sq = ((u[:, :ncommon] - w[:ncommon]) ** 2).sum(axis=1)
+    u[:, :ncommon] -= w[:ncommon]
+    np.square(u, out=u)
+    sq = u[:, :ncommon].sum(axis=1)
     if u.shape[1] > ncommon:
-        sq += (u[:, ncommon:] ** 2).sum(axis=1)
+        sq += u[:, ncommon:].sum(axis=1)
     if len(w) > ncommon:
         sq += float((w[ncommon:] ** 2).sum())
     return np.sqrt(sq)
@@ -195,11 +218,14 @@ def _log_int_exp(W: np.ndarray) -> tuple[float, np.ndarray]:
     return mx + math.log(total / len(d)), seg / total
 
 
-def de_density(u: CoefVec, basis: WaveletBasis) -> np.ndarray:
+def de_density(u, basis: WaveletBasis) -> np.ndarray:
     """exp(W) / int exp(W) at ``basis.node_grid()``, exactly normalized; the
-    log-density is linear between the nodes, so these values define it."""
+    log-density is linear between the nodes, so these values define it.
+    ``u`` is a dyadic CoefVec or an array of coefficient rows, as
+    ``evaluate_function`` takes it; rows give one density each."""
     W = evaluate_function(u, basis, basis.node_grid())
-    return np.exp(W - _log_int_exp(W)[0])
+    log_z = [_log_int_exp(w)[0] for w in W.reshape(-1, W.shape[-1])]
+    return np.exp(W - np.reshape(log_z, W.shape[:-1] + (1,)))
 
 
 def de_simulate(
@@ -221,16 +247,23 @@ def de_simulate(
     return DensitySample(nodes[pos] + np.clip(t, 0.0, 1.0) * nodes[1], n)
 
 
-def hellinger(p1, p2) -> float:
+def hellinger(p1, p2):
     """Hellinger distance between two densities given at the same nodes, as
     ``de_density`` returns them.  With l = log p and I = log int exp, the
     affinity A has log A = I((l1 + l2) / 2) - (I(l1) + I(l2)) / 2 (which also
-    normalizes both inputs), and H^2 = 2 - 2A."""
+    normalizes both inputs), and H^2 = 2 - 2A.  ``p1`` may hold one density
+    per row; then l2 and I(l2) are computed once and an array of distances
+    is returned."""
     if not (np.all(np.greater(p1, 0.0)) and np.all(np.greater(p2, 0.0))):
         raise ValueError("densities must be positive")
     l1, l2 = np.log(p1), np.log(p2)
-    i1, i2, i12 = (_log_int_exp(w)[0] for w in (l1, l2, (l1 + l2) / 2.0))
-    return math.sqrt(max(0.0, -2.0 * math.expm1(i12 - (i1 + i2) / 2.0)))
+    i2 = _log_int_exp(l2)[0]
+    h = [
+        math.sqrt(max(0.0, -2.0 * math.expm1(
+            _log_int_exp((r + l2) / 2.0)[0] - (_log_int_exp(r)[0] + i2) / 2.0)))
+        for r in l1.reshape(-1, l1.shape[-1])
+    ]
+    return h[0] if l1.ndim == 1 else np.array(h)
 
 
 def de_posterior_mcmc(

@@ -148,32 +148,47 @@ def halfline_sample(lam, a, rng: np.random.Generator) -> np.ndarray:
     both at least erfcx(1/sqrt(pi)) = 0.58 around the switch, and
     Phi(-lam / sqrt(2a)) >= 1/2.  Rejected entries are redrawn; SamplerError
     if any are left after MAX_ROUNDS rounds.
+
+    The stream is fixed by the draw order: each round takes one standard
+    exponential per Exp(lam) proposal, then one standard normal per normal
+    proposal, each group in C order of its pending entries, then one
+    acceptance exponential per pending entry in C order.  Round 1 covers
+    every entry; later rounds only the rejected ones.
     """
-    lam, a = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(a, dtype=float))
-    if not (np.isfinite(lam) & np.isfinite(a) & (a >= 0) & ((a > 0) | (lam > 0))).all():
+    lam, a = np.asarray(lam, dtype=float), np.asarray(a, dtype=float)
+    if not (np.isfinite(lam).all() and np.isfinite(a).all() and (a >= 0).all()
+            and ((a > 0) | (lam > 0)).all()):
         raise ValueError("halfline_sample needs finite lam, a >= 0, and a > 0 where lam <= 0")
-    x = np.empty(lam.shape)
-    lam, a, flat = lam.ravel(), a.ravel(), x.reshape(-1)
-    todo = np.arange(lam.size)
+    l, q = np.broadcast_arrays(lam, a)  # compressed to the pending entries after round 1
+    todo = None  # flat positions of the pending entries in x; None in round 1, which makes x
     rounds = 0
-    while todo.size:
+    while todo is None or todo.size:
         if rounds == MAX_ROUNDS:
             raise SamplerError(f"halfline_sample: {todo.size} draws left after {rounds} rounds")
         rounds += 1
-        l, q = lam[todo], a[todo]
         from_exp = (l > 0) & (q < math.pi / 4.0 * l * l)
-        z = np.empty(todo.size)
-        z[from_exp] = rng.standard_exponential(int(from_exp.sum())) / l[from_exp]
         hn = ~from_exp
-        z[hn] = rng.standard_normal(int(hn.sum())) / np.sqrt(2.0 * q[hn])
-        whole = hn & (l < 0)
-        z[whole] -= l[whole] / (2.0 * q[whole])
-        z[hn & ~whole] = np.abs(z[hn & ~whole])
-        # where lam < 0 the threshold lam z is <= 0 for z >= 0: kept iff z >= 0
-        cost = np.where(from_exp, q * z * z, l * z)
-        ok = (rng.standard_exponential(todo.size) >= cost) & (z >= 0)
-        flat[todo[ok]] = z[ok]
-        todo = todo[~ok]
+        le, lh, qh = l[from_exp], l[hn], q[hn]
+        ze = rng.standard_exponential(le.size) / le
+        two_q = 2.0 * qh
+        zh = rng.standard_normal(lh.size) / np.sqrt(two_q)
+        # where lam < 0 the whole normal is kept iff z >= 0 (its cost lam z is <= 0)
+        zh = np.where(lh < 0, zh - lh / two_q, np.abs(zh))
+        z = np.empty(l.shape)
+        z[from_exp] = ze
+        z[hn] = zh
+        cost = np.empty(l.shape)
+        cost[from_exp] = q[from_exp] * ze * ze
+        cost[hn] = lh * zh
+        ok = (rng.standard_exponential(l.shape) >= cost) & (z >= 0)
+        rejected = np.flatnonzero(~ok)
+        if todo is None:
+            x, todo = z, rejected
+        else:
+            kept = np.flatnonzero(ok)
+            x.reshape(-1)[todo[kept]] = z[kept]
+            todo = todo[rejected]
+        l, q = np.ravel(l)[rejected], np.ravel(q)[rejected]
     return x
 
 

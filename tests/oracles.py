@@ -9,12 +9,16 @@ written one outer node at a time, and the density Metropolis kernel against
 ``metropolis_loop``, which keeps the likelihood as the sum of an (n,) state.
 ``norm_samples_blocks`` is the earlier Monte Carlo norm draw with its own
 |xi| sampler and sign draw, kept as the reference stream for
-``concentration.unit_norm_sample``.
+``concentration.unit_norm_sample``.  ``halfline_loop`` and
+``wn_rejection_loop`` are the white-noise rejection samplers written with
+one index gather per array and round; ``univariate.halfline_sample`` and
+``models.wn_posterior_sample`` must make the same draws.
 """
 
 import math
 
 import numpy as np
+from scipy import special
 
 from pexp import univariate
 from pexp.measure import WaveletBasis
@@ -300,3 +304,74 @@ def norm_samples_blocks(m, norm, samples, rng, basis=None, block=50_000):
             out[done : done + b] = np.abs(u @ Psi.T).max(axis=1)
         done += b
     return out
+
+
+def halfline_loop(lam, a, rng):
+    """``univariate.halfline_sample`` with every pending entry's lam, a and
+    proposal gathered by index in each round, and both branches' costs
+    computed for every entry."""
+    lam, a = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(a, dtype=float))
+    if not (np.isfinite(lam) & np.isfinite(a) & (a >= 0) & ((a > 0) | (lam > 0))).all():
+        raise ValueError("halfline_sample needs finite lam, a >= 0, and a > 0 where lam <= 0")
+    x = np.empty(lam.shape)
+    lam, a, flat = lam.ravel(), a.ravel(), x.reshape(-1)
+    todo = np.arange(lam.size)
+    rounds = 0
+    while todo.size:
+        if rounds == univariate.MAX_ROUNDS:
+            raise univariate.SamplerError(
+                f"halfline_sample: {todo.size} draws left after {rounds} rounds"
+            )
+        rounds += 1
+        l, q = lam[todo], a[todo]
+        from_exp = (l > 0) & (q < math.pi / 4.0 * l * l)
+        z = np.empty(todo.size)
+        z[from_exp] = rng.standard_exponential(int(from_exp.sum())) / l[from_exp]
+        hn = ~from_exp
+        z[hn] = rng.standard_normal(int(hn.sum())) / np.sqrt(2.0 * q[hn])
+        whole = hn & (l < 0)
+        z[whole] -= l[whole] / (2.0 * q[whole])
+        z[hn & ~whole] = np.abs(z[hn & ~whole])
+        cost = np.where(from_exp, q * z * z, l * z)
+        ok = (rng.standard_exponential(todo.size) >= cost) & (z >= 0)
+        flat[todo[ok]] = z[ok]
+        todo = todo[~ok]
+    return x
+
+
+def wn_rejection_loop(data, m, draws, rng):
+    """The rejection branch of ``models.wn_posterior_sample`` over a flat
+    (draws * N,) state with a tiled column map, drawing the tangent gap's
+    exponentials at every p; returns xi (draws, N) and the step log."""
+    y = data.y.values
+    g = m.spec.gamma()
+    n = data.n
+    p = m.spec.p
+    a = n * g**2 / 2.0
+    x0 = np.maximum(univariate.prox(np.abs(y) / g, 1.0 / p, a, p)[0], 1.0)
+    s = x0 ** (p - 1.0)
+    lam = np.stack([s - n * g * y, s + n * g * y])
+    log_odds = -2.0 * s * y / g + np.subtract(*special.log_ndtr(-lam / np.sqrt(2.0 * a)))
+    p_plus = special.expit(log_odds)
+    col = np.tile(np.arange(len(y)), draws)
+    xi = np.empty(draws * len(y))
+    todo = np.arange(xi.size)
+    accept = []
+    while todo.size:
+        if len(accept) == univariate.MAX_ROUNDS:
+            raise univariate.SamplerError(
+                f"white-noise rejection: {todo.size} draws left after {len(accept)} rounds"
+            )
+        c = col[todo]
+        minus = (rng.random(todo.size) >= p_plus[c]).astype(int)
+        x = halfline_loop(lam[minus, c], a[c], rng)
+        gap = (x**p - x0[c] ** p) / p - s[c] * (x - x0[c])
+        tight = gap > 0.0
+        ok = ~tight
+        ok[tight] = rng.standard_exponential(int(tight.sum())) >= gap[tight]
+        xi[todo[ok]] = np.where(minus[ok], -x[ok], x[ok])
+        accept.append(float(ok.mean()))
+        todo = todo[~ok]
+    log = {"method": "rejection", "rounds": len(accept),
+           "first_round_accept": accept[0] if accept else 1.0}
+    return xi.reshape(draws, len(y)), log

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import log_int_exp_where, metropolis_loop
+from oracles import log_int_exp_where, metropolis_loop, wn_rejection_loop
 from scipy import integrate, stats
 
 from pexp import univariate
@@ -194,8 +194,12 @@ def test_wn_rejection_round_cap_raises(monkeypatch):
     n, y = 1e-4, 100.0 / math.sqrt(1e-4)
     m = pexp_measure(lin_spec(1.5, 1.0, 1))
     data = WhiteNoiseData(n, CoefVec.linear(np.array([y])))
-    with pytest.raises(univariate.SamplerError, match="white-noise rejection"):
-        wn_posterior_sample(data, m, 20_000, np.random.default_rng(78))
+    messages = []
+    for sampler in (wn_posterior_sample, wn_rejection_loop):
+        with pytest.raises(univariate.SamplerError, match="white-noise rejection") as err:
+            sampler(data, m, 20_000, np.random.default_rng(78))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_wn_posterior_rejects_non_finite_observations_and_bad_n():
@@ -249,6 +253,31 @@ def test_wn_posterior_coordinates_uncorrelated():
     assert abs(corr) < 3 / math.sqrt(len(x))
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("n", [1e2, 1e4, 2.0**16])
+def test_wn_rejection_matches_loop_oracle(p, n):
+    # at p = 2 the rejection branch is forced; the conjugate form draws differently
+    m = pexp_measure(lin_spec(p, 1.0, 60))
+    w0 = make_truth(BesovParams(1.0, 2.0, 1), n=60).values
+    data = wn_simulate(w0, n, np.random.default_rng(97))
+    r1, r2 = np.random.default_rng(98), np.random.default_rng(98)
+    chain = wn_posterior_sample(data, m, 300, r1, method="rejection")
+    xi, log = wn_rejection_loop(data, m, 300, r2)
+    assert np.array_equal(chain.xi, xi)
+    assert chain.step_log == log
+    assert r1.random() == r2.random()
+    assert (log["rounds"] == 1) == (p == 1.0)
+
+
+def test_wn_conjugate_draw_matches_closed_form():
+    m = pexp_measure(lin_spec(2.0, 1.0, 50))
+    data = wn_simulate(np.full(50, 0.1), 1e3, np.random.default_rng(99))
+    chain = wn_posterior_sample(data, m, 40, np.random.default_rng(100))
+    mean_u, var_u = wn_conjugate_moments(data, m)
+    z = np.random.default_rng(100).standard_normal((40, 50))
+    assert np.array_equal(chain.xi, (mean_u + np.sqrt(var_u) * z) / m.spec.gamma())
+
+
 def radius_stats(chain, w0):
     radii = wn_error_radii(chain, w0)
     return float(np.median(radii)), float(np.quantile(radii, 0.9))
@@ -284,6 +313,33 @@ def test_wn_error_radii_pads_truth_tail():
     w0 = np.array([0.0, 0.0, 3.0, 4.0])
     med, q90 = radius_stats(chain, w0)
     assert med == pytest.approx(5.0)
+
+
+def radii_formula(chain, w0):
+    """||u - w0||_2 per draw, padding the shorter side with zeros by copy."""
+    w = np.asarray(w0, dtype=float)
+    u = chain.u
+    nc = min(u.shape[1], len(w))
+    sq = ((u[:, :nc] - w[:nc]) ** 2).sum(axis=1)
+    if u.shape[1] > nc:
+        sq += (u[:, nc:] ** 2).sum(axis=1)
+    if len(w) > nc:
+        sq += float((w[nc:] ** 2).sum())
+    return np.sqrt(sq)
+
+
+@pytest.mark.parametrize("truth_len", [25, 40, 70])
+def test_wn_error_radii_leaves_chain_alone(truth_len):
+    from pexp.models import PosteriorChain
+
+    rng = np.random.default_rng(101)
+    chain = PosteriorChain(rng.standard_normal((30, 40)), lin_spec(1.0, 1.0, 40), 1.0)
+    xi = chain.xi.copy()
+    w0 = rng.standard_normal(truth_len)
+    first = wn_error_radii(chain, w0)
+    assert np.array_equal(chain.xi, xi)
+    assert np.array_equal(wn_error_radii(chain, w0), first)
+    assert np.array_equal(first, radii_formula(chain, w0))
 
 
 # --- density model ---------------------------------------------------------------
@@ -525,6 +581,28 @@ def test_wn_rejection_sampler_finite_for_extreme_observations():
 
 
 # --- Hellinger -------------------------------------------------------------------
+
+
+def test_density_rows_match_one_draw_at_a_time():
+    # a cell evaluates all its draws at once; each row must equal its own call
+    basis = WaveletBasis(5)
+    rows = 0.7 * np.random.default_rng(102).standard_normal((12, 63))
+    dens = de_density(rows, basis)
+    single = [de_density(CoefVec.dyadic(r, 5), basis) for r in rows]
+    assert np.array_equal(dens, np.array(single))
+    pi0 = de_density(CoefVec.dyadic(rows[0] / 2.0, 5), basis)
+    h = hellinger(dens, pi0)
+    assert isinstance(h, np.ndarray) and h.shape == (12,)
+    assert np.array_equal(h, [hellinger(d, pi0) for d in single])
+    # shorter rows leave the finer levels out
+    short = rows[:, :15]
+    assert np.array_equal(
+        evaluate_function(short, basis, basis.node_grid()),
+        [evaluate_function(CoefVec.dyadic(r, 3), basis, basis.node_grid()) for r in short],
+    )
+    for bad in (rows[:, :14], np.zeros((2, 127))):
+        with pytest.raises(ValueError):
+            evaluate_function(bad, basis, basis.node_grid())
 
 
 def test_hellinger_identical_zero():

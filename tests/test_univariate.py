@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import halfline_loop
 from scipy import integrate, special, stats
 
 from pexp import univariate
@@ -262,8 +263,53 @@ def test_halfline_sample_broadcasts_and_rejects_bad_input():
 def test_halfline_round_cap_raises(monkeypatch):
     # the half-normal proposal at (lam, a) = (1, 3) accepts under 90% of a round
     monkeypatch.setattr(univariate, "MAX_ROUNDS", 1)
-    with pytest.raises(univariate.SamplerError, match="halfline_sample"):
-        halfline_sample(np.ones(1000), 3.0, np.random.default_rng(106))
+    messages = []
+    for sampler in (halfline_sample, halfline_loop):
+        with pytest.raises(univariate.SamplerError, match="halfline_sample") as err:
+            sampler(np.ones(1000), 3.0, np.random.default_rng(106))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def assert_same_draws(lam, a, seed):
+    """halfline_sample and its loop oracle give equal draws and leave their
+    generators at the same point."""
+    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = halfline_sample(lam, a, r1)
+    assert np.array_equal(x, halfline_loop(lam, a, r2))
+    assert r1.random() == r2.random()
+    return x
+
+
+@pytest.mark.parametrize(
+    "lam, a",
+    [
+        (1.0, 0.1),  # Exp(lam) proposal
+        (1.0, 3.0),  # folded half-normal, some rounds rejected
+        (-0.5, 1.0),  # whole normal, about a third below zero
+        (2.5, 0.0),  # a = 0
+    ],
+)
+def test_halfline_sample_matches_loop_oracle_per_branch(lam, a):
+    x = assert_same_draws(np.full(5000, lam), a, 107)
+    assert x.shape == (5000,)
+
+
+def test_halfline_sample_matches_loop_oracle_on_mixed_branches():
+    # every row mixes all three proposals, in an order the rounds interleave
+    rng = np.random.default_rng(108)
+    lam = 3.0 * rng.standard_normal((400, 9))
+    a = np.abs(rng.standard_normal(9))
+    branch = np.where(lam < 0, "whole", np.where(a < math.pi / 4.0 * lam**2, "exp", "folded"))
+    assert set(branch.ravel()) == {"whole", "exp", "folded"}
+    assert assert_same_draws(lam, a, 109).shape == (400, 9)
+
+
+def test_halfline_sample_matches_loop_oracle_on_scalar_lam():
+    # concentration._tilted_squares passes lam = 1 against a broadcast (rows, N) a
+    a = np.linspace(0.0, 2.0, 64)
+    x = assert_same_draws(1.0, np.broadcast_to(a, (300, 64)), 110)
+    assert x.shape == (300, 64) and x.flags.c_contiguous
 
 
 def prox_oracle(a, c, lam, p):
