@@ -31,7 +31,7 @@ import numpy as np
 from scipy import special
 
 from . import univariate
-from .measure import PExpMeasure, WaveletBasis, sample_prior_block
+from .measure import PExpMeasure, WaveletBasis, mc_blocks, sample_prior_block
 from .sequences import ScalingSpec, coef_values, loglog_fit
 
 
@@ -203,9 +203,6 @@ def _eps_grid(estimator):
     return front
 
 
-BLOCK_FLOATS = 1 << 22  # floats in the widest temporary of one block of draws (32 MiB)
-
-
 def unit_norm_sample(
     m: PExpMeasure,
     norm: str,
@@ -219,33 +216,36 @@ def unit_norm_sample(
     ``smallball_mc`` and ``concentration_fn`` take: the ball of radius eps
     under m is the ball of radius eps / lam under the unit measure, so one
     sample serves every eps.  l2 norms need only |xi|
-    (``univariate.abs_sample``); sup norms take signed draws
-    (``sample_prior_block``) to the node grid.  Rows are drawn in blocks
-    that keep the widest temporary within BLOCK_FLOATS; the l2 stream is
-    the same for any split.
+    (``univariate.abs_sample``), summed as sum_l xi_l^2 gamma_l^2 in
+    coordinate order; sup norms take signed draws (``sample_prior_block``)
+    to the node grid.  Rows are drawn in ``measure.mc_blocks`` blocks and
+    their norms concatenated before the sort, so the sample is the same for
+    any thread count.
     """
     unit = PExpMeasure(m.spec.unit())
     gamma = unit.spec.gamma()
-    width = len(gamma)
-    if norm == "sup":
+    if norm == "l2":
+        gamma_sq = gamma * gamma
+
+        def norms(block_rng, rows):
+            mags = univariate.abs_sample(unit.params, block_rng, (rows, len(gamma)))
+            return np.sqrt(np.einsum("ij,ij,j->i", mags, mags, gamma_sq))
+
+        width = len(gamma)
+    elif norm == "sup":
         if unit.spec.scheme != "dyadic":
             raise ValueError("sup-norm small balls require the dyadic scheme")
         if basis is None:
             basis = WaveletBasis(unit.spec.levels)
-        Psi = basis.evaluation_matrix(basis.node_grid())[:, :width]
-        width = len(Psi)  # the node values outnumber the coefficients
-    elif norm != "l2":
+        Psi_T = basis.evaluation_matrix(basis.node_grid())[:, : len(gamma)].T
+
+        def norms(block_rng, rows):
+            return np.abs(sample_prior_block(unit, block_rng, rows) @ Psi_T).max(axis=1)
+
+        width = Psi_T.shape[1]  # the node values outnumber the coefficients
+    else:
         raise ValueError(f"unknown norm {norm!r}")
-    block = max(1, BLOCK_FLOATS // width)
-    out = np.empty(samples)
-    for start in range(0, samples, block):
-        rows = min(block, samples - start)
-        if norm == "l2":
-            mags = univariate.abs_sample(unit.params, rng, (rows, len(gamma)))
-            out[start : start + rows] = np.sqrt(((mags * gamma) ** 2).sum(axis=1))
-        else:
-            u = sample_prior_block(unit, rng, rows)
-            out[start : start + rows] = np.abs(u @ Psi.T).max(axis=1)
+    out = np.concatenate(mc_blocks(norms, samples, width, rng))
     out.sort()
     return out
 
@@ -271,8 +271,9 @@ def smallball_mc(
         if rng is None:
             rng = np.random.default_rng()
         sample = unit_norm_sample(m, norm, samples, rng)
-    elif (sample[1:] < sample[:-1]).any():
-        raise ValueError("sample must be sorted")
+    # >= is False at a NaN, so a NaN anywhere fails the check
+    elif not (len(sample) and sample[0] >= 0 and (sample[1:] >= sample[:-1]).all()):
+        raise ValueError("sample must be nonempty, sorted and nonnegative, with no NaN")
     samples = len(sample)
     results = []
     for e in eps:
@@ -549,6 +550,8 @@ def rate_solve_numeric(
         rng = np.random.default_rng()
     if n < 1:
         raise ValueError("n must be >= 1")
+    if mc_samples < 1:
+        raise ValueError(f"rate_solve_numeric needs mc_samples >= 1, got {mc_samples}")
     guard = -math.log(P_MIN_GUARD)
     sample = unit_norm_sample(m, norm, mc_samples, rng, basis)
 

@@ -285,7 +285,11 @@ def run_inequalities(
     lemma_grid: int = 1000,
 ) -> list[InequalityRow]:
     """Battery: Anderson shifts (MC), decentering bound (quadrature), and the
-    univariate lower-tail bound P(|xi| <= x) >= r1 x (exact CDF)."""
+    univariate lower-tail bound P(|xi| <= x) >= r1 x (exact CDF).
+
+    One generator from ``seed`` draws the shifts and keys each Anderson
+    check's blocks (``measure.mc_blocks``), so the rows are the same for any
+    thread count."""
     rng = np.random.default_rng(seed)
     rows: list[InequalityRow] = []
     # Anderson inequality across dims 1..3

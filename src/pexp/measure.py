@@ -10,6 +10,8 @@ peaking at 1.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -96,6 +98,42 @@ def sample_prior_block(m: PExpMeasure, rng: np.random.Generator, count: int) -> 
     """(count, size) array of independent draws; rows are i.i.d. prior samples."""
     xi = univariate.sample(m.params, rng, size=(count, m.spec.size))
     return m.spec.gamma() * xi
+
+
+BLOCK_FLOATS = 1 << 17  # floats per Monte Carlo row block: 1 MiB, within a per-core L2 cache
+# the CPUs this process may run on
+MC_THREADS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+
+@lru_cache(maxsize=None)
+def _mc_pool(threads: int, pid: int) -> ThreadPoolExecutor:
+    """The shared pool; keyed by process id too, since a forked child
+    inherits the pool object but none of its threads."""
+    return ThreadPoolExecutor(threads, thread_name_prefix="pexp-mc")
+
+
+def mc_blocks(draw, samples: int, width: int, rng: np.random.Generator) -> list:
+    """``draw(block_rng, rows)`` over ``samples`` rows split into blocks, in block order.
+
+    The rows are split into the fewest near-equal blocks of at most about
+    BLOCK_FLOATS / ``width`` rows, and block b draws from its own generator,
+    spawned from a seed sequence keyed by four integers from ``rng`` (so
+    ``rng`` advances by the same amount whatever ``samples`` is).  Neither
+    depends on the thread count, so a caller that combines the block results
+    in order gets the same bits from any pool.  The blocks run on one shared
+    pool of MC_THREADS threads; numpy's generator fills and ufunc loops
+    release the GIL.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    count = -(-samples * width // BLOCK_FLOATS)
+    bounds = [samples * b // count for b in range(count + 1)]
+    keys = np.random.SeedSequence(rng.integers(2**63, size=4)).spawn(count)
+    rows = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    pool = _mc_pool(MC_THREADS, os.getpid())
+    return list(pool.map(lambda key, r: draw(np.random.default_rng(key), r), keys, rows))
 
 
 def evaluate_function(u, basis: WaveletBasis, xgrid) -> np.ndarray:
@@ -206,8 +244,10 @@ def anderson_check(
 ) -> AndersonResult:
     """MC comparison of mu(eps B + x) against mu(eps B) for a centered l2 ball.
 
-    PASS when the shifted estimate does not exceed the centered one by more
-    than three joint standard errors.
+    Both balls count hits in the same draws, made in ``mc_blocks`` row
+    blocks; the per-block counts add up to the same result for any thread
+    count.  PASS when the shifted estimate does not exceed the centered one
+    by more than three joint standard errors.
     """
     n = m.spec.size
     if n > 50:
@@ -218,13 +258,9 @@ def anderson_check(
     _check_ball(eps, shift)
     if mc_samples < 1:
         raise ValueError(f"anderson_check needs mc_samples >= 1, got {mc_samples}")
-    hits_c = 0
-    hits_s = 0
-    block = 200_000
-    done = 0
-    while done < mc_samples:
-        b = min(block, mc_samples - done)
-        u = sample_prior_block(m, rng, b)
+
+    def hits(block_rng, rows):
+        u = sample_prior_block(m, block_rng, rows)
         # column by column: a reduction along a short axis is far slower than
         # n column adds, and below 8 columns np.sum adds in this same order
         # (longer rows it sums pairwise, so they differ by rounding)
@@ -233,9 +269,9 @@ def anderson_check(
         for k in range(1, n):
             sq_c += u[:, k] ** 2
             sq_s += (u[:, k] - shift[k]) ** 2
-        hits_c += int((sq_c <= eps**2).sum())
-        hits_s += int((sq_s <= eps**2).sum())
-        done += b
+        return int((sq_c <= eps**2).sum()), int((sq_s <= eps**2).sum())
+
+    hits_c, hits_s = map(sum, zip(*mc_blocks(hits, mc_samples, n, rng)))
     p_c = hits_c / mc_samples
     p_s = hits_s / mc_samples
     se = float(

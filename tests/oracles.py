@@ -7,12 +7,14 @@ are checked against each other through ``smallball_agree``, and the
 row-batched ball quadrature against ``ball_probability_loop``, the same rule
 written one outer node at a time, and the density Metropolis kernel against
 ``metropolis_loop``, which keeps the likelihood as the sum of an (n,) state.
-``norm_samples_blocks`` is the earlier Monte Carlo norm draw with its own
-|xi| sampler and sign draw, kept as the reference stream for
-``concentration.unit_norm_sample``.  ``halfline_loop`` and
-``wn_rejection_loop`` are the white-noise rejection samplers written with
-one index gather per array and round; ``univariate.halfline_sample`` and
-``models.wn_posterior_sample`` must make the same draws.
+``block_generators`` writes out the row blocks of ``measure.mc_blocks`` one
+after another; ``norm_samples_blocks`` (with its own |xi| sampler and sign
+draw) and ``anderson_hits_blocks`` draw from them serially, as the reference
+streams of ``concentration.unit_norm_sample`` and ``measure.anderson_check``.
+``halfline_loop`` and ``wn_rejection_loop`` are the white-noise rejection
+samplers written with one index gather per array and round;
+``univariate.halfline_sample`` and ``models.wn_posterior_sample`` must make
+the same draws.
 """
 
 import math
@@ -274,36 +276,62 @@ def metropolis_loop(sample, m, basis, cfg, rng):
     }
 
 
-def norm_samples_blocks(m, norm, samples, rng, basis=None, block=50_000):
-    """Unsorted norms of ``samples`` draws from m, ``block`` draws at a time.
-    |xi| is drawn as Exp(1) at p = 1, |N(0, 1)| at p = 2 and (p G)^{1/p} with
-    G ~ Gamma(1/p) otherwise; sup norms take a separate uniform sign draw
-    per block."""
+def block_generators(samples, width, rng, block_floats):
+    """(generator, rows) per row block of ``measure.mc_blocks``, in order: the
+    fewest blocks of at most about block_floats / width rows, with edges at
+    samples * b // count, each drawing from its own child of one seed
+    sequence keyed by four integers from rng."""
+    count = -(-samples * width // block_floats)
+    root = np.random.SeedSequence(rng.integers(2**63, size=4))
+    out, lo = [], 0
+    for b, child in enumerate(root.spawn(count), start=1):
+        hi = samples * b // count
+        out.append((np.random.default_rng(child), hi - lo))
+        lo = hi
+    return out
+
+
+def norm_samples_blocks(m, norm, samples, rng, block_floats, basis=None):
+    """Unsorted norms of ``samples`` draws from m, block by block.  |xi| is
+    drawn as Exp(1) at p = 1 and |N(0, 1)| at p = 2; sup norms take a
+    separate uniform sign draw per block.  l2 norms add the squares in
+    coordinate order (a running sum)."""
     p = m.spec.p
+    if p not in (1.0, 2.0):
+        raise ValueError("the reference |xi| sampler covers p = 1 and p = 2")
     gamma = m.spec.gamma()
     ncoef = m.spec.size
-    out = np.empty(samples)
+    width = ncoef
     if norm == "sup":
         if basis is None:
             basis = WaveletBasis(m.spec.levels)
         Psi = basis.evaluation_matrix(basis.node_grid())[:, :ncoef]
-    done = 0
-    while done < samples:
-        b = min(block, samples - done)
+        width = len(Psi)
+    parts = []
+    for gen, b in block_generators(samples, width, rng, block_floats):
         if p == 1.0:
-            mags = rng.standard_exponential((b, ncoef))
-        elif p == 2.0:
-            mags = np.abs(rng.standard_normal((b, ncoef)))
+            mags = gen.standard_exponential((b, ncoef))
         else:
-            mags = (p * rng.standard_gamma(1.0 / p, size=(b, ncoef))) ** (1.0 / p)
+            mags = np.abs(gen.standard_normal((b, ncoef)))
         if norm == "l2":
-            out[done : done + b] = np.sqrt(((mags * gamma) ** 2).sum(axis=1))
+            parts.append(np.sqrt(np.cumsum(mags * mags * gamma**2, axis=1)[:, -1]))
         else:
-            signs = np.where(rng.random((b, ncoef)) < 0.5, -1.0, 1.0)
+            signs = np.where(gen.random((b, ncoef)) < 0.5, -1.0, 1.0)
             u = signs * mags * gamma
-            out[done : done + b] = np.abs(u @ Psi.T).max(axis=1)
-        done += b
-    return out
+            parts.append(np.abs(u @ Psi.T).max(axis=1))
+    return np.concatenate(parts)
+
+
+def anderson_hits_blocks(m, eps, shift, samples, rng, block_floats):
+    """Hits of the centered and the shifted l2 ball of radius eps in
+    ``samples`` prior draws, block by block, with norms from np.sum."""
+    dim = m.spec.size
+    hits_c = hits_s = 0
+    for gen, b in block_generators(samples, dim, rng, block_floats):
+        u = m.spec.gamma() * univariate.sample(m.params, gen, size=(b, dim))
+        hits_c += int((np.sum(u**2, axis=1) <= eps**2).sum())
+        hits_s += int((np.sum((u - shift) ** 2, axis=1) <= eps**2).sum())
+    return hits_c, hits_s
 
 
 def halfline_loop(lam, a, rng):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pexp import measure
 from pexp.cli import main
 from pexp.sequences import BesovParams, load_coefvec, make_truth, save_coefvec
 
@@ -238,6 +239,17 @@ def test_de_experiment_end_to_end(tmp_path, capsys):
     )
     assert code == 0
     assert (out_dir / "results.csv").exists()
+
+
+def test_check_inequalities_csv_same_for_any_thread_count(tmp_path, capsys, monkeypatch):
+    csvs = []
+    for threads in (1, 3):
+        monkeypatch.setattr(measure, "MC_THREADS", threads)
+        out = tmp_path / f"t{threads}"
+        code, _ = run_cli(capsys, "check-inequalities", "--seed", "2", "--out", str(out))
+        assert code == 0
+        csvs.append((out / "inequalities.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_check_inequalities_cli(tmp_path, capsys):

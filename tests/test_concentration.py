@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import norm_samples_blocks, projected_subgradient_batch, smallball_agree
+from oracles import (
+    block_generators,
+    norm_samples_blocks,
+    projected_subgradient_batch,
+    smallball_agree,
+)
 
-from pexp import concentration
+from pexp import concentration, measure
 from pexp.concentration import (
     SmallBallResolutionError,
     ZeroHitsError,
@@ -212,27 +217,71 @@ def test_smallball_passed_sample_matches_plain_call(norm):
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_unit_norm_sample_l2_matches_block_oracle_for_any_split(p, monkeypatch):
-    # four blocks of 300 rows against the oracle's one block of 1000: the l2
-    # draw at p = 1 and p = 2 is one |xi| draw per coordinate, so the split
-    # moves neither the norms nor the generator state left behind
+    # 1000 rows of 32 coordinates in one block, in four near-equal blocks of
+    # at most 300 rows, and in 13 blocks: each split gives the oracle's serial
+    # block draws, norm for norm, and leaves the caller's generator at the
+    # same point
     m = pexp_measure(lin_spec(p, 1.0, 32, lam=2.0))
-    monkeypatch.setattr(concentration, "BLOCK_FLOATS", 300 * 32)
-    rng, ref_rng = np.random.default_rng(73), np.random.default_rng(73)
-    got = unit_norm_sample(m, "l2", 1000, rng)
-    ref = norm_samples_blocks(PExpMeasure(m.spec.unit()), "l2", 1000, ref_rng)
-    assert np.array_equal(got, np.sort(ref))
-    assert rng.random() == ref_rng.random()
+    for block_rows in (1000, 300, 77):
+        monkeypatch.setattr(measure, "BLOCK_FLOATS", block_rows * 32)
+        rng, ref_rng = np.random.default_rng(73), np.random.default_rng(73)
+        got = unit_norm_sample(m, "l2", 1000, rng)
+        ref = norm_samples_blocks(PExpMeasure(m.spec.unit()), "l2", 1000, ref_rng, block_rows * 32)
+        assert np.array_equal(got, np.sort(ref))
+        assert rng.random() == ref_rng.random()
 
 
-def test_unit_norm_sample_sup_matches_block_oracle_in_one_block():
+def test_unit_norm_sample_sup_matches_block_oracle_in_one_block(monkeypatch):
     # at p = 1 the signed draw is the oracle's exponential block, then its
-    # sign block
+    # sign block; 3000 rows of 65 node values fill one block
+    monkeypatch.setattr(measure, "BLOCK_FLOATS", 3000 * 65)
     m = pexp_measure(ScalingSpec(1.0, 1.0, lam=0.5, scheme="dyadic", levels=5))
     rng, ref_rng = np.random.default_rng(74), np.random.default_rng(74)
     got = unit_norm_sample(m, "sup", 3000, rng)
-    ref = norm_samples_blocks(PExpMeasure(m.spec.unit()), "sup", 3000, ref_rng)
+    ref = norm_samples_blocks(PExpMeasure(m.spec.unit()), "sup", 3000, ref_rng, 3000 * 65)
     assert np.array_equal(got, np.sort(ref))
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("norm", ["l2", "sup"])
+def test_unit_norm_sample_same_for_any_thread_count(norm, monkeypatch):
+    # 5000 rows in 50 blocks on pools of 1 and 3 threads, against the oracle
+    if norm == "l2":
+        m, width = pexp_measure(lin_spec(2.0, 1.0, 64)), 64
+    else:
+        m, width = pexp_measure(ScalingSpec(1.0, 1.0, scheme="dyadic", levels=5)), 65
+    monkeypatch.setattr(measure, "BLOCK_FLOATS", 100 * width)
+    samples = []
+    for threads in (1, 3):
+        monkeypatch.setattr(measure, "MC_THREADS", threads)
+        samples.append(unit_norm_sample(m, norm, 5000, np.random.default_rng(76)))
+    ref = norm_samples_blocks(m, norm, 5000, np.random.default_rng(76), 100 * width)
+    assert np.array_equal(samples[0], samples[1])
+    assert np.array_equal(samples[0], np.sort(ref))
+
+
+def test_unit_norm_sample_l2_sums_squares_in_coordinate_order():
+    # one block of 512 rows of 256 coordinates: the norms agree with the
+    # pairwise sum of np.sum to rounding
+    m = pexp_measure(lin_spec(1.0, 1.0, 256))
+    got = unit_norm_sample(m, "l2", 512, np.random.default_rng(77))
+    [(gen, rows)] = block_generators(512, 256, np.random.default_rng(77), measure.BLOCK_FLOATS)
+    mags = gen.standard_exponential((rows, 256))
+    ref = np.sqrt(np.sum((mags * m.spec.gamma()) ** 2, axis=1))
+    assert np.allclose(got, np.sort(ref), rtol=4e-15, atol=0)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_unit_norm_sample_rejects_fewer_than_one_sample(samples):
+    m = pexp_measure(lin_spec(1.0, 1.0, 8))
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        unit_norm_sample(m, "l2", samples, np.random.default_rng(0))
+
+
+def test_smallball_mc_rejects_zero_samples():
+    m = pexp_measure(lin_spec(1.0, 1.0, 8))
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        smallball_mc(m, 0.5, "l2", 0, np.random.default_rng(0))
 
 
 def test_smallball_generic_p_matches_exact_one_coordinate_law():
@@ -250,6 +299,17 @@ def test_smallball_rejects_unsorted_sample():
     m = pexp_measure(lin_spec(1.0, 1.0, 8))
     with pytest.raises(ValueError):
         smallball_mc(m, 0.5, "l2", sample=np.array([1.0, 0.5, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "sample", [[0.1, math.nan], [math.nan, 0.1], [0.1, math.nan, 0.2], [-0.1, 0.2], []]
+)
+def test_smallball_rejects_nan_negative_or_empty_sample(sample):
+    # NaN compares False both ways, so a check for descending pairs alone
+    # passed [0.1, nan] and reported p = 0.5 at eps 0.5
+    m = pexp_measure(lin_spec(1.0, 1.0, 8))
+    with pytest.raises(ValueError):
+        smallball_mc(m, 0.5, "l2", sample=np.array(sample))
 
 
 # --- deep-regime small balls ---------------------------------------------------
@@ -500,6 +560,14 @@ def test_rate_solve_reports_resolution_failure():
     w = make_truth(BesovParams(1.0, 2.0, 1), n=32).values
     with pytest.raises(SmallBallResolutionError):
         rate_solve_numeric(w, m, 10**7, mc_samples=20000, rng=np.random.default_rng(64))
+
+
+def test_rate_solve_rejects_zero_samples():
+    # zero samples used to surface as SmallBallResolutionError ("reduce n")
+    m = pexp_measure(lin_spec(2.0, 1.0, 32))
+    w = make_truth(BesovParams(1.0, 2.0, 1), n=32).values
+    with pytest.raises(ValueError, match="mc_samples"):
+        rate_solve_numeric(w, m, 100, mc_samples=0, rng=np.random.default_rng(64))
 
 
 @pytest.mark.parametrize("norm", ["l2", "sup"])

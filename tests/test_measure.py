@@ -1,9 +1,12 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
-from oracles import ball_probability_loop
+from oracles import anderson_hits_blocks, ball_probability_loop
 
+from pexp import measure
 from pexp.measure import (
     MIN_NODES,
     QUADRATURE_TOL,
@@ -190,15 +193,32 @@ def test_anderson_random_shifts_pass():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_anderson_counts_match_row_sums(dim):
-    # the column-accumulated squared norms give the counts of np.sum(axis=1)
+def test_anderson_counts_match_row_sums(dim, monkeypatch):
+    # 50,000 rows in 2 to 5 blocks: per block, the column-accumulated squared
+    # norms give the counts of np.sum(axis=1) in the oracle's serial draws,
+    # and the caller's generator is left at the same point
+    monkeypatch.setattr(measure, "BLOCK_FLOATS", 30_000)
     m = pexp_measure(lin_spec(1.5, 1.0, dim))
     shift = np.random.default_rng(40 + dim).normal(scale=0.8, size=dim)
     n = 50_000
-    res = anderson_check(m, 1.0, shift, n, np.random.default_rng(41))
-    u = m.spec.gamma() * sample(m.params, np.random.default_rng(41), size=(n, dim))
-    assert round(res.p_centered * n) == (np.sum(u**2, axis=1) <= 1.0).sum()
-    assert round(res.p_shifted * n) == (np.sum((u - shift) ** 2, axis=1) <= 1.0).sum()
+    rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+    res = anderson_check(m, 1.0, shift, n, rng)
+    hits_c, hits_s = anderson_hits_blocks(m, 1.0, shift, n, ref_rng, 30_000)
+    assert round(res.p_centered * n) == hits_c
+    assert round(res.p_shifted * n) == hits_s
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_anderson_same_for_any_thread_count(dim, monkeypatch):
+    monkeypatch.setattr(measure, "BLOCK_FLOATS", 6_000)
+    m = pexp_measure(lin_spec(1.0, 1.0, dim))
+    shift = np.full(dim, 0.4)
+    results = []
+    for threads in (1, 3):
+        monkeypatch.setattr(measure, "MC_THREADS", threads)
+        results.append(anderson_check(m, 1.0, shift, 40_001, np.random.default_rng(42)))
+    assert results[0] == results[1]
 
 
 def test_anderson_rejects_large_dimension():
@@ -211,6 +231,48 @@ def test_anderson_rejects_zero_samples():
     m = pexp_measure(lin_spec(1.0, 1.0, 2))
     with pytest.raises(ValueError):
         anderson_check(m, 1.0, np.zeros(2), 0, np.random.default_rng(0))
+
+
+def test_anderson_rejects_negative_samples():
+    m = pexp_measure(lin_spec(1.0, 1.0, 2))
+    with pytest.raises(ValueError, match="mc_samples"):
+        anderson_check(m, 1.0, np.zeros(2), -3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_mc_blocks_rejects_fewer_than_one_sample(samples):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        measure.mc_blocks(lambda gen, rows: rows, samples, 4, rng)
+    assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
+
+def _centered_hits(_):
+    m = pexp_measure(lin_spec(1.0, 1.0, 2))
+    return anderson_check(m, 1.0, np.zeros(2), 300_000, np.random.default_rng(3)).p_centered
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_mc_blocks_run_in_a_forked_child():
+    # the child inherits the parent's pool object but not its threads, so a
+    # pool shared across the fork would leave the child waiting forever
+    here = _centered_hits(0)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        child = pool.map_async(_centered_hits, [0])
+        child.wait(60)
+        assert child.ready()
+        assert child.get() == [here]
+
+
+def test_mc_blocks_split_rows_in_order():
+    # near-equal blocks of at most about BLOCK_FLOATS / width rows, results
+    # in block order, and four integers taken from the caller's generator
+    rng = np.random.default_rng(5)
+    rows = measure.mc_blocks(lambda gen, r: r, 10, measure.BLOCK_FLOATS * 3 // 10, rng)
+    assert rows == [3, 3, 4]
+    ref = np.random.default_rng(5)
+    ref.integers(2**63, size=4)
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
