@@ -13,10 +13,11 @@ from pexp.sequences import ScalingSpec
 
 rng = np.random.default_rng(2)
 
-print("Anderson inequality, p = 1, dimension 3, ball radius 1:")
+print("Anderson inequality, p = 1, dimension 3, ball radius 1")
+print("(one stacked call: all three shifted balls count hits in one prior sample):")
 m = pexp_measure(ScalingSpec(1.0, 1.0, 1, 1.0, "linear", n=3))
-for shift in ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, -0.5, 0.5]):
-    res = anderson_check(m, 1.0, shift, 2 * 10**5, rng)
+shifts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, -0.5, 0.5]])
+for shift, res in zip(shifts, anderson_check(m, 1.0, shifts, 2 * 10**5, rng)):
     print(
         f"  shift {np.round(shift, 2)}: centered {res.p_centered:.4f} "
         f"shifted {res.p_shifted:.4f}  {res.verdict}"

@@ -287,19 +287,25 @@ def run_inequalities(
     """Battery: Anderson shifts (MC), decentering bound (quadrature), and the
     univariate lower-tail bound P(|xi| <= x) >= r1 x (exact CDF).
 
-    One generator from ``seed`` draws the shifts and keys each Anderson
-    check's blocks (``measure.mc_blocks``), so the rows are the same for any
-    thread count."""
+    One generator from ``seed`` draws every Anderson shift first, in row
+    order, then keys one stacked ``measure.anderson_check`` call per (p, dim)
+    group and one for the zero-shift row (``measure.mc_blocks``), so each
+    group's balls share one prior sample and the rows are the same for any
+    thread count.  Rows within a group are dependent; each row keeps its own
+    standard error and 3-SE rule."""
     rng = np.random.default_rng(seed)
     rows: list[InequalityRow] = []
-    # Anderson inequality across dims 1..3
-    for j in range(anderson_shifts):
-        dim = 1 + j % 3
-        p = BATTERY_P[j % len(BATTERY_P)]
-        spec = ScalingSpec(p, 1.0, 1, 1.0, "linear", n=dim)
-        m = pexp_measure(spec)
-        shift = rng.normal(scale=0.8, size=dim)
-        res = measure.anderson_check(m, 1.0, shift, anderson_samples, rng)
+    # Anderson inequality across dims 1..3, one prior sample per (p, dim)
+    keys = [(BATTERY_P[j % len(BATTERY_P)], 1 + j % 3) for j in range(anderson_shifts)]
+    shifts = [rng.normal(scale=0.8, size=dim) for _, dim in keys]
+    results = {}
+    for p, dim in dict.fromkeys(keys):
+        group = [j for j, key in enumerate(keys) if key == (p, dim)]
+        m = pexp_measure(ScalingSpec(p, 1.0, 1, 1.0, "linear", n=dim))
+        stack = np.array([shifts[j] for j in group])
+        results.update(zip(group, measure.anderson_check(m, 1.0, stack, anderson_samples, rng)))
+    for j, ((p, dim), shift) in enumerate(zip(keys, shifts)):
+        res = results[j]
         rows.append(
             InequalityRow(
                 "anderson",

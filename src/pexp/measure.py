@@ -223,10 +223,15 @@ def regularity_scan(
     return rows
 
 
-def _check_ball(eps: float, shift: np.ndarray) -> None:
-    """ValueError unless the radius is finite and > 0 and the shift finite."""
+def _check_ball(eps: float, shift: np.ndarray, dim: int) -> None:
+    """ValueError unless the radius is finite and > 0 and ``shift`` is one
+    finite shift of shape (dim,) or a non-empty stack of them, (S, dim)."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"ball radius eps must be finite and > 0, got {eps}")
+    if shift.ndim not in (1, 2) or shift.shape[-1] != dim:
+        raise ValueError(f"shift must have shape ({dim},) or (S, {dim}), got {shift.shape}")
+    if shift.size == 0:
+        raise ValueError(f"shift stack is empty, shape {shift.shape}")
     if not np.isfinite(shift).all():
         raise ValueError("shift must be finite")
 
@@ -241,44 +246,58 @@ class AndersonResult:
 
 def anderson_check(
     m: PExpMeasure, eps: float, shift, mc_samples: int, rng: np.random.Generator
-) -> AndersonResult:
+) -> AndersonResult | list[AndersonResult]:
     """MC comparison of mu(eps B + x) against mu(eps B) for a centered l2 ball.
 
-    Both balls count hits in the same draws, made in ``mc_blocks`` row
-    blocks; the per-block counts add up to the same result for any thread
-    count.  PASS when the shifted estimate does not exceed the centered one
-    by more than three joint standard errors.
+    ``shift`` is one shift x of shape (dim,), which gives one result, or a
+    stack of shape (S, dim), which gives a list of S results, one per row.
+    All balls count hits in the same ``mc_blocks`` draws: per block the
+    centered squared norm is computed once and every shift's count is added
+    in block order, so each result is the same for any thread count, and a
+    row of a stack equals the single-shift call on an equally seeded
+    generator.  PASS when the shifted estimate does not exceed the centered
+    one by more than three joint standard errors.
     """
     n = m.spec.size
     if n > 50:
         raise ValueError("anderson_check requires truncation <= 50")
     shift = np.asarray(shift, dtype=float)
-    if shift.shape != (n,):
-        raise ValueError("shift length must match the spec truncation")
-    _check_ball(eps, shift)
+    _check_ball(eps, shift, n)
     if mc_samples < 1:
         raise ValueError(f"anderson_check needs mc_samples >= 1, got {mc_samples}")
+    shifts = np.atleast_2d(shift)
 
     def hits(block_rng, rows):
         u = sample_prior_block(m, block_rng, rows)
         # column by column: a reduction along a short axis is far slower than
         # n column adds, and below 8 columns np.sum adds in this same order
         # (longer rows it sums pairwise, so they differ by rounding)
-        sq_c = u[:, 0] ** 2
-        sq_s = (u[:, 0] - shift[0]) ** 2
+        sq = u[:, 0] ** 2
         for k in range(1, n):
-            sq_c += u[:, k] ** 2
-            sq_s += (u[:, k] - shift[k]) ** 2
-        return int((sq_c <= eps**2).sum()), int((sq_s <= eps**2).sum())
+            sq += u[:, k] ** 2
+        counts = [int((sq <= eps**2).sum())]
+        d = np.empty(rows)
+        for x in shifts:
+            np.subtract(u[:, 0], x[0], out=sq)
+            sq *= sq
+            for k in range(1, n):
+                np.subtract(u[:, k], x[k], out=d)
+                d *= d
+                sq += d
+            counts.append(int((sq <= eps**2).sum()))
+        return counts
 
-    hits_c, hits_s = map(sum, zip(*mc_blocks(hits, mc_samples, n, rng)))
+    hits_c, *hits_s = map(sum, zip(*mc_blocks(hits, mc_samples, n, rng)))
     p_c = hits_c / mc_samples
-    p_s = hits_s / mc_samples
-    se = float(
-        np.sqrt(p_c * (1 - p_c) / mc_samples + p_s * (1 - p_s) / mc_samples)
-    )
-    verdict = "PASS" if p_s <= p_c + 3.0 * se else "FAIL"
-    return AndersonResult(p_c, p_s, se, verdict)
+    results = []
+    for h in hits_s:
+        p_s = h / mc_samples
+        se = float(
+            np.sqrt(p_c * (1 - p_c) / mc_samples + p_s * (1 - p_s) / mc_samples)
+        )
+        verdict = "PASS" if p_s <= p_c + 3.0 * se else "FAIL"
+        results.append(AndersonResult(p_c, p_s, se, verdict))
+    return results[0] if shift.ndim == 1 else results
 
 
 @dataclass
@@ -425,9 +444,10 @@ def decentering_check(m: PExpMeasure, eps: float, h, nodes: int = 64) -> Decente
     h = np.asarray(h, dtype=float)
     if h.shape != (dim,):
         raise ValueError("shift length must match the spec truncation")
-    _check_ball(eps, h)
+    _check_ball(eps, h, dim)
     lhs = _ball_probability(m, eps, h, nodes)
-    centered = _ball_probability(m, eps, np.zeros(dim), nodes)
+    # at h = 0 both sides are the same quadrature on the same inputs
+    centered = _ball_probability(m, eps, np.zeros(dim), nodes) if h.any() else lhs
     cost = float(np.exp(-z_norm_p(h, m.spec) / m.spec.p))
     rhs = cost * centered
     lhs_lo = _ball_probability(m, eps, h, nodes * 4 // 5)

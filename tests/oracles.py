@@ -324,14 +324,18 @@ def norm_samples_blocks(m, norm, samples, rng, block_floats, basis=None):
 
 def anderson_hits_blocks(m, eps, shift, samples, rng, block_floats):
     """Hits of the centered and the shifted l2 ball of radius eps in
-    ``samples`` prior draws, block by block, with norms from np.sum."""
+    ``samples`` prior draws, block by block, with norms from np.sum.  A
+    stack of shifts (S, dim) gives a list of S shifted counts, all in the
+    same draws."""
     dim = m.spec.size
-    hits_c = hits_s = 0
+    shifts = np.atleast_2d(shift)
+    hits_c, hits_s = 0, [0] * len(shifts)
     for gen, b in block_generators(samples, dim, rng, block_floats):
         u = m.spec.gamma() * univariate.sample(m.params, gen, size=(b, dim))
         hits_c += int((np.sum(u**2, axis=1) <= eps**2).sum())
-        hits_s += int((np.sum((u - shift) ** 2, axis=1) <= eps**2).sum())
-    return hits_c, hits_s
+        for i, x in enumerate(shifts):
+            hits_s[i] += int((np.sum((u - x) ** 2, axis=1) <= eps**2).sum())
+    return hits_c, hits_s if np.ndim(shift) == 2 else hits_s[0]
 
 
 def halfline_loop(lam, a, rng):

@@ -271,6 +271,24 @@ def test_run_inequalities_all_pass():
     assert checks == {"anderson", "decentering", "tail-lower-bound"}
 
 
+def test_run_inequalities_one_anderson_call_per_group(monkeypatch):
+    # 20 shifts fall into three (p, dim) groups, plus the zero-shift row
+    calls, check = [], measure.anderson_check
+
+    def counted(m, eps, shift, mc_samples, rng):
+        calls.append((m.spec.p, np.shape(shift)))
+        return check(m, eps, shift, mc_samples, rng)
+
+    monkeypatch.setattr(measure, "anderson_check", counted)
+    rows = run_inequalities(seed=4, anderson_shifts=20, anderson_samples=2000, lemma_grid=10)
+    assert calls == [(1.0, (7, 1)), (1.5, (7, 2)), (2.0, (6, 3)), (1.0, (2,))]
+    anderson = [r.params for r in rows if r.check == "anderson"]
+    assert len(anderson) == 21
+    assert [a.split(" shift")[0] for a in anderson[:4]] == [
+        "p=1.0 dim=1", "p=1.5 dim=2", "p=2.0 dim=3", "p=1.0 dim=1"
+    ]
+
+
 def test_run_inequalities_decentering_rows_match_loop_oracle(monkeypatch):
     # the same seed gives the same h draws, so only the quadrature differs
     kw = dict(seed=3, anderson_shifts=2, anderson_samples=500, lemma_grid=10)

@@ -221,6 +221,68 @@ def test_anderson_same_for_any_thread_count(dim, monkeypatch):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_anderson_stack_rows_equal_single_calls(p, dim, monkeypatch):
+    # 20,001 rows in several blocks: each row of a stack is bit for bit the
+    # single-shift call on an equally seeded generator
+    monkeypatch.setattr(measure, "BLOCK_FLOATS", 9_000)
+    m = pexp_measure(lin_spec(p, 1.0, dim))
+    stack = np.random.default_rng(50 + dim).normal(scale=0.8, size=(4, dim))
+    stack[2] = 0.0
+    results = anderson_check(m, 1.0, stack, 20_001, np.random.default_rng(51))
+    assert isinstance(results, list) and len(results) == 4
+    for x, res in zip(stack, results):
+        assert res == anderson_check(m, 1.0, x, 20_001, np.random.default_rng(51))
+    assert results[2].p_shifted == results[2].p_centered
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_anderson_stack_counts_match_row_sums(dim, monkeypatch):
+    monkeypatch.setattr(measure, "BLOCK_FLOATS", 30_000)
+    m = pexp_measure(lin_spec(1.5, 1.0, dim))
+    stack = np.random.default_rng(60 + dim).normal(scale=0.8, size=(5, dim))
+    n = 50_000
+    rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
+    results = anderson_check(m, 1.0, stack, n, rng)
+    hits_c, hits_s = anderson_hits_blocks(m, 1.0, stack, n, ref_rng, 30_000)
+    assert [round(r.p_centered * n) for r in results] == [hits_c] * 5
+    assert [round(r.p_shifted * n) for r in results] == hits_s
+    assert rng.random() == ref_rng.random()
+
+
+def test_anderson_stack_same_for_any_thread_count(monkeypatch):
+    monkeypatch.setattr(measure, "BLOCK_FLOATS", 6_000)
+    m = pexp_measure(lin_spec(1.0, 1.0, 3))
+    stack = np.random.default_rng(70).normal(scale=0.8, size=(6, 3))
+    results = []
+    for threads in (1, 3):
+        monkeypatch.setattr(measure, "MC_THREADS", threads)
+        results.append(anderson_check(m, 1.0, stack, 40_001, np.random.default_rng(71)))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [np.zeros((0, 2)), np.zeros((2, 2, 2)), np.zeros((3, 3)), np.zeros((3, 1))],
+    ids=["empty", "3-D", "too wide", "too narrow"],
+)
+def test_anderson_rejects_bad_stack_shape(stack):
+    m = pexp_measure(lin_spec(1.0, 1.0, 2))
+    with pytest.raises(ValueError, match="shift"):
+        anderson_check(m, 1.0, stack, 1000, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row", [0, 2])
+def test_anderson_rejects_nonfinite_stack_row(bad, row):
+    m = pexp_measure(lin_spec(1.0, 1.0, 2))
+    stack = np.full((3, 2), 0.3)
+    stack[row, 1] = bad
+    with pytest.raises(ValueError, match="shift"):
+        anderson_check(m, 1.0, stack, 1000, np.random.default_rng(0))
+
+
 def test_anderson_rejects_large_dimension():
     m = pexp_measure(lin_spec(1.0, 1.0, 60))
     with pytest.raises(ValueError):
@@ -369,6 +431,24 @@ def test_decentering_zero_shift_identity():
     m = pexp_measure(lin_spec(1.5, 1.0, 2))
     res = decentering_check(m, 0.6, np.zeros(2))
     assert res.lhs == res.rhs
+    assert res.verdict == "PASS"
+
+
+def test_decentering_zero_shift_is_one_quadrature(monkeypatch):
+    # lhs and the centered mass are the same quadrature at h = 0: the fine
+    # rule runs once, plus the coarse rule, and both sides keep its bits
+    m = pexp_measure(lin_spec(1.0, 1.0, 3))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return _ball_probability(*args)
+
+    monkeypatch.setattr(measure, "_ball_probability", counted)
+    res = decentering_check(m, 0.5, np.zeros(3))
+    assert calls == [64, 51]
+    mass = _ball_probability(m, 0.5, np.zeros(3), 64)
+    assert res.lhs == mass and res.rhs == mass and res.shift_cost == 1.0
     assert res.verdict == "PASS"
 
 
