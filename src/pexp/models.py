@@ -5,11 +5,11 @@ White noise observations are y_ell = w0_ell + n^{-1/2} z_ell; the posterior
 under a p-exponential prior factorizes over coordinates, so it is sampled
 exactly (conjugate formulas at p = 2, otherwise rejection from a
 two-sided truncated-Gaussian envelope, which is exact at p = 1).  The
-density model exponentiates a Faber-Schauder expansion, which is linear
-between dyadic nodes so that its normalizer is exact on the node grid, and
-uses adaptive random-walk Metropolis in whitened coordinates.  Its
-log-likelihood is linear in the coefficients, sum_i W(X_i) = S . u with
-S_l = sum_i psi_l(X_i), so the sample enters a chain only through S.
+density model exponentiates a Faber-Schauder expansion, linear between
+dyadic nodes so that its normalizer is exact on the node grid, and runs
+adaptive random-walk Metropolis in whitened coordinates, one level per
+proposal, accepted on that level's log-posterior change.  Its likelihood
+sum_i W(X_i) = S . u, S_l = sum_i psi_l(X_i), enters a chain only via S.
 """
 
 from __future__ import annotations
@@ -200,22 +200,43 @@ def wn_error_radii(chain: PosteriorChain, w0) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _log_int_exp(W: np.ndarray) -> tuple[float, np.ndarray]:
+def _log_int_exp(W: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """log int_0^1 e^w for w linear between equally spaced node values W, and
-    each node segment's share of that integral.
+    each node segment's share of that integral, per row along the last axis.
 
     The integral is exact: a segment of width h with end values a, b holds
     h e^{max(a,b)} (1 - e^{-d}) / d with d = |b - a|.  The shape factor
     (1 - e^{-d}) / d rounds to exactly 1 for every d below about 1e-16, so
     flooring d at the smallest normal float changes no value and avoids 0 / 0.
+    Each row's sum and ``math.log`` are those of a call on the row alone.
     """
+    a, b = W[..., :-1], W[..., 1:]
+    nd = b - a  # -d with d floored; in place, so that two row-sized arrays suffice
+    np.negative(np.maximum(np.abs(nd, out=nd), _TINY, out=nd), out=nd)
+    shape = np.expm1(nd)
+    shape /= nd
+    seg = np.maximum(a, b, out=nd)
+    mx = seg.max(axis=-1, keepdims=True)
+    np.exp(np.subtract(seg, mx, out=seg), out=seg)
+    seg *= shape
+    total = seg.sum(axis=-1, keepdims=True)
+    log_z = [m + math.log(t / nd.shape[-1]) for m, t in zip(mx.flat, total.flat)]
+    seg /= total
+    return (log_z[0] if W.ndim == 1 else np.reshape(log_z, W.shape[:-1])), seg
+
+
+def _log_int_exp_near(W: np.ndarray, shift: float) -> float:
+    """``_log_int_exp(W)[0]`` given a nearby ``shift`` (a chain's log Z): a
+    segment with larger end t and gap d holds h e^t exprel(-d), exprel(-d) in
+    (0, 1], so log Z = shift + log mean e^{t - shift} exprel(-d).  A sum below
+    2^-960 (underflowed terms err by 2^-1074 at most), inf or NaN falls back
+    to ``_log_int_exp``.  Call under ``np.errstate`` ignoring over, under, invalid."""
     a, b = W[:-1], W[1:]
-    d = np.maximum(np.abs(b - a), _TINY)
     top = np.maximum(a, b)
-    mx = top.max()
-    seg = np.exp(top - mx) * (-np.expm1(-d) / d)
-    total = seg.sum()
-    return mx + math.log(total / len(d)), seg / total
+    s = np.exp(top - shift) @ special.exprel(np.minimum(a, b) - top)
+    if 2.0**-960 <= s < math.inf:
+        return shift + math.log(s / len(top))
+    return _log_int_exp(W)[0]
 
 
 def de_density(u, basis: WaveletBasis) -> np.ndarray:
@@ -224,8 +245,7 @@ def de_density(u, basis: WaveletBasis) -> np.ndarray:
     ``u`` is a dyadic CoefVec or an array of coefficient rows, as
     ``evaluate_function`` takes it; rows give one density each."""
     W = evaluate_function(u, basis, basis.node_grid())
-    log_z = [_log_int_exp(w)[0] for w in W.reshape(-1, W.shape[-1])]
-    return np.exp(W - np.reshape(log_z, W.shape[:-1] + (1,)))
+    return np.exp(W - np.expand_dims(_log_int_exp(W)[0], -1))
 
 
 def de_simulate(
@@ -257,12 +277,10 @@ def hellinger(p1, p2):
     if not (np.all(np.greater(p1, 0.0)) and np.all(np.greater(p2, 0.0))):
         raise ValueError("densities must be positive")
     l1, l2 = np.log(p1), np.log(p2)
-    i2 = _log_int_exp(l2)[0]
-    h = [
-        math.sqrt(max(0.0, -2.0 * math.expm1(
-            _log_int_exp((r + l2) / 2.0)[0] - (_log_int_exp(r)[0] + i2) / 2.0)))
-        for r in l1.reshape(-1, l1.shape[-1])
-    ]
+    i1, i2 = np.ravel(_log_int_exp(l1)[0]), _log_int_exp(l2)[0]
+    l1 += l2  # l1's buffer now holds (l1 + l2) / 2, one row-sized array fewer
+    i12 = np.ravel(_log_int_exp(np.divide(l1, 2.0, out=l1))[0])
+    h = [math.sqrt(max(0.0, -2.0 * math.expm1(a - (b + i2) / 2.0))) for a, b in zip(i12, i1)]
     return h[0] if l1.ndim == 1 else np.array(h)
 
 
@@ -277,11 +295,13 @@ def de_posterior_mcmc(
 
     Proposals update one resolution level at a time; each level's scale is
     adapted toward the 0.234 acceptance target during burn-in and then
-    frozen.  The log-posterior is sum_i W(X_i) - n log int e^W - sum |xi|^p / p.
-    The likelihood term is linear in the coefficients: sum_i W(X_i) =
-    (gamma S) . xi with S_l = sum_i psi_l(X_i), built once per chain, so a
-    proposal costs one dot product whatever n is.  W is kept only on the
-    basis node grid, where the normalizer is exact (``_log_int_exp``).
+    frozen.  The log-posterior is (gamma S) . xi - n log Z - sum |xi|^p / p,
+    Z = int e^W, as sum_i W(X_i) is linear in xi: S_l = sum_i psi_l(X_i).  A
+    step at level k is accepted on the level's own difference (gamma S)_k .
+    step - n (log Z' - log Z) - (sum |xi_k'|^p - sum |xi_k|^p) / p, from the
+    cached log Z and per-level prior sums, so its cost does not grow with n.
+    W lives on the node grid, where a level is one gather and log Z' comes
+    from ``_log_int_exp_near``.  The full log-posterior is computed at the end.
     """
     if m.spec.scheme != "dyadic":
         raise ValueError("density model requires a dyadic spec")
@@ -296,54 +316,49 @@ def de_posterior_mcmc(
     for idx, val in basis.gather(X)[: K + 1]:
         S += np.bincount(idx, weights=val, minlength=m.spec.size)
     gS = gamma * S
-    nodes = basis.node_grid()
-    levels = []  # per level: coefficient slice, its node gather and gamma
-    for k, (gidx, gval) in enumerate(basis.gather(nodes)[: K + 1]):
+    levels = []  # per level: coefficient slice, node gather with gamma folded in, gamma S
+    for k, (gidx, gval) in enumerate(basis.gather(basis.node_grid())[: K + 1]):
         sl = slice(2**k - 1, 2 ** (k + 1) - 1)
-        levels.append((sl, gidx - sl.start, gval, gamma[sl]))
+        levels.append((sl, gidx - sl.start, gval * gamma[gidx], gS[sl]))
 
     xi = np.zeros(m.spec.size)
-    Wg = np.zeros(len(nodes))
-    lpost = 0.0  # at xi = 0, W = 0 and log Z = 0: every term vanishes
-
-    scales = np.full(K + 1, INIT_SCALE)
-    acc = np.zeros(K + 1)
-    tries = np.zeros(K + 1)
-    acc_post = 0
-    tries_post = 0
-    kept = []
+    Wg = np.zeros(basis.node_grid().shape)
+    log_z = 0.0  # at xi = 0, W = 0
+    prior = [0.0] * (K + 1)  # per level: sum |xi_k|^p
+    scales = [INIT_SCALE] * (K + 1)
+    acc, acc_post = [0] * (K + 1), 0  # accepts per level, and after burn-in
+    kept = np.empty((cfg.draws, m.spec.size))
     total = cfg.burn_in + cfg.draws * cfg.thin
-    for it in range(total):
-        for k, (sl, gidx, gval, gam) in enumerate(levels):
-            step = scales[k] * rng.standard_normal(2**k)
-            Wg2 = Wg + (gam * step)[gidx] * gval
-            xi2 = xi.copy()
-            xi2[sl] += step
-            prior = float((np.abs(xi2) ** p).sum()) / p
-            lpost2 = float(gS @ xi2) - n * _log_int_exp(Wg2)[0] - prior
-            if not math.isfinite(lpost2):
-                raise FloatingPointError(f"non-finite log-posterior at level {k}")
-            accept = np.log(rng.random()) < lpost2 - lpost
-            if accept:
-                xi, Wg, lpost = xi2, Wg2, lpost2
-            tries[k] += 1
-            acc[k] += accept
-            if it >= cfg.burn_in:
-                tries_post += 1
-                acc_post += accept
-            elif tries[k] % ADAPT_BATCH == 0:
-                rate = acc[k] / tries[k]
-                scales[k] *= np.exp(0.5 * (rate - TARGET_ACCEPT))
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-            kept.append(xi.copy())
-    rate_post = acc_post / max(tries_post, 1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for it in range(total):
+            adapt = it < cfg.burn_in and (it + 1) % ADAPT_BATCH == 0
+            for k, (sl, gidx, gv, gs) in enumerate(levels):
+                step = rng.normal(0.0, scales[k], 2**k)
+                W2 = Wg + step[gidx] * gv
+                xs = xi[sl] + step
+                pk = float((np.abs(xs) ** p).sum())
+                log_z2 = _log_int_exp_near(W2, log_z)
+                delta = float(gs @ step) - n * (log_z2 - log_z) - (pk - prior[k]) / p
+                if not math.isfinite(delta):
+                    raise FloatingPointError(f"non-finite log-posterior at level {k}")
+                u = rng.random()
+                if u == 0.0 or math.log(u) < delta:
+                    xi[sl], Wg, log_z, prior[k] = xs, W2, log_z2, pk
+                    acc[k] += 1
+                    acc_post += it >= cfg.burn_in
+                if adapt:
+                    scales[k] *= np.exp(0.5 * (acc[k] / (it + 1) - TARGET_ACCEPT))
+            if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
+                kept[(it - cfg.burn_in) // cfg.thin] = xi
+    rate_post = acc_post / (cfg.draws * cfg.thin * (K + 1))
+    lpost = float(gS @ xi) - n * _log_int_exp(Wg)[0] - float((np.abs(xi) ** p).sum()) / p
     return PosteriorChain(
-        np.array(kept),
+        kept,
         m.spec,
-        float(rate_post),
+        rate_post,
         {
-            "scales": scales.copy(),
-            "per_level_accept": (acc / np.maximum(tries, 1)).copy(),
+            "scales": np.array(scales),
+            "per_level_accept": np.array(acc) / total,
             "log_posterior": lpost,
             "warning": None if 0.1 <= rate_post <= 0.5 else "acceptance outside [0.1, 0.5]",
         },

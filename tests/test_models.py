@@ -11,6 +11,7 @@ from pexp.models import (
     ChainConfig,
     WhiteNoiseData,
     _log_int_exp,
+    _log_int_exp_near,
     de_density,
     de_posterior_mcmc,
     de_simulate,
@@ -470,6 +471,83 @@ def test_de_mcmc_matches_metropolis_loop_oracle_exactly(p, levels, n):
     np.testing.assert_array_equal(chain.step_log["per_level_accept"], want["per_level_accept"])
     # equal decisions do not pin the value: check the log-posterior itself
     assert chain.step_log["log_posterior"] == pytest.approx(want["log_posterior"], rel=1e-12, abs=0)
+
+
+def chain_matches_loop_oracle(sample, m, basis, cfg, seed):
+    chain = de_posterior_mcmc(sample, m, basis, cfg, np.random.default_rng(seed))
+    want = metropolis_loop(sample, m, basis, cfg, np.random.default_rng(seed))
+    np.testing.assert_array_equal(chain.xi, want["xi"])
+    assert chain.acceptance_rate == want["acceptance_rate"]
+    np.testing.assert_array_equal(chain.step_log["scales"], want["scales"])
+    np.testing.assert_array_equal(chain.step_log["per_level_accept"], want["per_level_accept"])
+    assert chain.step_log["log_posterior"] == pytest.approx(want["log_posterior"], rel=1e-12, abs=0)
+    return chain
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("n", [250, 4000])
+def test_de_mcmc_matches_loop_oracle_on_a_full_length_chain(p, n):
+    # criterion 11's chain length: 12,600 level proposals, every decision equal
+    spec = ScalingSpec(p, 1.0, scheme="dyadic", levels=6)
+    basis = WaveletBasis(6)
+    rng = np.random.default_rng(110 + n)
+    truth = CoefVec.dyadic(spec.gamma() * rng.normal(size=spec.size), 6)
+    sample = de_simulate(truth, basis, n, rng)
+    cfg = ChainConfig(draws=150, burn_in=1200, thin=4)
+    chain = chain_matches_loop_oracle(sample, pexp_measure(spec), basis, cfg, 111)
+    assert 0.0 < chain.acceptance_rate < 1.0
+
+
+@pytest.mark.parametrize("lam", [1e200, 1e300])
+def test_de_mcmc_extreme_prior_scale_matches_loop_oracle(lam):
+    # W' reaches ~lam, so e^{t - log Z} overflows and every shifted sum falls
+    # back to the full normalizer; both chains must reject every proposal
+    # without a warning (pytest makes RuntimeWarning an error)
+    basis = WaveletBasis(3)
+    spec = ScalingSpec(1.0, 1.0, 1, lam, "dyadic", levels=3)
+    truth = CoefVec.dyadic(spec.unit().gamma() * np.random.default_rng(112).normal(size=15), 3)
+    sample = de_simulate(truth, basis, 50, np.random.default_rng(113))
+    cfg = ChainConfig(draws=50, burn_in=200, thin=2)
+    chain = chain_matches_loop_oracle(sample, pexp_measure(spec), basis, cfg, 114)
+    assert chain.acceptance_rate == 0.0 and not chain.xi.any()
+
+
+def near_cases():
+    """(W, shift) pairs for the shifted normalizer."""
+    rng = np.random.default_rng(115)
+    W = rng.normal(size=129)
+    flat = np.repeat(rng.normal(size=65), 2)[:129]  # equal neighbours: d = 0
+    tiny = flat + np.tile([0.0, 3e-13], 65)[:129]  # 0 < |d| < 1e-12
+    hi, lo = 700.0 + rng.normal(size=129), -700.0 + rng.normal(size=129)
+    valley = np.full(129, -740.0)  # e^{a - shift} is subnormal next to the peak
+    valley[-1] = -30.0
+    cases = [(W, _log_int_exp(W)[0]), (W, 0.0), (flat, 0.3), (tiny, -0.2), (hi, 700.0),
+             (lo, -700.0), (hi, 0.0), (lo, 0.0), (valley, 0.0), (W, 600.0), (W, -600.0)]
+    # overflowed sums (e^{1000}, e^{1e300}) and an all-underflow sum fall back
+    cases += [(W, -1000.0), (W, 1000.0), (np.r_[-1e300, 1e300, np.zeros(127)], 0.0)]
+    return cases
+
+
+@pytest.mark.parametrize("W, shift", near_cases())
+def test_log_int_exp_near_matches_the_full_normalizer(W, shift):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # as the chain calls it
+        got = _log_int_exp_near(W, shift)
+    want = _log_int_exp(W)[0]
+    assert isinstance(got, float)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * abs(shift))
+
+
+def test_log_int_exp_rows_match_single_rows_exactly():
+    rng = np.random.default_rng(116)
+    rows = 3.0 * rng.normal(size=(2, 5, 33))
+    rows[0, 1] = 0.0  # a flat row: every gap floored
+    rows[1, 2, ::2] = 700.0
+    log_z, shares = _log_int_exp(rows)
+    assert log_z.shape == (2, 5) and shares.shape == (2, 5, 32)
+    for i, j in np.ndindex(2, 5):
+        one = _log_int_exp(rows[i, j])
+        assert log_z[i, j] == one[0]
+        np.testing.assert_array_equal(shares[i, j], one[1])
 
 
 @pytest.mark.parametrize(
