@@ -3,7 +3,10 @@
 phi_w(eps) pairs an approximation cost (how expensive it is, in the weighted
 lp norm, to approximate w within eps in l2) with a small-ball cost
 (-log mu(eps B)).  The smallest eps with phi_w(eps) <= n eps^2 upper-bounds
-the posterior contraction rate at w.
+the posterior contraction rate at w.  Plain Monte Carlo resolves the small
+ball only in the bulk of the norm law; one decade lower, tilted importance
+sampling (l2) and an exact node recursion (sup norm) show the small-ball law
+-log mu(eps B) ~ eps^{-1/alpha}.
 """
 
 import numpy as np
@@ -14,7 +17,10 @@ from pexp.concentration import (
     inf_term_exact,
     inf_term_truncation_ub,
     rate_solve_numeric,
+    smallball_l2_tilted,
     smallball_mc,
+    smallball_slope,
+    smallball_sup_nodes,
     unit_norm_sample,
 )
 from pexp.measure import pexp_measure
@@ -53,3 +59,22 @@ for n in (32, 128, 512):
         print(f"  n={n:<4} not resolved by this sample: {exc}")
     else:
         print(f"  n={n:<4} smallest eps with phi <= n eps^2: {eps_n:.4f}")
+
+print("\nthe small-ball law one decade below the bulk, -log mu(eps B) ~ eps^{-1/alpha}:")
+bulk_slope, _ = smallball_slope(ests)
+print(f"  plain Monte Carlo on eps in [0.4, 1.4] (the bulk): slope {bulk_slope:.3f}")
+deep = np.array([0.04, 0.07, 0.1, 0.14])
+law = -1.0 / spec.alpha
+
+
+def show(label, estimates):
+    slope, se = smallball_slope(estimates)
+    neglogs = ", ".join(f"{e.neglog:.2f}" for e in estimates)
+    print(f"  {label}: -log p = {neglogs}  slope {slope:.3f} +- {se:.3f} (law {law:.3f})")
+
+
+for p in (1.0, 2.0):
+    m_p = pexp_measure(ScalingSpec(p, spec.alpha, 1, 1.0, "linear", n=256))
+    show(f"l2, p={p}, tilted", smallball_l2_tilted(m_p, deep, 20_000, rng))
+sup_m = pexp_measure(ScalingSpec(1.0, spec.alpha, 1, 1.0, "dyadic", levels=7))
+show("sup, p=1.0, node recursion", smallball_sup_nodes(sup_m, deep))

@@ -2,11 +2,13 @@
 
 The headline effect: for spatially inhomogeneous truths (q < 2) the Laplace
 end of the family beats the Gaussian end, and rescaled undersmoothing priors
-with p = q reach the minimax rate.
+with p = q reach the minimax rate.  Along the l2 rate the complexity
+functions f and g of the entropy bound stay within a constant of n eps_n^2.
 """
 
-from fractions import Fraction
+import math
 
+from pexp.concentration import fg_values
 from pexp.rates import (
     RateQuery,
     l2_switch_point,
@@ -46,3 +48,17 @@ for p in (1.0, 1.5, 2.0):
         f"  p={p}: rate-equation leg n^-{rho.poly_exponent}, complexity leg "
         f"n^-{rho_t.poly_exponent}; contraction at the slower one"
     )
+
+print("\ncomplexity condition f(sqrt(n) eps_n) g(eps_n)^{1-p/2} / (n eps_n^2), eps_n = n^-rate:")
+for p in (1.0, 1.5, 2.0):
+    for alpha, beta in ((1.0, 1.0), (2.0, 1.0), (0.7, 1.4)):
+        r = rate_l2(RateQuery(alpha, beta, p, 2.0, 1))
+        ratios = []
+        for n in (10**2, 10**4, 10**6, 10**8):
+            eps_n = n ** -float(r.poly_exponent)
+            f, g = fg_values(p, alpha, 1, "l2", math.sqrt(n) * eps_n, eps_n)
+            ratios.append(f * g ** (1 - p / 2) / (n * eps_n**2))
+        print(
+            f"  p={p}, alpha={alpha}, beta={beta} ({r.regime}): n = 1e2..1e8 gives "
+            + ", ".join(f"{x:.3f}" for x in ratios)
+        )

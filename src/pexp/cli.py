@@ -51,42 +51,38 @@ def _regime_dict(r: rates.RateRegime | None) -> dict:
     return out
 
 
+def _setting_rate(setting: str, rq: rates.RateQuery) -> tuple[rates.RateRegime, dict]:
+    """The regime that sets the rate of rq in a setting, and the setting's
+    report fields.  The sup setting reports both legs and contracts at the
+    slower one."""
+    if setting == "sup":
+        rho, rho_t = rates.rate_sup(rq.alpha, rq.beta, rq.p)
+        r = rho if rho.poly_exponent <= rho_t.poly_exponent else rho_t
+        fields = {"rho": _regime_dict(rho), "rho_tilde": _regime_dict(rho_t)}
+        return r, {**fields, "poly_exponent": float(r.poly_exponent)}
+    r = rates.rate_l2(rq) if setting == "l2" else rates.rate_l2_rescaled(rq)
+    return r, _regime_dict(r)
+
+
 def cmd_rate(args) -> int:
     if args.setting == "sup" and args.d != 1:
         raise SystemExit(f"--setting sup is one-dimensional, got d={args.d}")
-    rq = rates.RateQuery(args.alpha, args.beta, args.p, args.q, args.d)
     if args.grid is not None:
         lo, hi, count = args.grid
-        alphas = np.linspace(float(lo), float(hi), int(count))
         print("alpha,poly_exponent,log_exponent,regime")
-        for a in alphas:
+        for a in np.linspace(float(lo), float(hi), int(count)):
             q = rates.RateQuery(float(a), args.beta, args.p, args.q, args.d)
-            if args.setting == "l2":
-                r = rates.rate_l2(q)
-            elif args.setting == "l2-rescaled":
-                r = rates.rate_l2_rescaled(q)
-            else:
-                rho, rho_t = rates.rate_sup(float(a), args.beta, args.p)
-                r = rho if rho.poly_exponent <= rho_t.poly_exponent else rho_t
+            r, _ = _setting_rate(args.setting, q)
             print(f"{a},{float(r.poly_exponent)},{float(r.log_exponent)},{r.regime}")
         return 0
+    rq = rates.RateQuery(args.alpha, args.beta, args.p, args.q, args.d)
     out = {
         "minimax": float(rates.minimax(args.beta, args.d)),
         "linear_minimax": (  # a d = 1 formula
             float(rates.linear_minimax(args.beta, args.q)) if args.d == 1 else None
         ),
     }
-    if args.setting == "l2":
-        out.update(_regime_dict(rates.rate_l2(rq)))
-    elif args.setting == "l2-rescaled":
-        out.update(_regime_dict(rates.rate_l2_rescaled(rq)))
-    else:
-        rho, rho_t = rates.rate_sup(args.alpha, args.beta, args.p)
-        out["rho"] = _regime_dict(rho)
-        out["rho_tilde"] = _regime_dict(rho_t)
-        out["poly_exponent"] = float(
-            rates.sup_contraction_exponent(args.alpha, args.beta, args.p)
-        )
+    out.update(_setting_rate(args.setting, rq)[1])
     print(json.dumps(out, indent=2))
     return 0
 

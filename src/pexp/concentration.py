@@ -264,12 +264,13 @@ def smallball_mc(
     Hits are counted at eps / lam in sorted norms under the unit-scaling
     measure: ``sample`` from ``unit_norm_sample`` when given (nothing is
     drawn and ``samples`` is its length), else a fresh ``unit_norm_sample``
-    of ``samples`` draws.  Returns a SmallBallEstimate (or a list of them
-    for a grid).  Raises ZeroHitsError when no draw lands inside a ball.
+    of ``samples`` draws from ``rng``.  Returns a SmallBallEstimate (or a
+    list of them for a grid).  Raises ValueError when it must draw and has
+    no ``rng``, and ZeroHitsError when no draw lands inside a ball.
     """
     if sample is None:
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError("smallball_mc needs a sample or a seeded rng")
         sample = unit_norm_sample(m, norm, samples, rng)
     # >= is False at a NaN, so a NaN anywhere fails the check
     elif not (len(sample) and sample[0] >= 0 and (sample[1:] >= sample[:-1]).all()):
@@ -360,12 +361,7 @@ def _tilted_squares(p: float, a: np.ndarray, rows: int, rng: np.random.Generator
 
 
 @_eps_grid
-def smallball_l2_tilted(
-    m: PExpMeasure,
-    eps,
-    samples: int = 20_000,
-    rng: np.random.Generator | None = None,
-):
+def smallball_l2_tilted(m: PExpMeasure, eps, samples: int, rng: np.random.Generator):
     """-log mu(eps B_l2) by saddlepoint-tilted importance sampling, p in {1, 2}.
 
     With X = sum gamma_l^2 xi_l^2 and theta >= 0 such that E_theta X = eps^2,
@@ -388,8 +384,6 @@ def smallball_l2_tilted(
         raise ValueError(f"tilted l2 small balls need p = 1 or p = 2, got {p}")
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    if rng is None:
-        rng = np.random.default_rng()
     g2 = m.spec.gamma() ** 2
     results = []
     for e in eps:
@@ -529,8 +523,8 @@ def rate_solve_numeric(
     w,
     m: PExpMeasure,
     n: float,
-    mc_samples: int = 10**5,
-    rng: np.random.Generator | None = None,
+    mc_samples: int,
+    rng: np.random.Generator,
     norm: str = "l2",
     grid_tol: float = 0.02,
     basis: WaveletBasis | None = None,
@@ -546,8 +540,6 @@ def rate_solve_numeric(
     SmallBallResolutionError when the crossing requires probabilities below
     the MC guard.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if n < 1:
         raise ValueError("n must be >= 1")
     if mc_samples < 1:

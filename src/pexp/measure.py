@@ -163,12 +163,6 @@ def evaluate_function(u, basis: WaveletBasis, xgrid) -> np.ndarray:
     return out
 
 
-def sup_norm_exact(u: CoefVec, basis: WaveletBasis) -> float:
-    """Sup norm of the expansion, evaluated exactly on the level K+1 nodes."""
-    vals = evaluate_function(u, basis, basis.node_grid())
-    return float(np.abs(vals).max())
-
-
 @dataclass
 class RegularityRow:
     s: float

@@ -53,9 +53,12 @@ class PosteriorChain:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    draws: int = 150
-    burn_in: int = 1200
-    thin: int = 4
+    """Kept draws, burn-in and thinning of one chain; ``ExperimentConfig``
+    holds their defaults."""
+
+    draws: int
+    burn_in: int
+    thin: int
 
     def __post_init__(self):
         if not (self.draws >= 1 and self.thin >= 1 and self.burn_in >= 0):
@@ -302,6 +305,7 @@ def de_posterior_mcmc(
     cached log Z and per-level prior sums, so its cost does not grow with n.
     W lives on the node grid, where a level is one gather and log Z' comes
     from ``_log_int_exp_near``.  The full log-posterior is computed at the end.
+    Raises ValueError when gamma S is not finite.
     """
     if m.spec.scheme != "dyadic":
         raise ValueError("density model requires a dyadic spec")
@@ -315,7 +319,10 @@ def de_posterior_mcmc(
     S = np.zeros(m.spec.size)
     for idx, val in basis.gather(X)[: K + 1]:
         S += np.bincount(idx, weights=val, minlength=m.spec.size)
-    gS = gamma * S
+    with np.errstate(over="ignore"):
+        gS = gamma * S
+    if not np.isfinite(gS).all():
+        raise ValueError(f"gamma * S overflows at prior scale lam={m.spec.lam:g}")
     levels = []  # per level: coefficient slice, node gather with gamma folded in, gamma S
     for k, (gidx, gval) in enumerate(basis.gather(basis.node_grid())[: K + 1]):
         sl = slice(2**k - 1, 2 ** (k + 1) - 1)

@@ -1,4 +1,4 @@
-"""Coefficient vectors, scaling sequences and the norm zoo.
+"""Coefficient vectors, scaling sequences, Besov weights and the weighted-ell_p norm.
 
 Sequences are stored as finite numpy arrays in one of two index schemes:
 
@@ -171,36 +171,14 @@ def besov_weights(bp: BesovParams, n: int) -> np.ndarray:
     return ell ** (bp.q * (bp.s / bp.d + 0.5) - 1.0)
 
 
-def besov_norm(u, bp: BesovParams) -> float:
-    """Finite-truncation norm ( sum ell^{q(s/d+1/2)-1} |u_ell|^q )^{1/q}.
-
-    Dyadic vectors are read in their level-order flattening, which is the
-    ell = 2^k + l - 1 linear indexing.
-    """
-    v = coef_values(u)
-    w = besov_weights(bp, len(v))
-    return float(np.sum(w * np.abs(v) ** bp.q) ** (1.0 / bp.q))
-
-
-def _check_same_shape(h, spec: ScalingSpec):
+def z_norm_p(h, spec: ScalingSpec) -> float:
+    """p-th power of the weighted-ell_p norm, sum |h_ell / gamma_ell|^p."""
     v = coef_values(h)
     if isinstance(h, CoefVec) and h.scheme != spec.scheme:
         raise ValueError(f"scheme mismatch: vector {h.scheme}, spec {spec.scheme}")
     if len(v) != spec.size:
         raise ValueError(f"length mismatch: vector {len(v)}, spec {spec.size}")
-    return v
-
-
-def z_norm_p(h, spec: ScalingSpec) -> float:
-    """p-th power of the weighted-ell_p norm, sum |h_ell / gamma_ell|^p."""
-    v = _check_same_shape(h, spec)
     return float(np.sum(np.abs(v / spec.gamma()) ** spec.p))
-
-
-def q_norm(h, spec: ScalingSpec) -> float:
-    """Shift-space norm ( sum h_ell^2 gamma_ell^{-2} )^{1/2}."""
-    v = _check_same_shape(h, spec)
-    return float(np.sqrt(np.sum((v / spec.gamma()) ** 2)))
 
 
 def make_truth(bp: BesovParams, delta: float = 0.05, n: int | None = None) -> CoefVec:
@@ -221,11 +199,6 @@ def make_truth(bp: BesovParams, delta: float = 0.05, n: int | None = None) -> Co
     ell = np.arange(1, n + 1, dtype=float)
     mags = ell ** (-expo)
     return CoefVec.linear(mags * np.where(ell % 2 == 0, -1.0, 1.0))
-
-
-def embedding_check(bp: BesovParams) -> bool:
-    """True iff s > d/q - d/2, the condition for B^s_q to embed into ell_2."""
-    return bp.s > bp.d / bp.q - bp.d / 2.0
 
 
 def save_coefvec(u: CoefVec, path) -> None:

@@ -215,9 +215,9 @@ def test_criterion_06_smallball_law_window():
         rng = np.random.default_rng(int(10 * p))
         ests = smallball_mc(m, eps_grid, "l2", 10**6, rng)
         mc_slopes[p], _ = smallball_slope(ests)
-        tilted = smallball_l2_tilted(m, eps_grid, rng=rng)
+        tilted = smallball_l2_tilted(m, eps_grid, 20_000, rng)
         agree &= all(smallball_agree(a, b) for a, b in zip(ests, tilted))
-        slopes[p], _ = smallball_slope(smallball_l2_tilted(m, law_grid, rng=rng))
+        slopes[p], _ = smallball_slope(smallball_l2_tilted(m, law_grid, 20_000, rng))
     sup_spec = ScalingSpec(1.0, 1.0, scheme="dyadic", levels=7)
     sup_m = pexp_measure(sup_spec)
     sup_ests = smallball_mc(

@@ -82,6 +82,26 @@ def test_rate_grid_sweep(capsys):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("setting", ["l2", "l2-rescaled", "sup"])
+def test_rate_grid_rows_match_single_queries(capsys, setting):
+    prior = ("--beta", "2", "--p", "1", "--q", "1")
+    _, out = run_cli(capsys, "rate", "--setting", setting, "--alpha", "1", *prior,
+                     "--grid", "0.25", "3", "12")
+    # a rescaled regime name holds a comma, unquoted: the fourth field is the rest
+    rows = [line.split(",", 3) for line in out.strip().splitlines()[1:]]
+    for alpha, poly, log, regime in rows:
+        _, single = run_cli(capsys, "rate", "--setting", setting, "--alpha", alpha, *prior)
+        payload = json.loads(single)
+        if setting == "sup":  # contracts at the slower leg, rho on a tie
+            legs = (payload["rho"], payload["rho_tilde"])
+            leg = min(legs, key=lambda r: r["poly_exponent"])
+            assert payload["poly_exponent"] == leg["poly_exponent"]
+            payload = leg
+        assert (float(poly), float(log), regime) == (
+            payload["poly_exponent"], payload["log_exponent"], payload["regime"]
+        )
+
+
 def test_sample_prior_writes_csv(tmp_path, capsys):
     code, out = run_cli(
         capsys,

@@ -284,6 +284,12 @@ def test_smallball_mc_rejects_zero_samples():
         smallball_mc(m, 0.5, "l2", 0, np.random.default_rng(0))
 
 
+def test_smallball_mc_refuses_to_draw_unseeded():
+    m = pexp_measure(lin_spec(1.0, 1.0, 8))
+    with pytest.raises(ValueError, match="seeded rng"):
+        smallball_mc(m, 0.5, "l2", 1000)
+
+
 def test_smallball_generic_p_matches_exact_one_coordinate_law():
     # N = 1: the norm is lam |xi|, so mu(eps B) = 2 F(eps / lam) - 1 exactly
     lam = 0.7

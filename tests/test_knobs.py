@@ -1,4 +1,6 @@
-"""Knob census: every defaulted parameter of a function defined in src/pexp,
+"""Knob and function censuses over src/pexp.
+
+Knob census: every defaulted parameter of a function defined in src/pexp,
 and every defaulted field of a dataclass defined there, is set by at least one
 call in src/pexp, demos/ or perfbench/.
 
@@ -11,9 +13,17 @@ class name, or as ``cls(...)`` inside one of its classmethods; ``init=False``
 fields are not knobs.  JSON_CONFIGS are built from JSON dicts, so a string key
 of any dict literal in the caller directories also sets their fields.
 ALLOWED lists the knobs that only the tests set, kept on purpose.
+
+Function census: every top-level function and class of src/pexp is referenced
+outside its own definition somewhere in src/pexp, demos/ or perfbench/.  A
+function that only the tests reach is surface without a use; it is wired
+into a program path, moved to tests/oracles.py or deleted.  References are
+matched by name (``f`` or ``mod.f``), as calls are in the knob census.
+ALLOWED_FUNCTIONS lists the exceptions, each with its reason.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,8 +33,6 @@ JSON_CONFIGS = ("ExperimentConfig",)
 ALLOWED = {
     "decentering_check.nodes": "the tests check the quadrature at its MIN_NODES floor",
     "smallball_sup_nodes.cells": "the tests refine the cell grid to measure its error",
-    "smallball_l2_tilted.samples": "the tests size the importance sample",
-    "smallball_l2_tilted.rng": "the tests seed the importance sample",
     "run_inequalities.anderson_shifts": "the tests run a shorter battery",
     "run_inequalities.anderson_samples": "the tests run a cheaper battery",
     "run_inequalities.lemma_grid": "the tests run a coarser tail-bound grid",
@@ -33,6 +41,7 @@ ALLOWED = {
     "ExperimentConfig.truth_file": "the tests pass a custom truth; the lacunary truth will come this way",
     "ExperimentConfig.max_truncation": "the tests cap N so that sweeps stay cheap",
 }
+ALLOWED_FUNCTIONS: dict[str, str] = {}
 
 
 def _parse(path):
@@ -59,13 +68,19 @@ def _field_knob(stmt):
     return True, True
 
 
-def _defaulted_parameters():
+def _modules(root, dirs):
+    """The parsed module of every Python file under root/dirs."""
+    for d in dirs:
+        for path in sorted((root / d).rglob("*.py")):
+            yield _parse(path)
+
+
+def _defaulted_parameters(root):
     """{function or dataclass name: [(parameter, positional index or None), ...]}
     over the defaulted parameters of every function and the defaulted fields
     of every dataclass in src/pexp."""
     out = {}
-    for path in sorted((ROOT / "src/pexp").glob("*.py")):
-        tree = _parse(path)
+    for tree in _modules(root, ("src/pexp",)):
         classes = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
         methods = {id(fn) for cls in classes for fn in cls.body if isinstance(fn, ast.FunctionDef)}
         for fn in ast.walk(tree):
@@ -118,41 +133,39 @@ def _is_classmethod(fn):
     )
 
 
-def _calls():
+def _calls(root):
     """{called name: [(positional argument count, keyword names), ...]} over
     every call in the caller directories, and the set of string keys of
     their dict literals."""
     out, keys = {}, set()
-    for d in CALLER_DIRS:
-        for path in sorted((ROOT / d).rglob("*.py")):
-            tree = _parse(path)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Dict):
-                    keys.update(
-                        k.value
-                        for k in node.keys
-                        if isinstance(k, ast.Constant) and isinstance(k.value, str)
-                    )
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name is not None:
-                    out.setdefault(name, []).append(_call_args(node))
-            for cls in ast.walk(tree):
-                if not isinstance(cls, ast.ClassDef):
-                    continue
-                for fn in filter(_is_classmethod, cls.body):
-                    for node in ast.walk(fn):
-                        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "cls":
-                            out.setdefault(cls.name, []).append(_call_args(node))
+    for tree in _modules(root, CALLER_DIRS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                keys.update(
+                    k.value
+                    for k in node.keys
+                    if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                )
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is not None:
+                out.setdefault(name, []).append(_call_args(node))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in filter(_is_classmethod, cls.body):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "cls":
+                        out.setdefault(cls.name, []).append(_call_args(node))
     return out, keys
 
 
-def _unset_knobs():
-    calls, keys = _calls()
+def _unset_knobs(root):
+    calls, keys = _calls(root)
     unset = set()
-    for name, knobs in _defaulted_parameters().items():
+    for name, knobs in _defaulted_parameters(root).items():
         for param, index in knobs:
             if name in JSON_CONFIGS and param in keys:
                 continue
@@ -164,11 +177,76 @@ def _unset_knobs():
     return unset
 
 
+def _referenced_names(root):
+    """Every name read as ``f`` or ``mod.f`` in the caller directories,
+    except a top-level definition's references to its own name."""
+    out = set()
+    for tree in _modules(root, CALLER_DIRS):
+        for top in tree.body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+            names.discard(getattr(top, "name", None))
+            out |= names
+    return out
+
+
+def _unreferenced_functions(root):
+    """module.name of every top-level function or class of src/pexp that
+    nothing in the caller directories references."""
+    names = _referenced_names(root)
+    out = set()
+    for path in sorted((root / "src/pexp").glob("*.py")):
+        for top in _parse(path).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name not in names:
+                out.add(f"{path.stem}.{top.name}")
+    return out
+
+
 def test_every_defaulted_parameter_has_a_caller():
-    unset = _unset_knobs()
+    unset = _unset_knobs(ROOT)
     orphans = sorted(unset - ALLOWED.keys())
     assert not orphans, "defaulted parameters that no call sets: " + ", ".join(orphans)
     stale = sorted(ALLOWED.keys() - unset)
     assert not stale, "allowlisted knobs that a call now sets or that are gone: " + ", ".join(
         stale
     )
+
+
+def test_every_function_has_a_program_reference():
+    unreferenced = _unreferenced_functions(ROOT)
+    orphans = sorted(unreferenced - ALLOWED_FUNCTIONS.keys())
+    assert not orphans, "functions that only the tests reach: " + ", ".join(orphans)
+    stale = sorted(ALLOWED_FUNCTIONS.keys() - unreferenced)
+    assert not stale, "allowlisted functions that a program now reaches or that are gone: " + (
+        ", ".join(stale)
+    )
+
+
+def test_censuses_name_a_planted_orphan_and_unset_knob(tmp_path):
+    # a census that finds nothing in a tree with one of each proves nothing
+    files = {
+        "src/pexp/lib.py": """
+            def used(a, b=1):
+                return a + b
+
+            def helper(n, depth=0):
+                return helper(n - 1, depth + 1) if n else depth
+
+            def orphan(x):
+                return orphan(x)
+            """,
+        "demos/demo.py": """
+            from pexp import lib
+
+            print(lib.used(1), lib.helper(3, 0))
+            """,
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    assert _unreferenced_functions(tmp_path) == {"lib.orphan"}
+    assert _unset_knobs(tmp_path) == {"used.b"}

@@ -512,6 +512,17 @@ def test_de_mcmc_extreme_prior_scale_matches_loop_oracle(lam):
     assert chain.acceptance_rate == 0.0 and not chain.xi.any()
 
 
+def test_de_mcmc_rejects_overflowing_prior_scale():
+    # gamma S overflows to inf; this used to warn, then raise FloatingPointError
+    basis = WaveletBasis(3)
+    spec = ScalingSpec(1, 1, 1, 1e307, "dyadic", levels=3)
+    truth = CoefVec.dyadic(spec.unit().gamma() * np.random.default_rng(112).normal(size=15), 3)
+    sample = de_simulate(truth, basis, 50, np.random.default_rng(113))
+    cfg = ChainConfig(draws=50, burn_in=200, thin=2)
+    with pytest.raises(ValueError, match="overflows"):
+        de_posterior_mcmc(sample, pexp_measure(spec), basis, cfg, np.random.default_rng(114))
+
+
 def near_cases():
     """(W, shift) pairs for the shifted normalizer."""
     rng = np.random.default_rng(115)
@@ -551,7 +562,13 @@ def test_log_int_exp_rows_match_single_rows_exactly():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"thin": 0}, {"draws": 0}, {"draws": -2}, {"burn_in": -3, "draws": 5}]
+    "bad",
+    [
+        {"draws": 150, "burn_in": 1200, "thin": 0},
+        {"draws": 0, "burn_in": 1200, "thin": 4},
+        {"draws": -2, "burn_in": 1200, "thin": 4},
+        {"draws": 5, "burn_in": -3, "thin": 4},
+    ],
 )
 def test_chain_config_rejects_empty_or_negative_sizes(bad):
     with pytest.raises(ValueError, match="ChainConfig"):
