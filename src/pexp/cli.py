@@ -7,6 +7,7 @@ de-experiment, check-inequalities.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -69,11 +70,12 @@ def cmd_rate(args) -> int:
         raise SystemExit(f"--setting sup is one-dimensional, got d={args.d}")
     if args.grid is not None:
         lo, hi, count = args.grid
-        print("alpha,poly_exponent,log_exponent,regime")
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(["alpha", "poly_exponent", "log_exponent", "regime"])
         for a in np.linspace(float(lo), float(hi), int(count)):
             q = rates.RateQuery(float(a), args.beta, args.p, args.q, args.d)
             r, _ = _setting_rate(args.setting, q)
-            print(f"{a},{float(r.poly_exponent)},{float(r.log_exponent)},{r.regime}")
+            out.writerow([float(a), float(r.poly_exponent), float(r.log_exponent), r.regime])
         return 0
     rq = rates.RateQuery(args.alpha, args.beta, args.p, args.q, args.d)
     out = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -107,11 +108,23 @@ MC_THREADS = (
 )
 
 
+_POOL_THREAD_PREFIX = "pexp-mc"
+
+
 @lru_cache(maxsize=None)
 def _mc_pool(threads: int, pid: int) -> ThreadPoolExecutor:
     """The shared pool; keyed by process id too, since a forked child
     inherits the pool object but none of its threads."""
-    return ThreadPoolExecutor(threads, thread_name_prefix="pexp-mc")
+    return ThreadPoolExecutor(threads, thread_name_prefix=_POOL_THREAD_PREFIX)
+
+
+def pool_map(fn, *items) -> list:
+    """``fn`` over ``items`` (zipped, as in ``map``) on the shared pool of
+    MC_THREADS threads, results in item order.  On a pool thread it maps
+    serially: a task that waits on the bounded pool can deadlock it."""
+    if threading.current_thread().name.startswith(_POOL_THREAD_PREFIX):
+        return list(map(fn, *items))
+    return list(_mc_pool(MC_THREADS, os.getpid()).map(fn, *items))
 
 
 def mc_blocks(draw, samples: int, width: int, rng: np.random.Generator) -> list:
@@ -122,9 +135,9 @@ def mc_blocks(draw, samples: int, width: int, rng: np.random.Generator) -> list:
     spawned from a seed sequence keyed by four integers from ``rng`` (so
     ``rng`` advances by the same amount whatever ``samples`` is).  Neither
     depends on the thread count, so a caller that combines the block results
-    in order gets the same bits from any pool.  The blocks run on one shared
-    pool of MC_THREADS threads; numpy's generator fills and ufunc loops
-    release the GIL.
+    in order gets the same bits from any pool.  The blocks run on the shared
+    pool (``pool_map``); numpy's generator fills and ufunc loops release the
+    GIL.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -132,8 +145,7 @@ def mc_blocks(draw, samples: int, width: int, rng: np.random.Generator) -> list:
     bounds = [samples * b // count for b in range(count + 1)]
     keys = np.random.SeedSequence(rng.integers(2**63, size=4)).spawn(count)
     rows = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-    pool = _mc_pool(MC_THREADS, os.getpid())
-    return list(pool.map(lambda key, r: draw(np.random.default_rng(key), r), keys, rows))
+    return pool_map(lambda key, r: draw(np.random.default_rng(key), r), keys, rows)
 
 
 def evaluate_function(u, basis: WaveletBasis, xgrid) -> np.ndarray:
@@ -428,7 +440,10 @@ def decentering_check(m: PExpMeasure, eps: float, h, nodes: int = 64) -> Decente
     Deterministic: both sides are computed by the same iterated quadrature so
     the h = 0 case is an exact identity.  ``achieved_tol`` is the relative
     change of the lhs against the coarser rule of nodes * 4 // 5 points;
-    QuadratureError when it exceeds QUADRATURE_TOL.
+    QuadratureError when it exceeds QUADRATURE_TOL.  The lhs, its coarse
+    rule and the centered mass are independent quadratures; they run
+    concurrently on the shared pool (``pool_map``; the CDF and density
+    evaluations release the GIL), each with the same bits on any thread count.
     """
     dim = m.spec.size
     if dim > 3:
@@ -439,12 +454,12 @@ def decentering_check(m: PExpMeasure, eps: float, h, nodes: int = 64) -> Decente
     if h.shape != (dim,):
         raise ValueError("shift length must match the spec truncation")
     _check_ball(eps, h, dim)
-    lhs = _ball_probability(m, eps, h, nodes)
-    # at h = 0 both sides are the same quadrature on the same inputs
-    centered = _ball_probability(m, eps, np.zeros(dim), nodes) if h.any() else lhs
+    rules = [(h, nodes), (h, nodes * 4 // 5)]
+    if h.any():  # at h = 0 both sides are the same quadrature on the same inputs
+        rules.append((np.zeros(dim), nodes))
+    lhs, lhs_lo, *centered = pool_map(lambda rule: _ball_probability(m, eps, *rule), rules)
     cost = float(np.exp(-z_norm_p(h, m.spec) / m.spec.p))
-    rhs = cost * centered
-    lhs_lo = _ball_probability(m, eps, h, nodes * 4 // 5)
+    rhs = cost * (centered[0] if centered else lhs)
     achieved = abs(lhs - lhs_lo) / max(lhs, 1e-300)
     if achieved > QUADRATURE_TOL:
         raise QuadratureError(

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -87,8 +89,9 @@ def test_rate_grid_rows_match_single_queries(capsys, setting):
     prior = ("--beta", "2", "--p", "1", "--q", "1")
     _, out = run_cli(capsys, "rate", "--setting", setting, "--alpha", "1", *prior,
                      "--grid", "0.25", "3", "12")
-    # a rescaled regime name holds a comma, unquoted: the fourth field is the rest
-    rows = [line.split(",", 3) for line in out.strip().splitlines()[1:]]
+    # a rescaled regime name holds a comma, so the writer quotes it
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["alpha", "poly_exponent", "log_exponent", "regime"]
     for alpha, poly, log, regime in rows:
         _, single = run_cli(capsys, "rate", "--setting", setting, "--alpha", alpha, *prior)
         payload = json.loads(single)

@@ -289,6 +289,16 @@ def test_run_inequalities_one_anderson_call_per_group(monkeypatch):
     ]
 
 
+def test_run_inequalities_decentering_rows_same_for_any_thread_count(monkeypatch):
+    kw = dict(seed=6, anderson_shifts=2, anderson_samples=500, lemma_grid=10)
+    rows = []
+    for threads in (1, 3):
+        monkeypatch.setattr(measure, "MC_THREADS", threads)
+        rows.append([r for r in run_inequalities(**kw) if r.check == "decentering"])
+    assert len(rows[0]) == 12
+    assert rows[0] == rows[1]
+
+
 def test_run_inequalities_decentering_rows_match_loop_oracle(monkeypatch):
     # the same seed gives the same h draws, so only the quadrature differs
     kw = dict(seed=3, anderson_shifts=2, anderson_samples=500, lemma_grid=10)

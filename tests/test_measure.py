@@ -22,7 +22,7 @@ from pexp.measure import (
     sample_prior,
     sample_prior_block,
 )
-from pexp.sequences import CoefVec, ScalingSpec
+from pexp.sequences import CoefVec, ScalingSpec, z_norm_p
 from pexp.univariate import PExpParams, cdf, sample, variance
 
 
@@ -326,6 +326,22 @@ def test_mc_blocks_run_in_a_forked_child():
         assert child.get() == [here]
 
 
+def _nested_pool_map(_):
+    # every outer item holds a pool thread while its inner map runs
+    measure.MC_THREADS = 1
+    return measure.pool_map(lambda i: measure.pool_map(lambda j: 10 * i + j, range(3)), range(2))
+
+
+def test_pool_map_runs_serially_on_a_pool_thread():
+    # a pool task that waited on the one-thread pool would wait forever, so
+    # the check runs in a child that the context exit can kill
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        child = pool.map_async(_nested_pool_map, [0])
+        child.wait(60)
+        assert child.ready()
+        assert child.get() == [[[0, 1, 2], [10, 11, 12]]]
+
+
 def test_mc_blocks_split_rows_in_order():
     # near-equal blocks of at most about BLOCK_FLOATS / width rows, results
     # in block order, and four integers taken from the caller's generator
@@ -446,10 +462,28 @@ def test_decentering_zero_shift_is_one_quadrature(monkeypatch):
 
     monkeypatch.setattr(measure, "_ball_probability", counted)
     res = decentering_check(m, 0.5, np.zeros(3))
-    assert calls == [64, 51]
+    assert sorted(calls) == [51, 64]  # concurrent, so in no fixed order
     mass = _ball_probability(m, 0.5, np.zeros(3), 64)
     assert res.lhs == mass and res.rhs == mass and res.shift_cost == 1.0
     assert res.verdict == "PASS"
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_decentering_same_for_any_thread_count(p, dim, monkeypatch):
+    # the three quadratures run on the pool; each thread count gives the
+    # result of three serial _ball_probability calls, bit for bit
+    m = pexp_measure(lin_spec(p, 1.0, dim))
+    h = np.random.default_rng(1100 + dim).normal(scale=0.5, size=dim)
+    lhs = _ball_probability(m, 0.7, h, 64)
+    lhs_lo = _ball_probability(m, 0.7, h, 51)
+    cost = float(np.exp(-z_norm_p(h, m.spec) / p))
+    rhs = cost * _ball_probability(m, 0.7, np.zeros(dim), 64)
+    achieved = abs(lhs - lhs_lo) / lhs
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(measure, "MC_THREADS", threads)
+        res = decentering_check(m, 0.7, h)
+        assert res == measure.DecenteringResult(lhs, rhs, cost, achieved, "PASS")
 
 
 def test_decentering_laplace_univariate_analytic():
