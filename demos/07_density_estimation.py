@@ -50,10 +50,7 @@ for K in (4, 5, 6):
     chain = de_posterior_mcmc(
         sample, pexp_measure(spec), basis, ChainConfig(draws=100, burn_in=800, thin=3), rng
     )
-    hs = [
-        hellinger(de_density(CoefVec.dyadic(u, K), basis), pi0)
-        for u in chain.u
-    ]
+    hs = hellinger(de_density(chain.u, basis), pi0)
     print(
         f"  K={K}: median Hellinger {np.median(hs):.4f}, q90 {np.quantile(hs, 0.9):.4f}, "
         f"acceptance {chain.acceptance_rate:.2f}"

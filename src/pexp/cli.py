@@ -121,7 +121,11 @@ def cmd_smallball(args) -> int:
     for e in ests:
         print(f"{e.eps},{e.p_hat:.17g},{e.neglog:.17g},{e.ci[0]:.17g},{e.ci[1]:.17g}")
     if args.fit_slope:
-        slope, se = concentration.smallball_slope(ests)
+        try:
+            slope, se = concentration.smallball_slope(ests)
+        except ValueError as exc:
+            print(f"pexp smallball: cannot fit a slope: {exc}", file=sys.stderr)
+            return 1
         theory = -args.d / args.alpha if args.norm == "l2" else -1.0 / args.alpha
         print(f"slope,{slope:.17g},stderr,{se:.17g},theory_slope,{theory:.17g}")
     return 0

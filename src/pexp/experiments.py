@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -32,6 +33,13 @@ class LambdaRule:
 
     def at(self, n: float) -> float:
         return float(n) ** (-self.poly_exponent)
+
+
+def _count(key: str, value) -> int:
+    """A config count as an int: integral numbers pass, bools and fractions raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise ValueError(f"config key {key} needs an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -58,7 +66,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in ("white-noise", "density"):
             raise ValueError(f"unknown model {self.model!r}")
-        ns = list(self.n_grid)
+        for k in ("replicates", "posterior_draws", "levels", "burn_in", "thin", "max_truncation"):
+            setattr(self, k, _count(k, getattr(self, k)))
+        ns = [_count("n_grid", n) for n in self.n_grid]
         if len(ns) < 3:
             raise ValueError("n_grid needs at least 3 points")
         if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -69,7 +79,7 @@ class ExperimentConfig:
             raise ValueError("replicates and posterior_draws must be >= 1")
         if not (self.thin >= 1 and self.burn_in >= 0):
             raise ValueError("thin must be >= 1 and burn_in >= 0")
-        self.n_grid = [int(n) for n in ns]
+        self.n_grid = ns
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -127,15 +137,6 @@ class ExperimentResult:
 
     def __post_init__(self):
         self.config_sha = config_hash(self.config)
-
-
-def fit_slope(ns, values) -> tuple[float, float]:
-    """OLS slope of log(value) against log(n) with residual standard error."""
-    if len(list(ns)) < 4:
-        raise ValueError("slope fit needs at least 4 rows")
-    if (np.asarray(values, dtype=float) <= 0).any():
-        raise ValueError("slope fit requires positive values")
-    return loglog_fit(ns, values)
 
 
 def theory_exponent(cfg: ExperimentConfig) -> float:
@@ -276,14 +277,10 @@ class InequalityRow:
 
 
 BATTERY_P = (1.0, 1.5, 2.0)  # p values of the Anderson and decentering rows
+ANDERSON_SAMPLES = 200_000  # prior draws per Anderson group
 
 
-def run_inequalities(
-    seed: int = 0,
-    anderson_shifts: int = 20,
-    anderson_samples: int = 200_000,
-    lemma_grid: int = 1000,
-) -> list[InequalityRow]:
+def run_inequalities(seed: int = 0) -> list[InequalityRow]:
     """Battery: Anderson shifts (MC), decentering bound (quadrature), and the
     univariate lower-tail bound P(|xi| <= x) >= r1 x (exact CDF).
 
@@ -295,15 +292,15 @@ def run_inequalities(
     standard error and 3-SE rule."""
     rng = np.random.default_rng(seed)
     rows: list[InequalityRow] = []
-    # Anderson inequality across dims 1..3, one prior sample per (p, dim)
-    keys = [(BATTERY_P[j % len(BATTERY_P)], 1 + j % 3) for j in range(anderson_shifts)]
+    # 20 Anderson shifts across dims 1..3, one prior sample per (p, dim)
+    keys = [(BATTERY_P[j % len(BATTERY_P)], 1 + j % 3) for j in range(20)]
     shifts = [rng.normal(scale=0.8, size=dim) for _, dim in keys]
     results = {}
     for p, dim in dict.fromkeys(keys):
         group = [j for j, key in enumerate(keys) if key == (p, dim)]
         m = pexp_measure(ScalingSpec(p, 1.0, 1, 1.0, "linear", n=dim))
         stack = np.array([shifts[j] for j in group])
-        results.update(zip(group, measure.anderson_check(m, 1.0, stack, anderson_samples, rng)))
+        results.update(zip(group, measure.anderson_check(m, 1.0, stack, ANDERSON_SAMPLES, rng)))
     for j, ((p, dim), shift) in enumerate(zip(keys, shifts)):
         res = results[j]
         rows.append(
@@ -316,7 +313,7 @@ def run_inequalities(
         )
     # zero-shift row: probabilities coincide
     spec = ScalingSpec(1.0, 1.0, 1, 1.0, "linear", n=2)
-    res = measure.anderson_check(pexp_measure(spec), 1.0, np.zeros(2), anderson_samples, rng)
+    res = measure.anderson_check(pexp_measure(spec), 1.0, np.zeros(2), ANDERSON_SAMPLES, rng)
     rows.append(
         InequalityRow(
             "anderson", "p=1 dim=2 shift=0", res.p_centered - res.p_shifted, res.verdict
@@ -342,8 +339,8 @@ def run_inequalities(
         rows.append(
             InequalityRow("decentering", f"p={p} h=0", abs(res0.lhs - res0.rhs), res0.verdict)
         )
-    # univariate lower-tail bound on (0, 1]
-    xs = np.linspace(1.0 / lemma_grid, 1.0, lemma_grid)
+    # univariate lower-tail bound on a 1000-point grid of (0, 1]
+    xs = np.linspace(1.0 / 1000, 1.0, 1000)
     for p in (1.0, 1.2, 1.5, 2.0):
         params = univariate.PExpParams(p)
         lhs = 2.0 * np.asarray(univariate.cdf(params, xs)) - 1.0
@@ -351,7 +348,7 @@ def run_inequalities(
         rows.append(
             InequalityRow(
                 "tail-lower-bound",
-                f"p={p} grid={lemma_grid}",
+                f"p={p} grid=1000",
                 margin,
                 "PASS" if margin >= 0 else "FAIL",
             )

@@ -431,15 +431,14 @@ def _ball_probability(m: PExpMeasure, eps: float, center: np.ndarray, nodes: int
 
 
 QUADRATURE_TOL = 1e-6  # largest relative change against the coarse rule
-MIN_NODES = 32  # below this the rule's error on a unit-scale ball nears QUADRATURE_TOL
 
 
-def decentering_check(m: PExpMeasure, eps: float, h, nodes: int = 64) -> DecenteringResult:
+def decentering_check(m: PExpMeasure, eps: float, h) -> DecenteringResult:
     """Quadrature check of mu(eps B + h) >= exp(-||h||_Z^p / p) mu(eps B).
 
-    Deterministic: both sides are computed by the same iterated quadrature so
-    the h = 0 case is an exact identity.  ``achieved_tol`` is the relative
-    change of the lhs against the coarser rule of nodes * 4 // 5 points;
+    Deterministic: both sides are computed by the same 64-node iterated
+    quadrature, so the h = 0 case is an exact identity.  ``achieved_tol`` is
+    the relative change of the lhs against the coarser 51-node rule;
     QuadratureError when it exceeds QUADRATURE_TOL.  The lhs, its coarse
     rule and the centered mass are independent quadratures; they run
     concurrently on the shared pool (``pool_map``; the CDF and density
@@ -448,15 +447,13 @@ def decentering_check(m: PExpMeasure, eps: float, h, nodes: int = 64) -> Decente
     dim = m.spec.size
     if dim > 3:
         raise ValueError("decentering_check requires dimension <= 3")
-    if nodes < MIN_NODES:
-        raise ValueError(f"decentering_check needs nodes >= {MIN_NODES}, got {nodes}")
     h = np.asarray(h, dtype=float)
     if h.shape != (dim,):
         raise ValueError("shift length must match the spec truncation")
     _check_ball(eps, h, dim)
-    rules = [(h, nodes), (h, nodes * 4 // 5)]
+    rules = [(h, 64), (h, 51)]
     if h.any():  # at h = 0 both sides are the same quadrature on the same inputs
-        rules.append((np.zeros(dim), nodes))
+        rules.append((np.zeros(dim), 64))
     lhs, lhs_lo, *centered = pool_map(lambda rule: _ball_probability(m, eps, *rule), rules)
     cost = float(np.exp(-z_norm_p(h, m.spec) / m.spec.p))
     rhs = cost * (centered[0] if centered else lhs)

@@ -94,16 +94,34 @@ def wn_conjugate_moments(data: WhiteNoiseData, m: PExpMeasure):
 
 
 def wn_posterior_sample(
-    data: WhiteNoiseData,
-    m: PExpMeasure,
-    draws: int,
-    rng: np.random.Generator,
-    method: str = "auto",
+    data: WhiteNoiseData, m: PExpMeasure, draws: int, rng: np.random.Generator
 ) -> PosteriorChain:
-    """Exact independent joint posterior draws, all coordinates at once.
+    """Exact independent joint posterior draws, all coordinates at once: the
+    conjugate form at p = 2 (one (draws, N) block of standard normals), else
+    ``_wn_rejection_sample``."""
+    if m.spec.scheme != "linear":
+        raise ValueError("white noise model uses the linear scheme")
+    y = data.y.values
+    if len(y) != m.spec.size:
+        raise ValueError("data length must equal the spec truncation")
+    if not (data.n > 0 and np.isfinite(y).all()):
+        raise ValueError("white noise data need n > 0 and finite observations")
+    if m.spec.p != 2.0:
+        return _wn_rejection_sample(data, m, draws, rng)
+    mean_u, var_u = wn_conjugate_moments(data, m)
+    xi = rng.standard_normal((draws, len(y)))
+    xi *= np.sqrt(var_u)
+    xi += mean_u
+    xi /= m.spec.gamma()
+    return PosteriorChain(xi, m.spec, 1.0, {"method": "conjugate"})
 
-    method 'auto' uses the conjugate closed form at p = 2 and rejection
-    otherwise; 'rejection' forces it (to cross-check the conjugate formulas).
+
+def _wn_rejection_sample(
+    data: WhiteNoiseData, m: PExpMeasure, draws: int, rng: np.random.Generator
+) -> PosteriorChain:
+    """Exact posterior draws by rejection, at any p; at p = 2 the tests
+    cross-check them against the conjugate formulas.
+
     With a = n gamma^2 / 2 the posterior of xi is prop. to
     exp(-a (xi - y/gamma)^2 - |xi|^p / p), whose mode has magnitude
     univariate.prox(|y|/gamma, 1/p, a, p).  Its envelope replaces |xi|^p / p
@@ -117,30 +135,9 @@ def wn_posterior_sample(
     pending entry, in C order of the (draws, N) array, to pick the side; then
     univariate.halfline_sample's draws for those entries; then, at p != 1,
     one standard exponential per entry whose tangent gap is positive.  At
-    p = 1 the gap is exactly 0 and no exponential is drawn.  The conjugate
-    form draws one (draws, N) block of standard normals.
+    p = 1 the gap is exactly 0 and no exponential is drawn.
     """
-    if m.spec.scheme != "linear":
-        raise ValueError("white noise model uses the linear scheme")
-    y = data.y.values
-    if len(y) != m.spec.size:
-        raise ValueError("data length must equal the spec truncation")
-    if not (data.n > 0 and np.isfinite(y).all()):
-        raise ValueError("white noise data need n > 0 and finite observations")
-    g = m.spec.gamma()
-    n = data.n
-    p = m.spec.p
-    if method not in ("auto", "rejection"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method == "auto" and p == 2.0:
-        mean_u, var_u = wn_conjugate_moments(data, m)
-        xi = rng.standard_normal((draws, len(y)))
-        xi *= np.sqrt(var_u)
-        xi += mean_u
-        xi /= g
-        return PosteriorChain(xi, m.spec, 1.0, {"method": "conjugate"})
-
+    y, g, n, p = data.y.values, m.spec.gamma(), data.n, m.spec.p
     a = n * g**2 / 2.0
     x0 = np.maximum(univariate.prox(np.abs(y) / g, 1.0 / p, a, p)[0], 1.0)
     s = x0 ** (p - 1.0)

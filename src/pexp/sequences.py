@@ -24,11 +24,17 @@ def dyadic_level_index(levels: int) -> np.ndarray:
 
 
 def loglog_fit(x, y) -> tuple[float, float]:
-    """OLS slope of log(y) against log(x) with its residual standard error."""
-    lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
+    """OLS slope of log(y) against log(x) with its residual standard error;
+    ValueError unless there are at least 3 points, all finite and > 0."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if len(x) < 3:
+        raise ValueError(f"a log-log fit needs at least 3 points, got {len(x)}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and (x > 0).all() and (y > 0).all()):
+        raise ValueError("a log-log fit needs finite positive values")
+    lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
-    var = float(resid @ resid) / max(len(lx) - 2, 1)
+    var = float(resid @ resid) / (len(lx) - 2)
     return float(slope), math.sqrt(var / float(((lx - lx.mean()) ** 2).sum()))
 
 
@@ -181,17 +187,15 @@ def z_norm_p(h, spec: ScalingSpec) -> float:
     return float(np.sum(np.abs(v / spec.gamma()) ** spec.p))
 
 
-def make_truth(bp: BesovParams, delta: float = 0.05, n: int | None = None) -> CoefVec:
+def make_truth(bp: BesovParams, n: int | None = None) -> CoefVec:
     """Boundary-decay test sequence sitting strictly inside B^s_q for all s < bp.s.
 
-    |w_ell| = ell^{-s/d - 1/2 - delta}; the power boundary of membership in
-    B^s_q is the exponent s/d + 1/2, so the margin delta places w in B^t_q
-    exactly for t < s + d*delta.  Signs alternate, starting with +.  When n
+    |w_ell| = ell^{-s/d - 1/2 - 0.05}; the power boundary of membership in
+    B^s_q is the exponent s/d + 1/2, so the margin 0.05 places w in B^t_q
+    exactly for t < s + 0.05 d.  Signs alternate, starting with +.  When n
     is omitted it is chosen so the relative ell_2 tail mass is below 1e-6.
     """
-    if delta <= 0:
-        raise ValueError(f"margin delta must be positive, got {delta}")
-    expo = bp.s / bp.d + 0.5 + delta
+    expo = bp.s / bp.d + 0.5 + 0.05
     if n is None:
         # sum_{l>N} l^{-2e} <= N^{1-2e}/(2e-1); relative to the head, which is >= 1
         n = int(np.ceil((1e6 / (2 * expo - 1)) ** (1.0 / (2 * expo - 1))))

@@ -34,7 +34,7 @@ from pexp.experiments import (
     write_outputs,
 )
 from pexp.measure import pexp_measure
-from pexp.models import wn_conjugate_moments, wn_posterior_sample, wn_simulate
+from pexp.models import _wn_rejection_sample, wn_conjugate_moments, wn_simulate
 from pexp.rates import (
     RateQuery,
     _l2_approx_leg,
@@ -182,7 +182,7 @@ def test_criterion_05_approximation_term_scaling():
     # truth just inside B^1_2, alpha=2, p=1, d=1; the relevant approximation
     # bound for q > p, q >= 2 blows up as eps^{(beta p - alpha p - d)/beta}
     alpha, beta, p, q, d = 2.0, 1.0, 1.0, 2.0, 1
-    w = make_truth(BesovParams(beta, q, d), delta=0.05, n=6000)
+    w = make_truth(BesovParams(beta, q, d), n=6000)
     spec = ScalingSpec(p, alpha, d, 1.0, "linear", n=len(w))
     eps_grid = np.geomspace(1e-3, 1e-1, 9)
     vals = [inf_term_exact(w.values, e, spec)[0] for e in eps_grid]
@@ -256,7 +256,7 @@ def test_criterion_07_conjugate_crosscheck():
         data = wn_simulate(w0, n, np.random.default_rng(110 + i))
         mean_u, var_u = wn_conjugate_moments(data, m)
         rng = np.random.default_rng(1100 + i)
-        chain = wn_posterior_sample(data, m, draws, rng, method="rejection")
+        chain = _wn_rejection_sample(data, m, draws, rng)
         z_mean = np.abs(chain.u.mean(axis=0) - mean_u) / np.sqrt(var_u / draws)
         z_var = np.abs(chain.u.var(axis=0) - var_u) / (var_u * math.sqrt(2.0 / draws))
         worst_mean_z = max(worst_mean_z, float(z_mean.max()))
@@ -330,7 +330,7 @@ def test_criterion_09_contraction_rescaled_laplace():
 
 
 def test_criterion_10_inequality_battery():
-    rows = run_inequalities(seed=10, anderson_shifts=20, lemma_grid=1000)
+    rows = run_inequalities(seed=10)
     failures = [r for r in rows if r.verdict != "PASS"]
     kinds = {r.check for r in rows}
     ok = not failures and kinds == {"anderson", "decentering", "tail-lower-bound"}

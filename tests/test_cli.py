@@ -199,6 +199,17 @@ def test_smallball_fit_slope(capsys):
     assert "theory_slope,-1" in lines[-1]
 
 
+@pytest.mark.parametrize("grid", ["0.5", "0.5,0.8"])
+def test_smallball_fit_slope_needs_three_radii(capsys, grid):
+    # one radius used to die in polyfit; two printed a standard error of 0
+    code = main(["smallball", "--eps-grid", grid, "--p", "1", "--alpha", "1", "--n", "16",
+                 "--mc-samples", "1000", "--fit-slope"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "slope," not in captured.out
+    assert "at least 3 points" in captured.err
+
+
 def test_smallball_rejects_non_finite_eps(capsys):
     # a nan radius used to print p_hat = 1
     with pytest.raises(ValueError, match="finite and > 0"):

@@ -13,13 +13,12 @@ from pexp.experiments import (
     _de_truth,
     _wn_truth,
     config_hash,
-    fit_slope,
     run_contraction,
     run_inequalities,
     theory_exponent,
     write_outputs,
 )
-from pexp.sequences import save_coefvec
+from pexp.sequences import loglog_fit, save_coefvec
 
 
 def small_wn_config(**overrides):
@@ -45,7 +44,7 @@ def small_wn_config(**overrides):
 def test_fit_slope_exact_power():
     ns = [10, 100, 1000, 10000]
     vals = [n**-0.4 for n in ns]
-    slope, se = fit_slope(ns, vals)
+    slope, se = loglog_fit(ns, vals)
     assert slope == pytest.approx(-0.4, abs=1e-12)
     assert se < 1e-12
 
@@ -53,7 +52,7 @@ def test_fit_slope_exact_power():
 def test_fit_slope_scale_invariant():
     ns = [16, 32, 64, 128, 256]
     vals = [7.3 * n**-0.25 for n in ns]
-    slope, _ = fit_slope(ns, vals)
+    slope, _ = loglog_fit(ns, vals)
     assert slope == pytest.approx(-0.25, abs=1e-12)
 
 
@@ -61,15 +60,15 @@ def test_fit_slope_recovers_noisy_synthetic():
     rng = np.random.default_rng(100)
     ns = np.array([2**k for k in range(6, 15)])
     vals = ns ** (-1 / 3) * np.exp(rng.normal(scale=0.05, size=len(ns)))
-    slope, se = fit_slope(ns, vals)
+    slope, se = loglog_fit(ns, vals)
     assert abs(slope + 1 / 3) < 2 * se + 0.02
 
 
 def test_fit_slope_rejects_bad_input():
     with pytest.raises(ValueError):
-        fit_slope([1, 2, 3], [1.0, 0.5, 0.3])
+        loglog_fit([1, 2], [1.0, 0.5])
     with pytest.raises(ValueError):
-        fit_slope([1, 2, 3, 4], [1.0, -0.5, 0.3, 0.1])
+        loglog_fit([1, 2, 3, 4], [1.0, -0.5, 0.3, 0.1])
 
 
 # --- configuration -----------------------------------------------------------------
@@ -109,6 +108,24 @@ def test_config_rejects_empty_or_negative_sizes(bad):
         small_wn_config(**bad)
     with pytest.raises(ValueError, match="must be >= "):
         ExperimentConfig.from_dict(dict(small_wn_config().to_dict(), model="density", **bad))
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("n_grid", [64.7, 128, 256]),
+        ("replicates", 1.5),
+        ("posterior_draws", True),
+        ("levels", 6.5),
+        ("burn_in", False),
+        ("thin", 2.5),
+        ("max_truncation", 64.7),
+    ],
+)
+def test_config_rejects_non_integer_counts(key, value):
+    # 64.7 used to be truncated to 64, 1.5 and true to fail mid-run
+    with pytest.raises(ValueError, match=f"config key {key} needs an integer"):
+        ExperimentConfig.from_dict(dict(small_wn_config().to_dict(), **{key: value}))
 
 
 def test_config_roundtrip_and_hash(tmp_path):
@@ -265,7 +282,7 @@ def test_write_outputs_files(tmp_path):
 
 @pytest.mark.slow
 def test_run_inequalities_all_pass():
-    rows = run_inequalities(seed=5, anderson_shifts=6, anderson_samples=10**5)
+    rows = run_inequalities(seed=5)
     assert all(r.verdict == "PASS" for r in rows)
     checks = {r.check for r in rows}
     assert checks == {"anderson", "decentering", "tail-lower-bound"}
@@ -280,7 +297,7 @@ def test_run_inequalities_one_anderson_call_per_group(monkeypatch):
         return check(m, eps, shift, mc_samples, rng)
 
     monkeypatch.setattr(measure, "anderson_check", counted)
-    rows = run_inequalities(seed=4, anderson_shifts=20, anderson_samples=2000, lemma_grid=10)
+    rows = run_inequalities(seed=4)
     assert calls == [(1.0, (7, 1)), (1.5, (7, 2)), (2.0, (6, 3)), (1.0, (2,))]
     anderson = [r.params for r in rows if r.check == "anderson"]
     assert len(anderson) == 21
@@ -290,21 +307,19 @@ def test_run_inequalities_one_anderson_call_per_group(monkeypatch):
 
 
 def test_run_inequalities_decentering_rows_same_for_any_thread_count(monkeypatch):
-    kw = dict(seed=6, anderson_shifts=2, anderson_samples=500, lemma_grid=10)
     rows = []
     for threads in (1, 3):
         monkeypatch.setattr(measure, "MC_THREADS", threads)
-        rows.append([r for r in run_inequalities(**kw) if r.check == "decentering"])
+        rows.append([r for r in run_inequalities(seed=6) if r.check == "decentering"])
     assert len(rows[0]) == 12
     assert rows[0] == rows[1]
 
 
 def test_run_inequalities_decentering_rows_match_loop_oracle(monkeypatch):
     # the same seed gives the same h draws, so only the quadrature differs
-    kw = dict(seed=3, anderson_shifts=2, anderson_samples=500, lemma_grid=10)
-    rows = [r for r in run_inequalities(**kw) if r.check == "decentering"]
+    rows = [r for r in run_inequalities(seed=3) if r.check == "decentering"]
     monkeypatch.setattr(measure, "_ball_probability", ball_probability_loop)
-    ref = [r for r in run_inequalities(**kw) if r.check == "decentering"]
+    ref = [r for r in run_inequalities(seed=3) if r.check == "decentering"]
     assert len(rows) == 12
     assert rows == ref
 

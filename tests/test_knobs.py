@@ -6,7 +6,8 @@ call in src/pexp, demos/ or perfbench/.
 
 A default that no caller overrides is a constant with an option's cost: each
 settable value multiplies the configurations that tests must cover.  Calls
-are matched by the called name (``f(...)`` or ``mod.f(...)``); a parameter
+are matched by the called name (``f(...)``, or ``mod.f(...)`` where mod is
+``pexp`` or one of its modules, so ``args.f`` is not a call of f); a parameter
 counts as set when a call passes it by keyword or passes at least as many
 positional arguments as its position needs.  A dataclass is called by its
 class name, or as ``cls(...)`` inside one of its classmethods; ``init=False``
@@ -18,7 +19,8 @@ Function census: every top-level function and class of src/pexp is referenced
 outside its own definition somewhere in src/pexp, demos/ or perfbench/.  A
 function that only the tests reach is surface without a use; it is wired
 into a program path, moved to tests/oracles.py or deleted.  References are
-matched by name (``f`` or ``mod.f``), as calls are in the knob census.
+matched by name (``f`` or ``mod.f``), with the same rule for mod as calls in
+the knob census.
 ALLOWED_FUNCTIONS lists the exceptions, each with its reason.
 """
 
@@ -31,15 +33,9 @@ CALLER_DIRS = ("src/pexp", "demos", "perfbench")
 JSON_CONFIGS = ("ExperimentConfig",)
 
 ALLOWED = {
-    "decentering_check.nodes": "the tests check the quadrature at its MIN_NODES floor",
     "smallball_sup_nodes.cells": "the tests refine the cell grid to measure its error",
-    "run_inequalities.anderson_shifts": "the tests run a shorter battery",
-    "run_inequalities.anderson_samples": "the tests run a cheaper battery",
-    "run_inequalities.lemma_grid": "the tests run a coarser tail-bound grid",
-    "wn_posterior_sample.method": "the tests force rejection at p = 2 against the conjugate law",
-    "make_truth.delta": "the tests move the Besov margin; criterion 5 passes it",
-    "ExperimentConfig.truth_file": "the tests pass a custom truth; the lacunary truth will come this way",
-    "ExperimentConfig.max_truncation": "the tests cap N so that sweeps stay cheap",
+    "ExperimentConfig.truth_file": "set by users' JSON configs; only the tests write a truth file",
+    "ExperimentConfig.max_truncation": "set by users' JSON configs; the tests cap N to keep sweeps cheap",
 }
 ALLOWED_FUNCTIONS: dict[str, str] = {}
 
@@ -73,6 +69,28 @@ def _modules(root, dirs):
     for d in dirs:
         for path in sorted((root / d).rglob("*.py")):
             yield _parse(path)
+
+
+def _package_names(root):
+    """``pexp`` and the name of each of its modules."""
+    return {path.stem for path in (root / "src/pexp").glob("*.py")} | {"pexp"}
+
+
+def _is_package(node, package):
+    """Whether node is ``pexp``, a module of it, or ``pexp.mod``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in package and _is_package(node.value, package)
+    return isinstance(node, ast.Name) and node.id in package
+
+
+def _referenced(node, package):
+    """The name node reads, as ``f`` or as ``mod.f`` for a module of pexp;
+    None for any other node, such as ``args.f``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and _is_package(node.value, package):
+        return node.attr
+    return None
 
 
 def _defaulted_parameters(root):
@@ -137,6 +155,7 @@ def _calls(root):
     """{called name: [(positional argument count, keyword names), ...]} over
     every call in the caller directories, and the set of string keys of
     their dict literals."""
+    package = _package_names(root)
     out, keys = {}, set()
     for tree in _modules(root, CALLER_DIRS):
         for node in ast.walk(tree):
@@ -148,8 +167,7 @@ def _calls(root):
                 )
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = _referenced(node.func, package)
             if name is not None:
                 out.setdefault(name, []).append(_call_args(node))
         for cls in ast.walk(tree):
@@ -180,15 +198,12 @@ def _unset_knobs(root):
 def _referenced_names(root):
     """Every name read as ``f`` or ``mod.f`` in the caller directories,
     except a top-level definition's references to its own name."""
+    package = _package_names(root)
     out = set()
     for tree in _modules(root, CALLER_DIRS):
         for top in tree.body:
-            names = {
-                node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(top)
-                if isinstance(node, (ast.Name, ast.Attribute))
-            }
-            names.discard(getattr(top, "name", None))
+            names = {_referenced(node, package) for node in ast.walk(top)}
+            names -= {None, getattr(top, "name", None)}
             out |= names
     return out
 
@@ -237,16 +252,23 @@ def test_censuses_name_a_planted_orphan_and_unset_knob(tmp_path):
 
             def orphan(x):
                 return orphan(x)
+
+            def hidden(x, y=1):
+                return x + y
             """,
         "demos/demo.py": """
+            import argparse
+
             from pexp import lib
 
-            print(lib.used(1), lib.helper(3, 0))
+            args = argparse.Namespace(hidden=lib.used)
+            print(lib.used(1), lib.helper(3, 0), args.hidden(1, 2))
             """,
     }
     for name, text in files.items():
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text))
-    assert _unreferenced_functions(tmp_path) == {"lib.orphan"}
-    assert _unset_knobs(tmp_path) == {"used.b"}
+    # args.hidden names an attribute of args, not lib.hidden
+    assert _unreferenced_functions(tmp_path) == {"lib.orphan", "lib.hidden"}
+    assert _unset_knobs(tmp_path) == {"used.b", "hidden.y"}

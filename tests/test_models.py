@@ -12,6 +12,7 @@ from pexp.models import (
     WhiteNoiseData,
     _log_int_exp,
     _log_int_exp_near,
+    _wn_rejection_sample,
     de_density,
     de_posterior_mcmc,
     de_simulate,
@@ -98,21 +99,12 @@ def test_wn_rejection_sampler_matches_conjugate_moments():
     for n in (1e2, 1e4):
         data = wn_simulate(w0, n, rng)
         mean_u, var_u = wn_conjugate_moments(data, m)
-        chain = wn_posterior_sample(data, m, 4000, rng, method="rejection")
+        chain = _wn_rejection_sample(data, m, 4000, rng)
         emp_mean = chain.u.mean(axis=0)
         z = np.abs(emp_mean - mean_u) / np.sqrt(var_u / 4000)
         assert z.max() < 4.0
         ratio = chain.u.var(axis=0) / var_u
         assert np.all(np.abs(ratio - 1) < 4 * math.sqrt(2 / 4000) + 0.01)
-
-
-@pytest.mark.parametrize("method", ["conjugate", "gibbs"])
-def test_wn_posterior_sample_rejects_other_methods(method):
-    # "auto" already takes the conjugate form at p = 2
-    m = pexp_measure(lin_spec(2.0, 1.0, 4))
-    data = wn_simulate(np.zeros(4), 100.0, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="unknown method"):
-        wn_posterior_sample(data, m, 10, np.random.default_rng(1), method=method)
 
 
 def laplace_posterior_cdf(y, n, g):
@@ -257,12 +249,13 @@ def test_wn_posterior_coordinates_uncorrelated():
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("n", [1e2, 1e4, 2.0**16])
 def test_wn_rejection_matches_loop_oracle(p, n):
-    # at p = 2 the rejection branch is forced; the conjugate form draws differently
+    # the rejection sampler is called directly: at p = 2 the public sampler
+    # takes the conjugate form, which draws differently
     m = pexp_measure(lin_spec(p, 1.0, 60))
     w0 = make_truth(BesovParams(1.0, 2.0, 1), n=60).values
     data = wn_simulate(w0, n, np.random.default_rng(97))
     r1, r2 = np.random.default_rng(98), np.random.default_rng(98)
-    chain = wn_posterior_sample(data, m, 300, r1, method="rejection")
+    chain = _wn_rejection_sample(data, m, 300, r1)
     xi, log = wn_rejection_loop(data, m, 300, r2)
     assert np.array_equal(chain.xi, xi)
     assert chain.step_log == log
@@ -671,7 +664,7 @@ def test_wn_rejection_sampler_finite_for_extreme_observations():
     m = pexp_measure(spec)
     y = np.array([50.0, -30.0, 10.0, 0.001])
     data = WhiteNoiseData(10.0, CoefVec.linear(y))
-    chain = wn_posterior_sample(data, m, 200, np.random.default_rng(96), method="rejection")
+    chain = _wn_rejection_sample(data, m, 200, np.random.default_rng(96))
     assert np.isfinite(chain.xi).all()
 
 

@@ -108,12 +108,12 @@ def test_norm_scheme_mismatch_rejected():
 
 def test_make_truth_profile_and_membership():
     bp = BesovParams(1.0, 2.0, 1)
-    w = make_truth(bp, delta=0.05)
+    w = make_truth(bp)
     ell = np.arange(1, len(w) + 1, dtype=float)
     np.testing.assert_allclose(np.abs(w.values), ell**-1.55, rtol=1e-14)
     assert np.isfinite(_besov_norm(w, bp))
     # membership boundary: partial sums converge below s = 1, diverge above
-    big = make_truth(bp, delta=0.05, n=2**15)
+    big = make_truth(bp, n=2**15)
 
     def growth(s):
         n_half = len(big) // 2
@@ -123,16 +123,6 @@ def test_make_truth_profile_and_membership():
 
     assert growth(0.9) < 1.01  # converged
     assert growth(1.1) > 1.05  # still growing as a power of N
-
-
-def test_make_truth_large_delta_is_first_coordinate_like():
-    w = make_truth(BesovParams(1.0, 2.0, 1), delta=5.0, n=100)
-    assert _besov_norm(w, BesovParams(1.0, 2.0, 1)) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_make_truth_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        make_truth(BesovParams(1.0, 2.0, 1), delta=0.0)
 
 
 def test_dyadic_linear_weight_equivalence():
