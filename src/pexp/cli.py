@@ -152,7 +152,11 @@ def cmd_sample_prior(args) -> int:
 
 
 def _run_experiment(args, model: str) -> int:
-    cfg = experiments.ExperimentConfig.from_json(args.config)
+    try:
+        cfg = experiments.ExperimentConfig.from_json(args.config)
+    except (OSError, ValueError) as exc:  # unreadable file, bad JSON or a rejected key
+        print(f"pexp {args.command}: bad config {args.config}: {exc}", file=sys.stderr)
+        return 1
     if cfg.model != model:
         raise SystemExit(f"config model {cfg.model!r} does not match subcommand")
     if args.seed is not None:

@@ -189,11 +189,16 @@ def _row(n: int, rep: int, errors: np.ndarray) -> ExperimentRow:
     return ExperimentRow(n, rep, median, qq, float(s[lo]), float(s[hi]))
 
 
+def _wn_scale(cfg: ExperimentConfig, n: int) -> tuple[float, int]:
+    """Prior scale lam_n (1 without a lambda rule) and truncation N at n."""
+    lam = cfg.lambda_rule.at(n) if cfg.lambda_rule else 1.0
+    return lam, _truncation_for(cfg, n, lam)
+
+
 def _wn_cell(cfg: ExperimentConfig, truth: CoefVec, i_n: int, rep: int) -> ExperimentRow:
     n = cfg.n_grid[i_n]
     rng = np.random.default_rng((cfg.master_seed, i_n, rep))
-    lam = cfg.lambda_rule.at(n) if cfg.lambda_rule else 1.0
-    N = _truncation_for(cfg, n, lam)
+    lam, N = _wn_scale(cfg, n)
     spec = ScalingSpec(cfg.p, cfg.alpha, 1, lam, "linear", n=N)
     m = pexp_measure(spec)
     w_model = truth.values[:N]
@@ -219,7 +224,7 @@ def _de_cell(cfg: ExperimentConfig, truth: CoefVec, i_n: int, rep: int) -> Exper
 
 
 class ExperimentError(RuntimeError):
-    """A cell failed; the rows completed before the failure ride along."""
+    """Cells failed; the rows of every other cell ride along in grid order."""
 
     def __init__(self, message, partial_rows):
         super().__init__(message)
@@ -228,32 +233,48 @@ class ExperimentError(RuntimeError):
 
 def run_contraction(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Sweep n and replicates, fit the q90-radius slope, compare to theory.
-    Density cells run serially whatever ``threads`` says: their Metropolis
-    loop is bound by per-call overhead under the GIL, so threads slow them."""
-    truth = _wn_truth(cfg) if cfg.model == "white-noise" else _de_truth(cfg)
-    cell = _wn_cell if cfg.model == "white-noise" else _de_cell
+
+    White-noise cells start in descending order of their truncation N, ties
+    in grid order: once the largest (draws, N) arrays are freed, the
+    allocator serves every later cell from pages it already holds, where
+    an ascending sweep maps fresh ones at each size step.  Density cells,
+    whose cost does not grow with n, run serially in grid order whatever
+    ``threads`` says: their Metropolis loop is bound by per-call overhead
+    under the GIL, so threads slow them.  Rows fill preassigned slots, and
+    ``ExperimentError`` names the first failing cell in grid order, so
+    neither depends on the execution order."""
+    white_noise = cfg.model == "white-noise"
+    truth = _wn_truth(cfg) if white_noise else _de_truth(cfg)
+    cell = _wn_cell if white_noise else _de_cell
     jobs = [(i, r) for i in range(len(cfg.n_grid)) for r in range(cfg.replicates)]
+    order = range(len(jobs))
+    if white_noise:
+        sizes = [_wn_scale(cfg, n)[1] for n in cfg.n_grid]
+        order = sorted(order, key=lambda j: -sizes[jobs[j][0]])  # stable: ties in grid order
     slots: list[ExperimentRow | None] = [None] * len(jobs)
-    errors: list[Exception] = []
+    errors: list[Exception | None] = [None] * len(jobs)
 
     def work(j):
         i_n, rep = jobs[j]
         try:
             slots[j] = cell(cfg, truth, i_n, rep)
         except Exception as exc:  # noqa: BLE001 - partial results must survive
-            errors.append(exc)
+            errors[j] = exc
 
-    if threads > 1 and cfg.model == "white-noise":
+    if threads > 1 and white_noise:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(jobs))))
+            list(pool.map(work, order))
     else:
-        for j in range(len(jobs)):
+        for j in order:
             work(j)
     rows = [r for r in slots if r is not None]
-    if errors:
+    failed = [(jobs[j], exc) for j, exc in enumerate(errors) if exc is not None]
+    if failed:
+        (i_n, rep), first = failed[0]
         raise ExperimentError(
-            f"{len(errors)} cell(s) failed, first: {errors[0]}", rows
-        ) from errors[0]
+            f"{len(failed)} cell(s) failed, first: n={cfg.n_grid[i_n]} rep={rep}: {first}",
+            rows,
+        ) from first
     med_q90 = [
         float(np.median([r.q90 for r in rows if r.n == n])) for n in cfg.n_grid
     ]

@@ -146,8 +146,9 @@ def _wn_rejection_sample(
     # lam^2 / (4a) differ by exactly -2 s y / gamma
     log_odds = -2.0 * s * y / g + np.subtract(*special.log_ndtr(-lam / np.sqrt(2.0 * a)))
     p_plus = special.expit(log_odds)
-    xi = np.empty((draws, len(y)))  # round 1 replaces it with its own draws
-    todo = None if xi.size else np.arange(0)  # flat positions pending; None in round 1
+    shape = (draws, len(y))
+    xi = np.empty(shape) if 0 in shape else None  # round 1's proposals become xi
+    todo = None if xi is None else np.arange(0)  # flat positions pending; None in round 1
     accept = []  # per rejection round
     while todo is None or todo.size:
         if len(accept) == univariate.MAX_ROUNDS:
@@ -155,46 +156,70 @@ def _wn_rejection_sample(
                 f"white-noise rejection: {todo.size} draws left after {len(accept)} rounds"
             )
         if todo is None:
-            minus = rng.random(xi.shape) >= p_plus
-            lam_c, a_c, x0_c, s_c = np.where(minus, lam[1], lam[0]), a, x0, s
+            lam_c = rng.random(shape)  # the side's uniforms, then its lam in place
+            minus = lam_c >= p_plus
+            np.copyto(lam_c, lam[0])
+            np.copyto(lam_c, lam[1], where=minus)
+            a_c, x0_c, s_c = a, x0, s
         else:
             c = todo % len(y)
             minus = rng.random(todo.size) >= p_plus[c]
             lam_c, a_c, x0_c, s_c = np.where(minus, lam[1, c], lam[0, c]), a[c], x0[c], s[c]
         x = univariate.halfline_sample(lam_c, a_c, rng)
+        del lam_c  # its memory serves the tangent gap
         if p == 1.0:  # the tangent is |xi| itself: every proposal is kept
-            ok = np.ones(x.shape, dtype=bool)
+            ok = None
         else:
-            gap = (x**p - x0_c**p) / p - s_c * (x - x0_c)
+            gap = x**p
+            gap -= x0_c**p
+            gap /= p
+            step = np.subtract(x, x0_c)
+            step *= s_c
+            gap -= step
             tight = gap > 0.0
             ok = ~tight
-            ok[tight] = rng.standard_exponential(int(tight.sum())) >= gap[tight]
-        x *= 1.0 - 2.0 * minus  # a product with -1 is an exact negation
+            ok[tight] = rng.standard_exponential(np.count_nonzero(tight)) >= gap[tight]
+        np.negative(x, out=x, where=minus)  # exact, as the draw is -x on that side
         if todo is None:
-            xi, todo = x, np.flatnonzero(~ok)
+            xi, todo = x, np.arange(0) if ok is None else np.flatnonzero(~ok)
         else:
             xi.reshape(-1)[todo[ok]] = x[ok]
             todo = todo[~ok]
-        accept.append(float(ok.mean()))
+        accept.append(1.0 if ok is None else float(ok.mean()))
     log = {"method": "rejection", "rounds": len(accept),
            "first_round_accept": accept[0] if accept else 1.0}
     return PosteriorChain(xi, m.spec, 1.0, log)
+
+
+RADII_BLOCK_FLOATS = 2**16  # entries of wn_error_radii's one scratch block
 
 
 def wn_error_radii(chain: PosteriorChain, w0) -> np.ndarray:
     """||u^{(s)} - w0||_2 per draw.
 
     The truth may be longer or shorter than the model truncation; the missing
-    coordinates of either side count as zeros.
+    coordinates of either side count as zeros.  Draws go through one scratch
+    block of about RADII_BLOCK_FLOATS entries, whole rows at a time, in place
+    of a full copy of ``chain.u``; each row's sums are those of the full
+    array, so the radii do not depend on the block size.
     """
     w = coef_values(w0)
-    u = chain.u  # a new array, squared in place
-    ncommon = min(u.shape[1], len(w))
-    u[:, :ncommon] -= w[:ncommon]
-    np.square(u, out=u)
-    sq = u[:, :ncommon].sum(axis=1)
-    if u.shape[1] > ncommon:
-        sq += u[:, ncommon:].sum(axis=1)
+    xi, g = chain.xi, chain.spec.gamma()
+    draws, N = xi.shape
+    ncommon = min(N, len(w))
+    rows = max(1, min(draws, RADII_BLOCK_FLOATS // max(N, 1)))
+    block = np.empty((rows, N))
+    parts = []
+    for start in range(0, draws, rows):
+        rows_xi = xi[start : start + rows]
+        u = np.multiply(rows_xi, g, out=block[: len(rows_xi)])
+        u[:, :ncommon] -= w[:ncommon]
+        np.square(u, out=u)
+        part = u[:, :ncommon].sum(axis=1)
+        if N > ncommon:
+            part += u[:, ncommon:].sum(axis=1)
+        parts.append(part)
+    sq = np.concatenate(parts) if parts else np.zeros(0)
     if len(w) > ncommon:
         sq += float((w[ncommon:] ** 2).sum())
     return np.sqrt(sq)

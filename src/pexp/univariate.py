@@ -118,7 +118,7 @@ def sample(params: PExpParams, rng: np.random.Generator, size=None):
     p = params.p
     if p == 1.0:
         e = abs_sample(params, rng, size)
-        out = np.where(rng.random(size=size) < 0.5, -1.0, 1.0) * e
+        out = np.copysign(e, rng.random(size=size) - 0.5)  # minus iff U < 0.5
     elif p == 2.0:
         out = rng.standard_normal(size=size)
     else:
@@ -157,30 +157,44 @@ def halfline_sample(lam, a, rng: np.random.Generator) -> np.ndarray:
     """
     lam, a = np.asarray(lam, dtype=float), np.asarray(a, dtype=float)
     if not (np.isfinite(lam).all() and np.isfinite(a).all() and (a >= 0).all()
-            and ((a > 0) | (lam > 0)).all()):
+            and ((a > 0).all() or ((a > 0) | (lam > 0)).all())):
         raise ValueError("halfline_sample needs finite lam, a >= 0, and a > 0 where lam <= 0")
-    l, q = np.broadcast_arrays(lam, a)  # compressed to the pending entries after round 1
+    shape = np.broadcast_shapes(lam.shape, a.shape)
+    # Every pass below works on the broadcast through ufunc masks and out=
+    # buffers: a round makes three arrays of its size plus its draws, and the
+    # parameters stay unbroadcast until the rejected entries are gathered.
+    l, q = lam, a  # gathered to the pending entries after round 1
+    size = shape or (1,)  # of the current round
     todo = None  # flat positions of the pending entries in x; None in round 1, which makes x
     rounds = 0
     while todo is None or todo.size:
         if rounds == MAX_ROUNDS:
             raise SamplerError(f"halfline_sample: {todo.size} draws left after {rounds} rounds")
         rounds += 1
-        from_exp = (l > 0) & (q < math.pi / 4.0 * l * l)
+        buf = np.multiply(math.pi / 4.0, l, out=np.empty(size))
+        buf *= l
+        from_exp = np.less(q, buf)
+        from_exp &= l > 0
         hn = ~from_exp
-        le, lh, qh = l[from_exp], l[hn], q[hn]
-        ze = rng.standard_exponential(le.size) / le
-        two_q = 2.0 * qh
-        zh = rng.standard_normal(lh.size) / np.sqrt(two_q)
+        z = np.empty(size)
+        k = np.count_nonzero(from_exp)
+        z[from_exp] = rng.standard_exponential(k)
+        np.divide(z, l, out=z, where=from_exp)
+        z[hn] = rng.standard_normal(z.size - k)
+        two_q = 2.0 * q
+        np.divide(z, np.sqrt(two_q), out=z, where=hn)
         # where lam < 0 the whole normal is kept iff z >= 0 (its cost lam z is <= 0)
-        zh = np.where(lh < 0, zh - lh / two_q, np.abs(zh))
-        z = np.empty(l.shape)
-        z[from_exp] = ze
-        z[hn] = zh
-        cost = np.empty(l.shape)
-        cost[from_exp] = q[from_exp] * ze * ze
-        cost[hn] = lh * zh
-        ok = (rng.standard_exponential(l.shape) >= cost) & (z >= 0)
+        neg = l < 0
+        whole = hn & neg
+        np.divide(l, two_q, out=buf, where=whole)
+        np.subtract(z, buf, out=z, where=whole)
+        np.absolute(z, out=z, where=hn & ~neg)
+        cost = buf
+        np.multiply(q, z, out=cost, where=from_exp)
+        np.multiply(cost, z, out=cost, where=from_exp)
+        np.multiply(l, z, out=cost, where=hn)
+        ok = rng.standard_exponential(size) >= cost
+        ok &= z >= 0
         rejected = np.flatnonzero(~ok)
         if todo is None:
             x, todo = z, rejected
@@ -188,8 +202,10 @@ def halfline_sample(lam, a, rng: np.random.Generator) -> np.ndarray:
             kept = np.flatnonzero(ok)
             x.reshape(-1)[todo[kept]] = z[kept]
             todo = todo[rejected]
-        l, q = np.ravel(l)[rejected], np.ravel(q)[rejected]
-    return x
+        pending = np.unravel_index(rejected, size)
+        l, q = np.broadcast_to(l, size)[pending], np.broadcast_to(q, size)[pending]
+        size = todo.shape
+    return x.reshape(shape)
 
 
 def prox(a, c, lam, p: float):

@@ -14,7 +14,9 @@ streams of ``concentration.unit_norm_sample`` and ``measure.anderson_check``.
 ``halfline_loop`` and ``wn_rejection_loop`` are the white-noise rejection
 samplers written with one index gather per array and round;
 ``univariate.halfline_sample`` and ``models.wn_posterior_sample`` must make
-the same draws.
+the same draws.  ``laplace_sample_where`` is the p = 1 draw of
+``univariate.sample`` with its sign as a product, which the ``copysign``
+form must match bit for bit.
 """
 
 import math
@@ -407,3 +409,10 @@ def wn_rejection_loop(data, m, draws, rng):
     log = {"method": "rejection", "rounds": len(accept),
            "first_round_accept": accept[0] if accept else 1.0}
     return xi.reshape(draws, len(y)), log
+
+
+def laplace_sample_where(rng, size=None):
+    """``univariate.sample`` at p = 1 with the sign as a product: an Exp(1)
+    magnitude times -1 where its uniform is below 1/2, else times 1."""
+    e = rng.standard_exponential(size=size)
+    return np.where(rng.random(size=size) < 0.5, -1.0, 1.0) * e

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pexp import measure
+from pexp import experiments, measure
 from pexp.cli import main
 from pexp.sequences import BesovParams, load_coefvec, make_truth, save_coefvec
 
@@ -248,6 +248,54 @@ def test_wn_experiment_end_to_end(tmp_path, capsys):
     assert (out_dir / "results.csv").exists()
     assert (out_dir / "summary.json").exists()
     assert (out_dir / "plotdata.csv").exists()
+
+
+WN_CFG = dict(model="white-noise", p=2.0, alpha=1.0, beta=1.0, q=2.0, n_grid=[32, 64, 128],
+              replicates=2, posterior_draws=20, master_seed=5, max_truncation=256)
+
+
+@pytest.mark.parametrize(
+    "command, text, problem",
+    [
+        ("wn-experiment", json.dumps(dict(WN_CFG, n_grid=[64.7, 128, 256])), "n_grid"),
+        ("wn-experiment", json.dumps(dict(WN_CFG, replicates=1.5)), "replicates"),
+        ("de-experiment", json.dumps(dict(WN_CFG, posterior_draws=True)), "posterior_draws"),
+        ("wn-experiment", '{"model": "white-noise", "p": 2.0,', "Expecting"),
+        ("de-experiment", None, "No such file"),
+    ],
+)
+def test_experiment_reports_a_bad_config_in_one_line(tmp_path, capsys, command, text, problem):
+    # each used to end in a traceback
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and problem in err and str(cfg_path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_wn_experiment_writes_partial_rows_when_cells_fail(tmp_path, capsys, monkeypatch):
+    cell = experiments._wn_cell
+
+    def planted(cfg, truth, i_n, rep):
+        if (i_n, rep) in {(0, 1), (2, 0)}:
+            raise RuntimeError("planted failure")
+        return cell(cfg, truth, i_n, rep)
+
+    monkeypatch.setattr(experiments, "_wn_cell", planted)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(WN_CFG))
+    out_dir = tmp_path / "out"
+    code, out = run_cli(capsys, "wn-experiment", "--config", str(cfg_path), "--out",
+                        str(out_dir), "--threads", "2")
+    assert code == 1
+    assert "n=32 rep=1" in out and "partial results" in out
+    with open(out_dir / "results.csv", newline="") as fh:
+        rows = [(int(r["n"]), int(r["rep"])) for r in csv.DictReader(fh)]
+    assert rows == [(32, 0), (64, 0), (64, 1), (128, 1)]
+    assert not (out_dir / "summary.json").exists()
 
 
 def test_de_experiment_end_to_end(tmp_path, capsys):

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from oracles import ball_probability_loop
 
-from pexp import measure
+from pexp import experiments, measure
 from pexp.experiments import (
     ExperimentConfig,
+    ExperimentError,
     LambdaRule,
     _de_truth,
+    _wn_cell,
+    _wn_scale,
     _wn_truth,
     config_hash,
     run_contraction,
@@ -243,6 +246,56 @@ def test_run_contraction_thread_determinism():
                 b.lo,
                 b.hi,
             )
+
+
+def order_config():
+    # truncations N = 283, 449, 512, 512: the cap ties the two largest n
+    return small_wn_config(n_grid=[64, 256, 1024, 4096], replicates=2, posterior_draws=20)
+
+
+def grid_cells(cfg, skip=()):
+    truth = _wn_truth(cfg)
+    return [_wn_cell(cfg, truth, i, r) for i in range(len(cfg.n_grid))
+            for r in range(cfg.replicates) if (i, r) not in skip]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_contraction_rows_are_the_cells_in_grid_order(threads):
+    cfg = order_config()
+    assert run_contraction(cfg, threads=threads).rows == grid_cells(cfg)
+
+
+def test_serial_white_noise_sweep_runs_largest_truncation_first(monkeypatch):
+    cfg = order_config()
+    assert [_wn_scale(cfg, n)[1] for n in cfg.n_grid] == [283, 449, 512, 512]
+    calls, cell = [], experiments._wn_cell
+
+    def record(cfg, truth, i_n, rep):
+        calls.append((i_n, rep))
+        return cell(cfg, truth, i_n, rep)
+
+    monkeypatch.setattr(experiments, "_wn_cell", record)
+    run_contraction(cfg)
+    assert calls == [(2, 0), (2, 1), (3, 0), (3, 1), (1, 0), (1, 1), (0, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_experiment_error_names_the_first_failing_cell_in_grid_order(monkeypatch, threads):
+    # (3, 0) runs before (0, 1), which is first in grid order
+    cfg = order_config()
+    bad, cell = {(0, 1), (3, 0)}, experiments._wn_cell
+
+    def planted(cfg, truth, i_n, rep):
+        if (i_n, rep) in bad:
+            raise RuntimeError(f"planted {cfg.n_grid[i_n]}/{rep}")
+        return cell(cfg, truth, i_n, rep)
+
+    monkeypatch.setattr(experiments, "_wn_cell", planted)
+    with pytest.raises(ExperimentError) as err:
+        run_contraction(cfg, threads=threads)
+    assert str(err.value) == "2 cell(s) failed, first: n=64 rep=1: planted 64/1"
+    assert str(err.value.__cause__) == "planted 64/1"
+    assert err.value.partial_rows == grid_cells(cfg, skip=bad)
 
 
 def test_run_contraction_rescaled_laplace_small():

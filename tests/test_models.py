@@ -323,17 +323,25 @@ def radii_formula(chain, w0):
 
 
 @pytest.mark.parametrize("truth_len", [25, 40, 70])
-def test_wn_error_radii_leaves_chain_alone(truth_len):
+def test_wn_error_radii_leaves_chain_alone(truth_len, monkeypatch):
+    # 200 draws, as in a benchmark cell: one block, then blocks of 64 rows
+    # with a ragged last block of 8, all equal to the full-array formula
+    from pexp import models
     from pexp.models import PosteriorChain
 
     rng = np.random.default_rng(101)
-    chain = PosteriorChain(rng.standard_normal((30, 40)), lin_spec(1.0, 1.0, 40), 1.0)
+    chain = PosteriorChain(rng.standard_normal((200, 40)), lin_spec(1.0, 1.0, 40), 1.0)
     xi = chain.xi.copy()
     w0 = rng.standard_normal(truth_len)
+    want = radii_formula(chain, w0)
+    assert models.RADII_BLOCK_FLOATS // 40 >= 200
     first = wn_error_radii(chain, w0)
     assert np.array_equal(chain.xi, xi)
     assert np.array_equal(wn_error_radii(chain, w0), first)
-    assert np.array_equal(first, radii_formula(chain, w0))
+    assert np.array_equal(first, want)
+    monkeypatch.setattr(models, "RADII_BLOCK_FLOATS", 64 * 40 + 39)
+    assert np.array_equal(wn_error_radii(chain, w0), want)
+    assert np.array_equal(chain.xi, xi)
 
 
 # --- density model ---------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import halfline_loop
+from oracles import halfline_loop, laplace_sample_where
 from scipy import integrate, special, stats
 
 from pexp import univariate
@@ -153,6 +153,18 @@ def test_sampler_laplace_stream_is_signed_exponential():
     e = twin.standard_exponential((500, 3))
     signs = np.where(twin.random((500, 3)) < 0.5, -1.0, 1.0)
     assert np.array_equal(x.view(np.int64), (signs * e).view(np.int64))
+
+
+@pytest.mark.parametrize("size", [None, 1000, (500, 3)])
+def test_sampler_laplace_sign_matches_product_oracle(size):
+    # the copysign sign gives the product form's values and sign bits
+    rng = np.random.default_rng(104)
+    twin = copy.deepcopy(rng)
+    x = np.float64(sample(PExpParams(1.0), rng, size))
+    want = np.float64(laplace_sample_where(twin, size))
+    assert x.shape == want.shape
+    assert np.array_equal(x.view(np.int64), want.view(np.int64))
+    assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
