@@ -154,7 +154,7 @@ def cmd_sample_prior(args) -> int:
 def _run_experiment(args, model: str) -> int:
     try:
         cfg = experiments.ExperimentConfig.from_json(args.config)
-    except (OSError, ValueError) as exc:  # unreadable file, bad JSON or a rejected key
+    except (OSError, TypeError, ValueError) as exc:  # unreadable, not JSON, or a bad key
         print(f"pexp {args.command}: bad config {args.config}: {exc}", file=sys.stderr)
         return 1
     if cfg.model != model:

@@ -156,19 +156,15 @@ def _wn_rejection_sample(
                 f"white-noise rejection: {todo.size} draws left after {len(accept)} rounds"
             )
         if todo is None:
-            lam_c = rng.random(shape)  # the side's uniforms, then its lam in place
-            minus = lam_c >= p_plus
-            np.copyto(lam_c, lam[0])
-            np.copyto(lam_c, lam[1], where=minus)
-            a_c, x0_c, s_c = a, x0, s
+            minus = rng.random(shape) >= p_plus
+            lam_c, a_c, x0_c, s_c = np.where(minus, lam[1], lam[0]), a, x0, s
         else:
             c = todo % len(y)
             minus = rng.random(todo.size) >= p_plus[c]
             lam_c, a_c, x0_c, s_c = np.where(minus, lam[1, c], lam[0, c]), a[c], x0[c], s[c]
         x = univariate.halfline_sample(lam_c, a_c, rng)
-        del lam_c  # its memory serves the tangent gap
         if p == 1.0:  # the tangent is |xi| itself: every proposal is kept
-            ok = None
+            ok = np.ones(x.shape, dtype=bool)
         else:
             gap = x**p
             gap -= x0_c**p
@@ -179,13 +175,16 @@ def _wn_rejection_sample(
             tight = gap > 0.0
             ok = ~tight
             ok[tight] = rng.standard_exponential(np.count_nonzero(tight)) >= gap[tight]
-        np.negative(x, out=x, where=minus)  # exact, as the draw is -x on that side
+        # lam_c's memory takes the sign, -1/2 on the minus side; the half-line
+        # draws are >= +0, so copysign negates them exactly there
+        np.copyto(lam_c, minus)
+        np.copysign(x, np.subtract(0.5, lam_c, out=lam_c), out=x)
         if todo is None:
-            xi, todo = x, np.arange(0) if ok is None else np.flatnonzero(~ok)
+            xi, todo = x, np.flatnonzero(~ok)
         else:
             xi.reshape(-1)[todo[ok]] = x[ok]
             todo = todo[~ok]
-        accept.append(1.0 if ok is None else float(ok.mean()))
+        accept.append(float(ok.mean()))
     log = {"method": "rejection", "rounds": len(accept),
            "first_round_accept": accept[0] if accept else 1.0}
     return PosteriorChain(xi, m.spec, 1.0, log)

@@ -261,6 +261,8 @@ WN_CFG = dict(model="white-noise", p=2.0, alpha=1.0, beta=1.0, q=2.0, n_grid=[32
         ("wn-experiment", json.dumps(dict(WN_CFG, replicates=1.5)), "replicates"),
         ("de-experiment", json.dumps(dict(WN_CFG, posterior_draws=True)), "posterior_draws"),
         ("wn-experiment", '{"model": "white-noise", "p": 2.0,', "Expecting"),
+        ("wn-experiment", '{"model": "white-noise", "p": 2.0}', "missing 7 required"),
+        ("wn-experiment", json.dumps(dict(WN_CFG, n_grid=256)), "not iterable"),
         ("de-experiment", None, "No such file"),
     ],
 )
