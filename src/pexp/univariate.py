@@ -161,7 +161,7 @@ def halfline_sample(lam, a, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("halfline_sample needs finite lam, a >= 0, and a > 0 where lam <= 0")
     shape = np.broadcast_shapes(lam.shape, a.shape)
     # Every pass below works on the broadcast through ufunc masks and out=
-    # buffers: a round makes three arrays of its size plus its draws, and the
+    # buffers: a round makes two arrays of its size besides its draws, and the
     # parameters stay unbroadcast until the rejected entries are gathered.
     l, q = lam, a  # gathered to the pending entries after round 1
     size = shape or (1,)  # of the current round
