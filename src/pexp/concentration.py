@@ -536,9 +536,11 @@ def rate_solve_numeric(
     it.  The hit count, hence the Wilson upper bound on -log mu, moves
     monotonically in eps and the approximation term is deterministic, so the
     predicate phi_w(eps) > n eps^2 is monotone by construction and the
-    crossing is unique; the search bisects in log eps.  Raises
-    SmallBallResolutionError when the crossing requires probabilities below
-    the MC guard.
+    crossing is unique; the search bisects in log eps.  The predicate is
+    memoized per solve: the first halving point repeats the last doubling
+    point, and the halving loop's e_hi / 2 is the first bisection midpoint
+    (both exactly, in floating point).  Raises SmallBallResolutionError when
+    the crossing requires probabilities below the MC guard.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -547,6 +549,7 @@ def rate_solve_numeric(
     guard = -math.log(P_MIN_GUARD)
     sample = unit_norm_sample(m, norm, mc_samples, rng, basis)
 
+    @functools.cache
     def exceeds(e) -> bool:
         """True when phi_w(e) provably exceeds n e^2 at CI confidence."""
         try:

@@ -16,7 +16,10 @@ samplers written with one index gather per array and round;
 ``univariate.halfline_sample`` and ``models.wn_posterior_sample`` must make
 the same draws.  ``laplace_sample_where`` is the p = 1 draw of
 ``univariate.sample`` with its sign as a product, which the ``copysign``
-form must match bit for bit.
+form must match bit for bit.  ``rate_solve_loop`` is
+``concentration.rate_solve_numeric`` without its memo, which re-evaluates
+the points its search visits twice; the memoized solve must return the
+same eps.
 """
 
 import math
@@ -24,7 +27,7 @@ import math
 import numpy as np
 from scipy import special
 
-from pexp import univariate
+from pexp import concentration, univariate
 from pexp.measure import WaveletBasis
 
 
@@ -125,7 +128,8 @@ def ball_probability_loop(m, eps, center, nodes):
     Gauss-Legendre, one outer node at a time with scalar kink and panel helpers.
 
     The rule is that of ``measure._ball_probability``: the innermost axis is
-    the exact CDF difference, or ``univariate.abs_cdf`` at a zero center;
+    the exact CDF difference F(r - |c|) - F(-|c| - r), taken in the lower
+    tail, or ``univariate.abs_cdf`` at a zero center;
     outer axes use x = c + r sin(theta) on [-pi/2, pi/2], split at the
     arcsin density cusp, at the arccos cusps of
     the inner CDF differences and, on the outer axis of a 3-D ball, at the
@@ -165,7 +169,8 @@ def ball_probability_loop(m, eps, center, nodes):
     def disc(i, c, r):
         if c == 0.0:
             return univariate.abs_cdf(pr, r / gamma[i])
-        return univariate.cdf(pr, (c + r) / gamma[i]) - univariate.cdf(pr, (c - r) / gamma[i])
+        a = abs(c)
+        return univariate.cdf(pr, (r - a) / gamma[i]) - univariate.cdf(pr, (-a - r) / gamma[i])
 
     def f(i, x):
         return univariate.pdf(pr, np.asarray(x) / gamma[i]) / gamma[i]
@@ -416,3 +421,44 @@ def laplace_sample_where(rng, size=None):
     magnitude times -1 where its uniform is below 1/2, else times 1."""
     e = rng.standard_exponential(size=size)
     return np.where(rng.random(size=size) < 0.5, -1.0, 1.0) * e
+
+
+def rate_solve_loop(w, m, n, mc_samples, rng, norm="l2", grid_tol=0.02, basis=None):
+    """Smallest grid eps with phi_w(eps) <= n eps^2: the search of
+    ``concentration.rate_solve_numeric``, evaluating the predicate afresh at
+    every point it visits, repeats included."""
+    guard = -math.log(concentration.P_MIN_GUARD)
+    sample = concentration.unit_norm_sample(m, norm, mc_samples, rng, basis)
+
+    def exceeds(e):
+        try:
+            est = concentration.concentration_fn(w, e, m, norm, sample)
+        except concentration.ZeroHitsError as exc:
+            if n * e**2 < guard:
+                return True
+            raise concentration.SmallBallResolutionError(f"eps={e:.4g}") from exc
+        if est.neglog_smallball > guard:
+            if n * e**2 < est.neglog_ci[0]:
+                return True
+            raise concentration.SmallBallResolutionError(f"eps={e:.4g}")
+        return est.inf_term / m.spec.p + est.neglog_ci[1] > n * e**2
+
+    e_hi = math.sqrt(float((m.spec.gamma() ** 2).sum()) * univariate.variance(m.params))
+    for _ in range(60):
+        if not exceeds(e_hi):
+            break
+        e_hi *= 2.0
+    else:
+        raise concentration.SolverError("failed to bracket the rate equation from above")
+    e_lo = e_hi
+    for _ in range(60):
+        e_lo *= 0.5
+        if exceeds(e_lo):
+            break
+    while e_hi / e_lo > 1.0 + grid_tol:
+        mid = math.sqrt(e_lo * e_hi)
+        if exceeds(mid):
+            e_lo = mid
+        else:
+            e_hi = mid
+    return e_hi

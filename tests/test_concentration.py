@@ -6,6 +6,7 @@ from oracles import (
     block_generators,
     norm_samples_blocks,
     projected_subgradient_batch,
+    rate_solve_loop,
     smallball_agree,
 )
 
@@ -594,6 +595,47 @@ def test_rate_solve_draws_one_sample(norm, monkeypatch):
         w = np.zeros(m.spec.size)
     rate_solve_numeric(w, m, 16.0, 5000, np.random.default_rng(72), norm)
     assert calls == [5000]
+
+
+def _rate_family(norm, seed):
+    # the benchmark's rate-solve families: l2 at p = 1.5 with a Besov truth,
+    # sup at p = 1 on dyadic level 7 with seeded signs
+    if norm == "l2":
+        m = pexp_measure(ScalingSpec(1.5, 1.0, 1, 1.0, "linear", n=256))
+        return make_truth(BesovParams(1.0, 2.0), n=256), m, None
+    m = pexp_measure(ScalingSpec(1.0, 1.0, 1, 1.0, "dyadic", levels=7))
+    ks = m.spec.level_index()
+    signs = np.where(np.random.default_rng(seed).random(len(ks)) < 0.5, -1.0, 1.0)
+    return CoefVec.dyadic(2.0 ** (-1.5 * ks) * signs, 7), m, WaveletBasis(7)
+
+
+@pytest.mark.parametrize("seed", [0, 21])
+def test_rate_solve_evaluates_each_eps_once(seed, monkeypatch):
+    # the memoized search visits the same points as the plain loop and
+    # returns the same eps, but evaluates phi at each point once
+    calls = {"memo": 0, "loop": 0}
+    for i, (norm, n) in enumerate([("l2", 16), ("l2", 128), ("sup", 16), ("sup", 32)]):
+        w, m, basis = _rate_family(norm, seed)
+        seen = []
+        plain = concentration.concentration_fn
+
+        def recorded(w, eps, *args):
+            seen.append(eps)
+            return plain(w, eps, *args)
+
+        monkeypatch.setattr(concentration, "concentration_fn", recorded)
+        rng = np.random.default_rng((seed, i))
+        eps = rate_solve_numeric(w, m, n, 10_000, rng, norm, 0.03, basis)
+        assert len(seen) == len(set(seen))
+        calls["memo"] += len(seen)
+        visited = set(seen)
+        seen.clear()
+        rng = np.random.default_rng((seed, i))
+        assert eps == rate_solve_loop(w, m, n, 10_000, rng, norm, 0.03, basis)
+        assert set(seen) == visited
+        calls["loop"] += len(seen)
+        monkeypatch.undo()
+    assert calls["memo"] < calls["loop"]
 
 
 @pytest.mark.slow

@@ -400,9 +400,9 @@ BALL_CENTERS = [
 ]
 
 
-# 64 and 51 are decentering_check's rule and its coarse rule
+# 48 and 38 are decentering_check's rule and its coarse rule
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-@pytest.mark.parametrize("nodes", [200, 160, 64, 51])
+@pytest.mark.parametrize("nodes", [200, 160, 64, 51, 48, 38])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_ball_probability_matches_loop_oracle_exactly(p, nodes, dim):
     rng = np.random.default_rng(int(10 * p) + nodes + dim)
@@ -417,8 +417,8 @@ def test_ball_probability_matches_loop_oracle_exactly(p, nodes, dim):
 @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 1.8, 2.0])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_ball_probability_default_rule_converged(p, dim):
-    # graded panels split at every kink converge spectrally: the 64-node
-    # rule agrees with 256 nodes to 1e-11 (worst case 3.7e-12, at p = 1.2)
+    # graded panels split at every kink converge spectrally: a 64-node rule
+    # agrees with 256 nodes to 1e-11 (worst case 3.7e-12, at p = 1.2)
     m = pexp_measure(lin_spec(p, 1.0, dim))
     for c in BALL_CENTERS:
         c = np.array(c[:dim])
@@ -427,8 +427,78 @@ def test_ball_probability_default_rule_converged(p, dim):
             assert _ball_probability(m, eps, c, 64) == pytest.approx(ref, rel=1e-11, abs=0)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 1.8, 2.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_probability_decentering_rule_converged(p, dim):
+    # decentering_check's 48-node rule agrees with 256 nodes to 1e-10
+    # (worst case 3.1e-11)
+    m = pexp_measure(lin_spec(p, 1.0, dim))
+    for c in BALL_CENTERS:
+        c = np.array(c[:dim])
+        for eps in (0.7, 0.45):
+            ref = _ball_probability(m, eps, c, 256)
+            assert _ball_probability(m, eps, c, 48) == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+# Far from the origin F(c + r) - F(c - r) is a difference of two numbers
+# near 1, which rounds the mass away; the lower-tail form keeps the mass
+# even in the centre to rounding (the two-sided difference was off by
+# 4.2e-3, 4.6e-7, 6.7e-7 and 2.6e-6 here).
+@pytest.mark.parametrize(
+    "p, center",
+    [(2.0, (0.0, 3.5)), (2.0, (0.3, 3.0)), (1.0, (0.0, 9.0)), (2.0, (0.1, 0.1, 2.0))],
+)
+def test_ball_probability_even_in_far_centers(p, center):
+    m = pexp_measure(lin_spec(p, 1.0, len(center)))
+    c = np.array(center)
+    mass = _ball_probability(m, 0.7, c, 48)
+    assert mass == pytest.approx(_ball_probability(m, 0.7, -c, 48), rel=1e-13, abs=0)
+
+
+def test_decentering_far_shift_keeps_its_mass():
+    # the two-sided difference gave lhs = 0, a FAIL, at h = (0, 0, 2.5)
+    m = pexp_measure(lin_spec(2.0, 1.0, 3))
+    res = decentering_check(m, 0.7, [0.0, 0.0, 2.5])
+    ref = decentering_check(m, 0.7, [0.0, 0.0, -2.5])
+    assert res.verdict == "PASS"
+    assert res.lhs == pytest.approx(ref.lhs, rel=1e-12, abs=0)
+    assert res.lhs > 0.0
+
+
+def test_decentering_far_laplace_shift_converges():
+    # rounding in the two-sided difference moved the lhs by 1.9e-6 between
+    # rules, a QuadratureError, at p = 1, h = (0, 0, 6)
+    m = pexp_measure(lin_spec(1.0, 1.0, 3))
+    res = decentering_check(m, 0.7, [0.0, 0.0, 6.0])
+    assert res.achieved_tol <= QUADRATURE_TOL
+    assert res.verdict == "PASS"
+
+
+# The hardest shifts for the 48/38 pair: at p = 1.5 a disc that touches or
+# nearly touches the face x_last = 0 (certificate up to 6.5e-8, at
+# (0.938, -0.007, 0.7)), and a p = 2 battery-law shift (1.5e-8).
+FACE_SHIFTS = [
+    [lead, 0.7 + d] for lead in (0.0, 0.35, 0.7, -0.85) for d in (0.0, 1e-4, -1e-3, 1e-2)
+] + [[0.938, -0.007, 0.7 + d] for d in (0.0, -1e-4, 1e-3)] + [[-0.4, 0.3, 0.7 - 1e-6]]
+
+
+@pytest.mark.parametrize("h", FACE_SHIFTS)
+def test_decentering_certificate_on_touching_faces(h):
+    m = pexp_measure(lin_spec(1.5, 1.0, len(h)))
+    res = decentering_check(m, 0.7, h)
+    assert res.achieved_tol <= 1e-7
+    assert res.verdict == "PASS"
+
+
+def test_decentering_certificate_on_hard_gaussian_shift():
+    m = pexp_measure(lin_spec(2.0, 1.0, 3))
+    res = decentering_check(m, 0.7, [-0.209, -0.753, 1.743])
+    assert res.achieved_tol <= 1e-7
+    assert res.verdict == "PASS"
+
+
 def test_decentering_coarse_rule_is_coarser_at_minimum_nodes():
-    # the 51-node coarse rule differs from the 64-node one, so achieved_tol
+    # the 38-node coarse rule differs from the 48-node one, so achieved_tol
     # is a real estimate, not 0
     m = pexp_measure(lin_spec(1.5, 1.0, 3))
     res = decentering_check(m, 0.7, [0.3, -0.2, 0.4])
@@ -455,8 +525,8 @@ def test_decentering_zero_shift_is_one_quadrature(monkeypatch):
 
     monkeypatch.setattr(measure, "_ball_probability", counted)
     res = decentering_check(m, 0.5, np.zeros(3))
-    assert sorted(calls) == [51, 64]  # concurrent, so in no fixed order
-    mass = _ball_probability(m, 0.5, np.zeros(3), 64)
+    assert sorted(calls) == [38, 48]  # concurrent, so in no fixed order
+    mass = _ball_probability(m, 0.5, np.zeros(3), 48)
     assert res.lhs == mass and res.rhs == mass and res.shift_cost == 1.0
     assert res.verdict == "PASS"
 
@@ -468,10 +538,10 @@ def test_decentering_same_for_any_thread_count(p, dim, monkeypatch):
     # result of three serial _ball_probability calls, bit for bit
     m = pexp_measure(lin_spec(p, 1.0, dim))
     h = np.random.default_rng(1100 + dim).normal(scale=0.5, size=dim)
-    lhs = _ball_probability(m, 0.7, h, 64)
-    lhs_lo = _ball_probability(m, 0.7, h, 51)
+    lhs = _ball_probability(m, 0.7, h, 48)
+    lhs_lo = _ball_probability(m, 0.7, h, 38)
     cost = float(np.exp(-z_norm_p(h, m.spec) / p))
-    rhs = cost * _ball_probability(m, 0.7, np.zeros(dim), 64)
+    rhs = cost * _ball_probability(m, 0.7, np.zeros(dim), 48)
     achieved = abs(lhs - lhs_lo) / lhs
     for threads in (1, 2, 3):
         monkeypatch.setattr(measure, "MC_THREADS", threads)
