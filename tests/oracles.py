@@ -423,7 +423,7 @@ def laplace_sample_where(rng, size=None):
     return np.where(rng.random(size=size) < 0.5, -1.0, 1.0) * e
 
 
-def rate_solve_loop(w, m, n, mc_samples, rng, norm="l2", grid_tol=0.02, basis=None):
+def rate_solve_loop(w, m, n, mc_samples, rng, norm, grid_tol, basis):
     """Smallest grid eps with phi_w(eps) <= n eps^2: the search of
     ``concentration.rate_solve_numeric``, evaluating the predicate afresh at
     every point it visits, repeats included."""

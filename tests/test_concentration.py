@@ -613,29 +613,28 @@ def _rate_family(norm, seed):
 def test_rate_solve_evaluates_each_eps_once(seed, monkeypatch):
     # the memoized search visits the same points as the plain loop and
     # returns the same eps, but evaluates phi at each point once
-    calls = {"memo": 0, "loop": 0}
+    seen = []
+    plain = concentration.concentration_fn
+
+    def recorded(w, eps, *args):
+        seen.append(eps)
+        return plain(w, eps, *args)
+
+    monkeypatch.setattr(concentration, "concentration_fn", recorded)
+    memo_calls = loop_calls = 0
     for i, (norm, n) in enumerate([("l2", 16), ("l2", 128), ("sup", 16), ("sup", 32)]):
         w, m, basis = _rate_family(norm, seed)
-        seen = []
-        plain = concentration.concentration_fn
-
-        def recorded(w, eps, *args):
-            seen.append(eps)
-            return plain(w, eps, *args)
-
-        monkeypatch.setattr(concentration, "concentration_fn", recorded)
+        seen.clear()
         rng = np.random.default_rng((seed, i))
         eps = rate_solve_numeric(w, m, n, 10_000, rng, norm, 0.03, basis)
-        assert len(seen) == len(set(seen))
-        calls["memo"] += len(seen)
-        visited = set(seen)
+        memo = list(seen)
         seen.clear()
         rng = np.random.default_rng((seed, i))
         assert eps == rate_solve_loop(w, m, n, 10_000, rng, norm, 0.03, basis)
-        assert set(seen) == visited
-        calls["loop"] += len(seen)
-        monkeypatch.undo()
-    assert calls["memo"] < calls["loop"]
+        assert len(memo) == len(set(memo)) and set(memo) == set(seen)
+        memo_calls += len(memo)
+        loop_calls += len(seen)
+    assert memo_calls < loop_calls
 
 
 @pytest.mark.slow
