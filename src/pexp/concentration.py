@@ -536,14 +536,20 @@ def rate_solve_numeric(
     it.  The hit count, hence the Wilson upper bound on -log mu, moves
     monotonically in eps and the approximation term is deterministic, so the
     predicate phi_w(eps) > n eps^2 is monotone by construction and the
-    crossing is unique; the search bisects in log eps.  The predicate is
+    crossing is unique; the search bisects in log eps until e_hi / e_lo is at
+    most 1 + ``grid_tol``.  The predicate is
     memoized per solve: the first halving point repeats the last doubling
     point, and the halving loop's e_hi / 2 is the first bisection midpoint
     (both exactly, in floating point).  Raises SmallBallResolutionError when
-    the crossing requires probabilities below the MC guard.
+    the crossing requires probabilities below the MC guard, and ValueError,
+    before any draw, unless n is finite and >= 1 and ``grid_tol`` is finite
+    and >= 1e-12 (a ratio that floating point can resolve, so the bisection
+    ends).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not (math.isfinite(n) and n >= 1):
+        raise ValueError(f"n must be finite and >= 1, got {n}")
+    if not (math.isfinite(grid_tol) and grid_tol >= 1e-12):
+        raise ValueError(f"grid_tol must be finite and >= 1e-12, got {grid_tol}")
     if mc_samples < 1:
         raise ValueError(f"rate_solve_numeric needs mc_samples >= 1, got {mc_samples}")
     guard = -math.log(P_MIN_GUARD)

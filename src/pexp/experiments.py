@@ -333,8 +333,8 @@ def run_inequalities(seed: int = 0) -> list[InequalityRow]:
             )
         )
     # zero-shift row: probabilities coincide
-    spec = ScalingSpec(1.0, 1.0, 1, 1.0, "linear", n=2)
-    res = measure.anderson_check(pexp_measure(spec), 1.0, np.zeros(2), ANDERSON_SAMPLES, rng)
+    m = pexp_measure(ScalingSpec(1.0, 1.0, 1, 1.0, "linear", n=2))
+    [res] = measure.anderson_check(m, 1.0, np.zeros((1, 2)), ANDERSON_SAMPLES, rng)
     rows.append(
         InequalityRow(
             "anderson", "p=1 dim=2 shift=0", res.p_centered - res.p_shifted, res.verdict

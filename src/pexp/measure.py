@@ -229,16 +229,14 @@ def regularity_scan(
     return rows
 
 
-def _check_ball(eps: float, shift: np.ndarray, dim: int) -> None:
-    """ValueError unless the radius is finite and > 0 and ``shift`` is one
-    finite shift of shape (dim,) or a non-empty stack of them, (S, dim)."""
+def _check_ball(eps: float, shifts: np.ndarray, dim: int) -> None:
+    """ValueError unless the radius is finite and > 0 and ``shifts`` is a
+    non-empty stack of finite shifts, shape (S, dim)."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"ball radius eps must be finite and > 0, got {eps}")
-    if shift.ndim not in (1, 2) or shift.shape[-1] != dim:
-        raise ValueError(f"shift must have shape ({dim},) or (S, {dim}), got {shift.shape}")
-    if shift.size == 0:
-        raise ValueError(f"shift stack is empty, shape {shift.shape}")
-    if not np.isfinite(shift).all():
+    if shifts.ndim != 2 or shifts.shape[1] != dim or shifts.size == 0:
+        raise ValueError(f"shifts must be a non-empty (S, {dim}) stack, got shape {shifts.shape}")
+    if not np.isfinite(shifts).all():
         raise ValueError("shift must be finite")
 
 
@@ -251,27 +249,25 @@ class AndersonResult:
 
 
 def anderson_check(
-    m: PExpMeasure, eps: float, shift, mc_samples: int, rng: np.random.Generator
-) -> AndersonResult | list[AndersonResult]:
+    m: PExpMeasure, eps: float, shifts, mc_samples: int, rng: np.random.Generator
+) -> list[AndersonResult]:
     """MC comparison of mu(eps B + x) against mu(eps B) for a centered l2 ball.
 
-    ``shift`` is one shift x of shape (dim,), which gives one result, or a
-    stack of shape (S, dim), which gives a list of S results, one per row.
-    All balls count hits in the same ``mc_blocks`` draws: per block the
-    centered squared norm is computed once and every shift's count is added
-    in block order, so each result is the same for any thread count, and a
-    row of a stack equals the single-shift call on an equally seeded
-    generator.  PASS when the shifted estimate does not exceed the centered
-    one by more than three joint standard errors.
+    ``shifts`` is a stack of shifts x, shape (S, dim), and gives a list of S
+    results, one per row.  All balls count hits in the same ``mc_blocks``
+    draws: per block the centered squared norm is computed once and every
+    shift's count is added in block order, so each result is the same for
+    any thread count, and a row of a stack equals the one-row stack's call
+    on an equally seeded generator.  PASS when the shifted estimate does not
+    exceed the centered one by more than three joint standard errors.
     """
     n = m.spec.size
     if n > 50:
         raise ValueError("anderson_check requires truncation <= 50")
-    shift = np.asarray(shift, dtype=float)
-    _check_ball(eps, shift, n)
+    shifts = np.asarray(shifts, dtype=float)
+    _check_ball(eps, shifts, n)
     if mc_samples < 1:
         raise ValueError(f"anderson_check needs mc_samples >= 1, got {mc_samples}")
-    shifts = np.atleast_2d(shift)
 
     def hits(block_rng, rows):
         u = sample_prior_block(m, block_rng, rows)
@@ -303,7 +299,7 @@ def anderson_check(
         )
         verdict = "PASS" if p_s <= p_c + 3.0 * se else "FAIL"
         results.append(AndersonResult(p_c, p_s, se, verdict))
-    return results[0] if shift.ndim == 1 else results
+    return results
 
 
 @dataclass
@@ -334,9 +330,6 @@ def _graded_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return s * s * (3.0 - 2.0 * s), 3.0 * s * (1.0 - s) * w
 
 
-_ROW_BLOCK = 64  # radii per quadrature block; each temporary is 64 rows x (kinks + 1) nodes
-
-
 def _gl_panels(splits: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Graded Gauss-Legendre nodes/weights on [-pi/2, pi/2], one row per row
     of ``splits`` (rows, k): each row is panel-split at its k sorted interior
@@ -355,24 +348,19 @@ def _gl_panels(splits: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return xs.reshape(rows, -1), ws.reshape(rows, -1)
 
 
-def _kink_angles_sin(c: float, r: np.ndarray) -> np.ndarray:
-    """Per radius, the angle where c + r sin(theta) crosses zero (density
-    cusp of f_p); NaN where there is none.  Shape (len(r), 1)."""
-    out = np.full((r.size, 1), np.nan)
-    cut = (r > 0) & (abs(c) < r)
-    out[cut, 0] = np.arcsin(-c / r[cut])
-    return out
-
-
-def _kink_angles_cos(c: float, r: np.ndarray) -> np.ndarray:
-    """Per radius, the angles -a, a where r cos(theta) equals |c| (CDF-difference
-    cusp); NaN where there are none.  Shape (len(r), 2)."""
-    out = np.full((r.size, 2), np.nan)
-    cut = (r > 0) & (abs(c) < r)
-    a = np.arccos(abs(c) / r[cut])
-    out[cut, 0] = -a
-    out[cut, 1] = a
-    return out
+def _kink_angles(c: float, faces, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per radius, the sorted angles theta in (-pi/2, pi/2) where the outer
+    integrand loses smoothness, NaN-padded, and their count: where
+    c + r sin(theta) crosses zero (density cusp of f_p), and the angles
+    -a, a where r cos(theta) equals |f| for each face distance f in
+    ``faces`` (cusps of the inner disc mass; a disc that touches the face
+    gives a = 0).  Returns arrays of shape (len(r), 1 + 2 len(faces)) and
+    (len(r),)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.arccos(np.abs(np.asarray(faces, dtype=float)) / r[:, None])
+        kinks = np.hstack([np.arcsin(-c / r)[:, None], -a, a])
+    inside = (-0.5 * np.pi < kinks) & (kinks < 0.5 * np.pi)
+    return np.sort(np.where(inside, kinks, np.nan), axis=1), inside.sum(axis=1)
 
 
 def _ball_probability(m: PExpMeasure, eps: float, center: np.ndarray, nodes: int) -> float:
@@ -390,14 +378,12 @@ def _ball_probability(m: PExpMeasure, eps: float, center: np.ndarray, nodes: int
     mass loses smoothness, and graded toward each panel end
     (``_graded_rule``), so the rule converges spectrally.  One recursion
     integrates a whole vector of radii per axis: the rows that share a kink
-    count share a node layout, so each block of them is one array call per
+    count share a node layout, so together they make one array call per
     level, and its inner radii are the flattened (rows x nodes) array.
     """
     gamma = m.spec.gamma()
     dim = m.spec.size
     pr = m.params
-    if dim > 3:
-        raise ValueError("decentering quadrature supports dimension <= 3")
 
     def mass(i: int, r: np.ndarray) -> np.ndarray:
         """Mass of the disc of radius r (each entry) about center[i:] in
@@ -415,22 +401,17 @@ def _ball_probability(m: PExpMeasure, eps: float, center: np.ndarray, nodes: int
         # two coordinates left, their common zero at radius hypot(c_k, c_l)
         rest = center[i + 1 :]
         faces = list(rest) + ([math.hypot(*rest)] if rest.size == 2 else [])
-        kinks = np.hstack([_kink_angles_sin(c, r)] + [_kink_angles_cos(ck, r) for ck in faces])
-        inside = (-0.5 * np.pi < kinks) & (kinks < 0.5 * np.pi)
-        kinks = np.sort(np.where(inside, kinks, np.nan), axis=1)
-        count = inside.sum(axis=1)
+        kinks, count = _kink_angles(c, faces, r)
         out = np.empty(r.size)
         for k in np.unique(count):
-            group = np.flatnonzero(count == k)
-            for s in range(0, group.size, _ROW_BLOCK):
-                rows = group[s : s + _ROW_BLOCK]
-                rb = r[rows, None]
-                theta, wts = _gl_panels(kinks[rows, :k], nodes)
-                x = c + rb * np.sin(theta)
-                cos = np.cos(theta)
-                inner = mass(i + 1, (rb * cos).ravel()).reshape(theta.shape)
-                dens = univariate.pdf(pr, x / gamma[i]) / gamma[i]
-                out[rows] = np.sum(wts * dens * inner * rb * cos, axis=1)
+            rows = np.flatnonzero(count == k)
+            rb = r[rows, None]
+            theta, wts = _gl_panels(kinks[rows, :k], nodes)
+            x = c + rb * np.sin(theta)
+            cos = np.cos(theta)
+            inner = mass(i + 1, (rb * cos).ravel()).reshape(theta.shape)
+            dens = univariate.pdf(pr, x / gamma[i]) / gamma[i]
+            out[rows] = np.sum(wts * dens * inner * rb * cos, axis=1)
         return out
 
     # a scalar radius keeps dimension 1 on the scalar path of the ufuncs
@@ -449,8 +430,8 @@ def decentering_check(m: PExpMeasure, eps: float, h) -> DecenteringResult:
     QuadratureError when it exceeds QUADRATURE_TOL.  With the inner masses
     taken in the lower tail the change measures convergence, not rounding;
     on battery-law shifts it was measured below 1e-7, largest where a disc
-    touches a face x_k = 0 at 1 < p < 2.  The lhs, its coarse rule and the
-    centered mass are independent quadratures; they run
+    nearly touches a face x_k = 0 at 1 < p < 2.  The lhs, its coarse rule
+    and the centered mass are independent quadratures; they run
     concurrently on the shared pool (``pool_map``; the CDF and density
     evaluations release the GIL), each with the same bits on any thread count.
     """
@@ -458,9 +439,7 @@ def decentering_check(m: PExpMeasure, eps: float, h) -> DecenteringResult:
     if dim > 3:
         raise ValueError("decentering_check requires dimension <= 3")
     h = np.asarray(h, dtype=float)
-    if h.shape != (dim,):
-        raise ValueError("shift length must match the spec truncation")
-    _check_ball(eps, h, dim)
+    _check_ball(eps, h[None], dim)
     rules = [(h, 48), (h, 38)]
     if h.any():  # at h = 0 both sides are the same quadrature on the same inputs
         rules.append((np.zeros(dim), 48))

@@ -132,7 +132,8 @@ def ball_probability_loop(m, eps, center, nodes):
     tail, or ``univariate.abs_cdf`` at a zero center;
     outer axes use x = c + r sin(theta) on [-pi/2, pi/2], split at the
     arcsin density cusp, at the arccos cusps of
-    the inner CDF differences and, on the outer axis of a 3-D ball, at the
+    the inner CDF differences (a split at 0 where the disc touches the face)
+    and, on the outer axis of a 3-D ball, at the
     arccos corner where the inner disc reaches the zero of both remaining
     coordinates, wherever these lie strictly inside.  Each panel [lo, hi]
     maps Gauss-Legendre through theta = lo + (hi - lo) s^2 (3 - 2 s),
@@ -161,7 +162,7 @@ def ball_probability_loop(m, eps, center, nodes):
         return [float(np.arcsin(-c / r))] if r > 0 and abs(c) < r else []
 
     def kink_cos(c, r):
-        if r > 0 and abs(c) < r:
+        if r > 0 and abs(c) <= r:
             a = float(np.arccos(abs(c) / r))
             return [-a, a]
         return []
@@ -329,20 +330,19 @@ def norm_samples_blocks(m, norm, samples, rng, block_floats, basis=None):
     return np.concatenate(parts)
 
 
-def anderson_hits_blocks(m, eps, shift, samples, rng, block_floats):
-    """Hits of the centered and the shifted l2 ball of radius eps in
-    ``samples`` prior draws, block by block, with norms from np.sum.  A
-    stack of shifts (S, dim) gives a list of S shifted counts, all in the
-    same draws."""
+def anderson_hits_blocks(m, eps, shifts, samples, rng, block_floats):
+    """Hits of the centered l2 ball of radius eps and of its shifts by each
+    row of the stack ``shifts`` (S, dim) in ``samples`` prior draws, block by
+    block, with norms from np.sum: the centered count and a list of S
+    shifted counts, all in the same draws."""
     dim = m.spec.size
-    shifts = np.atleast_2d(shift)
     hits_c, hits_s = 0, [0] * len(shifts)
     for gen, b in block_generators(samples, dim, rng, block_floats):
         u = m.spec.gamma() * univariate.sample(m.params, gen, size=(b, dim))
         hits_c += int((np.sum(u**2, axis=1) <= eps**2).sum())
         for i, x in enumerate(shifts):
             hits_s[i] += int((np.sum((u - x) ** 2, axis=1) <= eps**2).sum())
-    return hits_c, hits_s if np.ndim(shift) == 2 else hits_s[0]
+    return hits_c, hits_s
 
 
 def halfline_loop(lam, a, rng):

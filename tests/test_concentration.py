@@ -577,6 +577,23 @@ def test_rate_solve_rejects_zero_samples():
         rate_solve_numeric(w, m, 100, mc_samples=0, rng=np.random.default_rng(64))
 
 
+@pytest.mark.parametrize(
+    "n, grid_tol",
+    [(16, 0.0), (16, -0.5), (16, 1e-17), (16, math.nan), (16, math.inf),
+     (math.nan, 0.02), (math.inf, 0.02), (0.5, 0.02)],
+)
+def test_rate_solve_rejects_bad_n_or_grid_tol_before_drawing(n, grid_tol):
+    # grid_tol <= 0, or below the ratio floating point resolves, made the
+    # bisection loop forever; a NaN grid_tol skipped it and returned the
+    # bracket top, and a NaN or infinite n ended in "reduce n"
+    m = pexp_measure(ScalingSpec(1.5, 1.0, 1, 1.0, "linear", n=64))
+    w = make_truth(BesovParams(1.0, 2.0, 1), n=64).values
+    rng = np.random.default_rng(65)
+    with pytest.raises(ValueError, match="grid_tol" if n == 16 else "n must be"):
+        rate_solve_numeric(w, m, n, 2000, rng, grid_tol=grid_tol)
+    assert rng.random() == np.random.default_rng(65).random()  # nothing drawn
+
+
 @pytest.mark.parametrize("norm", ["l2", "sup"])
 def test_rate_solve_draws_one_sample(norm, monkeypatch):
     calls = []

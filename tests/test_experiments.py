@@ -351,7 +351,7 @@ def test_run_inequalities_one_anderson_call_per_group(monkeypatch):
 
     monkeypatch.setattr(measure, "anderson_check", counted)
     rows = run_inequalities(seed=4)
-    assert calls == [(1.0, (7, 1)), (1.5, (7, 2)), (2.0, (6, 3)), (1.0, (2,))]
+    assert calls == [(1.0, (7, 1)), (1.5, (7, 2)), (2.0, (6, 3)), (1.0, (1, 2))]
     anderson = [r.params for r in rows if r.check == "anderson"]
     assert len(anderson) == 21
     assert [a.split(" shift")[0] for a in anderson[:4]] == [

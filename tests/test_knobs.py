@@ -22,9 +22,15 @@ into a program path, moved to tests/oracles.py or deleted.  References are
 matched by name (``f`` or ``mod.f``), with the same rule for mod as calls in
 the knob census.
 ALLOWED_FUNCTIONS lists the exceptions, each with its reason.
+
+Constant census: every module-level UPPER_CASE constant of src/pexp (a
+leading underscore allowed) is referenced outside its own assignment
+somewhere in src/pexp, demos/ or perfbench/, by the same matching rule.  A
+constant that nothing reads is a setting left behind by deleted code.
 """
 
 import ast
+import re
 import textwrap
 from pathlib import Path
 
@@ -195,16 +201,25 @@ def _unset_knobs(root):
     return unset
 
 
+def _defined_names(top):
+    """The names a top-level statement defines: a function or class name,
+    or the plain-name targets of an assignment."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return {top.name}
+    targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
 def _referenced_names(root):
     """Every name read as ``f`` or ``mod.f`` in the caller directories,
-    except a top-level definition's references to its own name."""
+    except a top-level definition's or assignment's references to its own
+    name."""
     package = _package_names(root)
     out = set()
     for tree in _modules(root, CALLER_DIRS):
         for top in tree.body:
             names = {_referenced(node, package) for node in ast.walk(top)}
-            names -= {None, getattr(top, "name", None)}
-            out |= names
+            out |= names - {None} - _defined_names(top)
     return out
 
 
@@ -217,6 +232,22 @@ def _unreferenced_functions(root):
         for top in _parse(path).body:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name not in names:
                 out.add(f"{path.stem}.{top.name}")
+    return out
+
+
+def _unreferenced_constants(root):
+    """module.NAME of every module-level UPPER_CASE constant of src/pexp that
+    nothing in the caller directories references."""
+    names = _referenced_names(root)
+    out = set()
+    for path in sorted((root / "src/pexp").glob("*.py")):
+        for top in _parse(path).body:
+            if isinstance(top, (ast.Assign, ast.AnnAssign)):
+                out |= {
+                    f"{path.stem}.{name}"
+                    for name in _defined_names(top) - names
+                    if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)
+                }
     return out
 
 
@@ -240,12 +271,21 @@ def test_every_function_has_a_program_reference():
     )
 
 
+def test_every_constant_has_a_program_reference():
+    orphans = sorted(_unreferenced_constants(ROOT))
+    assert not orphans, "constants that nothing reads: " + ", ".join(orphans)
+
+
 def test_censuses_name_a_planted_orphan_and_unset_knob(tmp_path):
     # a census that finds nothing in a tree with one of each proves nothing
     files = {
         "src/pexp/lib.py": """
+            LIMIT = 3
+            SIZE = 2
+            _ROWS = 64
+
             def used(a, b=1):
-                return a + b
+                return a + b + LIMIT
 
             def helper(n, depth=0):
                 return helper(n - 1, depth + 1) if n else depth
@@ -262,7 +302,7 @@ def test_censuses_name_a_planted_orphan_and_unset_knob(tmp_path):
             from pexp import lib
 
             args = argparse.Namespace(hidden=lib.used)
-            print(lib.used(1), lib.helper(3, 0), args.hidden(1, 2))
+            print(lib.used(lib.SIZE), lib.helper(3, 0), args.hidden(1, 2))
             """,
     }
     for name, text in files.items():
@@ -272,3 +312,5 @@ def test_censuses_name_a_planted_orphan_and_unset_knob(tmp_path):
     # args.hidden names an attribute of args, not lib.hidden
     assert _unreferenced_functions(tmp_path) == {"lib.orphan", "lib.hidden"}
     assert _unset_knobs(tmp_path) == {"used.b", "hidden.y"}
+    # LIMIT is read inside lib and SIZE by the demo; _ROWS by nothing
+    assert _unreferenced_constants(tmp_path) == {"lib._ROWS"}

@@ -13,6 +13,7 @@ from pexp.measure import (
     QuadratureError,
     WaveletBasis,
     _ball_probability,
+    _kink_angles,
     anderson_check,
     decentering_check,
     evaluate_function,
@@ -169,14 +170,14 @@ def test_regularity_scan_needs_trials():
 
 def test_anderson_zero_shift_exact_tie():
     m = pexp_measure(lin_spec(1.0, 1.0, 3))
-    res = anderson_check(m, 1.0, np.zeros(3), 10**5, np.random.default_rng(29))
+    [res] = anderson_check(m, 1.0, np.zeros((1, 3)), 10**5, np.random.default_rng(29))
     assert res.p_centered == res.p_shifted
     assert res.verdict == "PASS"
 
 
 def test_anderson_unit_shift():
     m = pexp_measure(lin_spec(1.0, 1.0, 3))
-    res = anderson_check(m, 1.0, [1.0, 0.0, 0.0], 2 * 10**5, np.random.default_rng(30))
+    [res] = anderson_check(m, 1.0, [[1.0, 0.0, 0.0]], 2 * 10**5, np.random.default_rng(30))
     assert res.p_shifted <= res.p_centered
     assert res.verdict == "PASS"
 
@@ -187,7 +188,7 @@ def test_anderson_random_shifts_pass():
         m = pexp_measure(lin_spec(p, 1.0, 3))
         for _ in range(4):
             shift = rng.normal(scale=0.7, size=3)
-            res = anderson_check(m, 1.0, shift, 10**5, rng)
+            [res] = anderson_check(m, 1.0, shift[None], 10**5, rng)
             assert res.verdict == "PASS"
 
 
@@ -201,8 +202,8 @@ def test_anderson_counts_match_row_sums(dim, monkeypatch):
     shift = np.random.default_rng(40 + dim).normal(scale=0.8, size=dim)
     n = 50_000
     rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
-    res = anderson_check(m, 1.0, shift, n, rng)
-    hits_c, hits_s = anderson_hits_blocks(m, 1.0, shift, n, ref_rng, 30_000)
+    [res] = anderson_check(m, 1.0, shift[None], n, rng)
+    hits_c, [hits_s] = anderson_hits_blocks(m, 1.0, shift[None], n, ref_rng, 30_000)
     assert round(res.p_centered * n) == hits_c
     assert round(res.p_shifted * n) == hits_s
     assert rng.random() == ref_rng.random()
@@ -212,7 +213,7 @@ def test_anderson_counts_match_row_sums(dim, monkeypatch):
 def test_anderson_same_for_any_thread_count(dim, monkeypatch):
     monkeypatch.setattr(measure, "BLOCK_FLOATS", 6_000)
     m = pexp_measure(lin_spec(1.0, 1.0, dim))
-    shift = np.full(dim, 0.4)
+    shift = np.full((1, dim), 0.4)
     results = []
     for threads in (1, 3):
         monkeypatch.setattr(measure, "MC_THREADS", threads)
@@ -224,7 +225,7 @@ def test_anderson_same_for_any_thread_count(dim, monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_anderson_stack_rows_equal_single_calls(p, dim, monkeypatch):
     # 20,001 rows in several blocks: each row of a stack is bit for bit the
-    # single-shift call on an equally seeded generator
+    # one-row stack's call on an equally seeded generator
     monkeypatch.setattr(measure, "BLOCK_FLOATS", 9_000)
     m = pexp_measure(lin_spec(p, 1.0, dim))
     stack = np.random.default_rng(50 + dim).normal(scale=0.8, size=(4, dim))
@@ -232,7 +233,7 @@ def test_anderson_stack_rows_equal_single_calls(p, dim, monkeypatch):
     results = anderson_check(m, 1.0, stack, 20_001, np.random.default_rng(51))
     assert isinstance(results, list) and len(results) == 4
     for x, res in zip(stack, results):
-        assert res == anderson_check(m, 1.0, x, 20_001, np.random.default_rng(51))
+        assert [res] == anderson_check(m, 1.0, x[None], 20_001, np.random.default_rng(51))
     assert results[2].p_shifted == results[2].p_centered
 
 
@@ -284,20 +285,26 @@ def test_anderson_rejects_nonfinite_stack_row(bad, row):
 
 def test_anderson_rejects_large_dimension():
     m = pexp_measure(lin_spec(1.0, 1.0, 60))
-    with pytest.raises(ValueError):
-        anderson_check(m, 1.0, np.zeros(60), 100, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="truncation <= 50"):
+        anderson_check(m, 1.0, np.zeros((1, 60)), 100, np.random.default_rng(0))
 
 
 def test_anderson_rejects_zero_samples():
     m = pexp_measure(lin_spec(1.0, 1.0, 2))
-    with pytest.raises(ValueError):
-        anderson_check(m, 1.0, np.zeros(2), 0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="mc_samples"):
+        anderson_check(m, 1.0, np.zeros((1, 2)), 0, np.random.default_rng(0))
 
 
 def test_anderson_rejects_negative_samples():
     m = pexp_measure(lin_spec(1.0, 1.0, 2))
     with pytest.raises(ValueError, match="mc_samples"):
-        anderson_check(m, 1.0, np.zeros(2), -3, np.random.default_rng(0))
+        anderson_check(m, 1.0, np.zeros((1, 2)), -3, np.random.default_rng(0))
+
+
+def test_anderson_rejects_a_single_shift_naming_its_shape():
+    m = pexp_measure(lin_spec(1.0, 1.0, 2))
+    with pytest.raises(ValueError, match=r"\(S, 2\) stack, got shape \(2,\)"):
+        anderson_check(m, 1.0, np.zeros(2), 1000, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -310,7 +317,7 @@ def test_mc_blocks_rejects_fewer_than_one_sample(samples):
 
 def _centered_hits(_):
     m = pexp_measure(lin_spec(1.0, 1.0, 2))
-    return anderson_check(m, 1.0, np.zeros(2), 300_000, np.random.default_rng(3)).p_centered
+    return anderson_check(m, 1.0, np.zeros((1, 2)), 300_000, np.random.default_rng(3))[0].p_centered
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -355,14 +362,14 @@ def test_mc_blocks_split_rows_in_order():
 @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
 def test_anderson_rejects_bad_radius(eps):
     m = pexp_measure(lin_spec(1.0, 1.0, 2))
-    with pytest.raises(ValueError):
-        anderson_check(m, eps, np.zeros(2), 1000, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="radius"):
+        anderson_check(m, eps, np.zeros((1, 2)), 1000, np.random.default_rng(0))
 
 
 def test_anderson_rejects_nonfinite_shift():
     m = pexp_measure(lin_spec(1.0, 1.0, 2))
-    with pytest.raises(ValueError):
-        anderson_check(m, 1.0, [math.nan, 0.0], 1000, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="finite"):
+        anderson_check(m, 1.0, [[math.nan, 0.0]], 1000, np.random.default_rng(0))
 
 
 # --- decentering bound -------------------------------------------------------
@@ -399,6 +406,25 @@ BALL_CENTERS = [
     [-0.3, 0.3, 0.3],
 ]
 
+# At eps = 0.7 these discs touch the face x_last = 0, where the kink angles
+# +-arccos(1) split the panels at theta = 0.
+TOUCHING_CENTERS = [[0.7, 0.7], [0.938, -0.007, 0.7]]
+
+
+def test_kink_angles_by_hand():
+    # c = 0.5, face 0.5: r = 1 crosses (arcsin(-1/2), +-arccos(1/2)), r = 0.5
+    # touches (arcsin(-1) = -pi/2 is dropped, +-arccos(1) = +-0), r = 0.25 misses
+    kinks, count = _kink_angles(0.5, [0.5], np.array([1.0, 0.5, 0.25]))
+    third, nan = np.pi / 3, np.nan
+    expected = [[-third, -0.5 * third, third], [0.0, 0.0, nan], [nan, nan, nan]]
+    np.testing.assert_allclose(kinks, expected, rtol=1e-15, atol=0)
+    assert count.tolist() == [3, 2, 0]
+    # centre 0 splits at theta = 0; face 0 puts +-pi/2 on the ends, dropped
+    kinks, count = _kink_angles(0.0, [0.0, 0.6], np.array([1.0]))
+    a = math.acos(0.6)
+    np.testing.assert_allclose(kinks, [[-a, 0.0, a, nan, nan]], rtol=1e-15, atol=0)
+    assert count.tolist() == [3]
+
 
 # 48 and 38 are decentering_check's rule and its coarse rule
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -408,6 +434,7 @@ def test_ball_probability_matches_loop_oracle_exactly(p, nodes, dim):
     rng = np.random.default_rng(int(10 * p) + nodes + dim)
     centers = [np.array(c[:dim]) for c in BALL_CENTERS]
     centers += [rng.normal(scale=0.5, size=dim) for _ in range(2)]
+    centers += [np.array(c) for c in TOUCHING_CENTERS if len(c) == dim]
     m = pexp_measure(lin_spec(p, 1.0, dim))
     for c in centers:
         for eps in (0.7, 0.45):
@@ -473,9 +500,10 @@ def test_decentering_far_laplace_shift_converges():
     assert res.verdict == "PASS"
 
 
-# The hardest shifts for the 48/38 pair: at p = 1.5 a disc that touches or
-# nearly touches the face x_last = 0 (certificate up to 6.5e-8, at
-# (0.938, -0.007, 0.7)), and a p = 2 battery-law shift (1.5e-8).
+# The hardest shifts for the 48/38 pair: at p = 1.5 a disc that nearly
+# touches the face x_last = 0 (certificate up to 5.2e-8, at
+# (0.938, -0.007, 0.701); an exact touch reads below 2e-15), and a p = 2
+# battery-law shift (1.5e-8).
 HARD_SHIFTS = [
     (1.5, [lead, 0.7 + d]) for lead in (0.0, 0.35, 0.7, -0.85) for d in (0.0, 1e-4, -1e-3, 1e-2)
 ]
@@ -489,6 +517,26 @@ def test_decentering_certificate_on_hard_shifts(p, h):
     res = decentering_check(m, 0.7, h)
     assert res.achieved_tol <= 1e-7
     assert res.verdict == "PASS"
+
+
+@pytest.mark.parametrize("h", TOUCHING_CENTERS)
+def test_decentering_touching_face_converges(h):
+    # the panels split where the disc touches the face; without that split
+    # the certificate read 4.9e-8 and 6.5e-8 here, and the 48-node mass was
+    # 1.6e-8 off the 256-node one
+    m = pexp_measure(lin_spec(1.5, 1.0, len(h)))
+    res = decentering_check(m, 0.7, h)
+    assert res.achieved_tol <= 1e-12
+    assert res.verdict == "PASS"
+    ref = _ball_probability(m, 0.7, np.array(h), 256)
+    assert _ball_probability(m, 0.7, np.array(h), 48) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("h", [[0.3], [0.3, 0.1, 0.0], [[0.3, 0.1]], 0.3])
+def test_decentering_rejects_a_shift_of_the_wrong_shape(h):
+    m = pexp_measure(lin_spec(1.5, 1.0, 2))
+    with pytest.raises(ValueError, match="shape"):
+        decentering_check(m, 0.7, h)
 
 
 def test_decentering_coarse_rule_is_coarser_at_minimum_nodes():
