@@ -10,6 +10,9 @@ dyadic nodes so that its normalizer is exact on the node grid, and runs
 adaptive random-walk Metropolis in whitened coordinates, one level per
 proposal, accepted on that level's log-posterior change.  Its likelihood
 sum_i W(X_i) = S . u, S_l = sum_i psi_l(X_i), enters a chain only via S.
+Per iteration the chain takes all levels' draws and computes every level's
+proposal, prior sum, likelihood term and node increment at once; per level
+it only moves W, takes the new normalizer and makes the accept test.
 """
 
 from __future__ import annotations
@@ -324,8 +327,16 @@ def de_posterior_mcmc(
     step at level k is accepted on the level's own difference (gamma S)_k .
     step - n (log Z' - log Z) - (sum |xi_k'|^p - sum |xi_k|^p) / p, from the
     cached log Z and per-level prior sums, so its cost does not grow with n.
-    W lives on the node grid, where a level is one gather and log Z' comes
-    from ``_log_int_exp_near``.  The full log-posterior is computed at the end.
+
+    No draw depends on a decision, and a level's new scale is first used in
+    the next iteration.  So each iteration first takes all its draws, per
+    level k = 0..K the 2^k normals of the step (scale times standard normals,
+    as ``rng.normal(0, scale, 2^k)`` draws them) and then one uniform.  Then
+    it computes once, for all levels: the proposed coefficients xi + step,
+    the per-level prior sums and likelihood terms (one ``np.add.reduceat``
+    each) and every level's increment of W on the node grid (one gather).
+    Per level remain W' = W + dW_k, log Z' from ``_log_int_exp_near`` and the
+    accept test.  The full log-posterior is computed at the end.
     Raises ValueError when gamma S is not finite.
     """
     if m.spec.scheme != "dyadic":
@@ -344,10 +355,12 @@ def de_posterior_mcmc(
         gS = gamma * S
     if not np.isfinite(gS).all():
         raise ValueError(f"gamma * S overflows at prior scale lam={m.spec.lam:g}")
-    levels = []  # per level: coefficient slice, node gather with gamma folded in, gamma S
-    for k, (gidx, gval) in enumerate(basis.gather(basis.node_grid())[: K + 1]):
-        sl = slice(2**k - 1, 2 ** (k + 1) - 1)
-        levels.append((sl, gidx - sl.start, gval * gamma[gidx], gS[sl]))
+    grid = basis.gather(basis.node_grid())[: K + 1]
+    idx = np.stack([gidx for gidx, _ in grid])  # (K + 1, nodes): each level's node gather
+    gval = np.stack([gv * gamma[gidx] for gidx, gv in grid])  # with gamma folded in
+    sizes = 2 ** np.arange(K + 1)
+    starts = sizes - 1  # level k holds coefficients starts[k] .. 2 starts[k]
+    slices = [slice(s, 2 * s + 1) for s in starts.tolist()]
 
     xi = np.zeros(m.spec.size)
     Wg = np.zeros(basis.node_grid().shape)
@@ -356,26 +369,37 @@ def de_posterior_mcmc(
     scales = [INIT_SCALE] * (K + 1)
     acc, acc_post = [0] * (K + 1), 0  # accepts per level, and after burn-in
     kept = np.empty((cfg.draws, m.spec.size))
+    z = np.empty(m.spec.size)  # the iteration's standard normals
+    z_levels = [z[sl] for sl in slices]
+    scale_of = np.repeat(scales, sizes)  # per coefficient
     total = cfg.burn_in + cfg.draws * cfg.thin
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for it in range(total):
             adapt = it < cfg.burn_in and (it + 1) % ADAPT_BATCH == 0
-            for k, (sl, gidx, gv, gs) in enumerate(levels):
-                step = rng.normal(0.0, scales[k], 2**k)
-                W2 = Wg + step[gidx] * gv
-                xs = xi[sl] + step
-                pk = float((np.abs(xs) ** p).sum())
+            uniforms = []
+            for zk in z_levels:
+                rng.standard_normal(out=zk)
+                uniforms.append(rng.random())
+            step = z * scale_of
+            xs = xi + step
+            pk = np.add.reduceat(np.abs(xs) ** p, starts).tolist()
+            lik = np.add.reduceat(gS * step, starts).tolist()
+            dW = step[idx]
+            dW *= gval
+            for k, sl in enumerate(slices):
+                W2 = Wg + dW[k]
                 log_z2 = _log_int_exp_near(W2, log_z)
-                delta = float(gs @ step) - n * (log_z2 - log_z) - (pk - prior[k]) / p
+                delta = lik[k] - n * (log_z2 - log_z) - (pk[k] - prior[k]) / p
                 if not math.isfinite(delta):
                     raise FloatingPointError(f"non-finite log-posterior at level {k}")
-                u = rng.random()
+                u = uniforms[k]
                 if u == 0.0 or math.log(u) < delta:
-                    xi[sl], Wg, log_z, prior[k] = xs, W2, log_z2, pk
+                    xi[sl], Wg, log_z, prior[k] = xs[sl], W2, log_z2, pk[k]
                     acc[k] += 1
                     acc_post += it >= cfg.burn_in
                 if adapt:
                     scales[k] *= np.exp(0.5 * (acc[k] / (it + 1) - TARGET_ACCEPT))
+                    scale_of[sl] = scales[k]
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
                 kept[(it - cfg.burn_in) // cfg.thin] = xi
     rate_post = acc_post / (cfg.draws * cfg.thin * (K + 1))

@@ -499,6 +499,40 @@ def test_de_mcmc_matches_loop_oracle_on_a_full_length_chain(p, n):
     assert 0.0 < chain.acceptance_rate < 1.0
 
 
+def de_case(p, levels, n, seed):
+    """(sample, measure, basis) of a density chain on a random truth."""
+    spec = ScalingSpec(p, 1.0, scheme="dyadic", levels=levels)
+    basis = WaveletBasis(levels)
+    rng = np.random.default_rng(seed)
+    truth = CoefVec.dyadic(spec.gamma() * rng.normal(size=spec.size), levels)
+    return de_simulate(truth, basis, n, rng), pexp_measure(spec), basis
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_de_mcmc_leaves_the_generator_where_the_loop_oracle_does(p):
+    # all of an iteration's draws come first, per level normals then one
+    # uniform: the same calls in the same order as the per-level loop
+    sample, m, basis = de_case(p, 4, 300, 120)
+    cfg = ChainConfig(draws=20, burn_in=60, thin=3)
+    rng, ref_rng = np.random.default_rng(121), np.random.default_rng(121)
+    de_posterior_mcmc(sample, m, basis, cfg, rng)
+    metropolis_loop(sample, m, basis, cfg, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "levels, draws, burn_in, thin",
+    [(0, 50, 200, 2), (4, 40, 0, 2), (4, 40, 100, 1), (4, 1, 100, 3), (0, 1, 0, 1)],
+)
+def test_de_mcmc_matches_loop_oracle_on_edge_shapes(levels, draws, burn_in, thin):
+    # one level (a single reduceat start), no burn-in (no adaptation), no
+    # thinning and a single kept draw
+    sample, m, basis = de_case(1.5, levels, 400, 122)
+    cfg = ChainConfig(draws=draws, burn_in=burn_in, thin=thin)
+    chain = chain_matches_loop_oracle(sample, m, basis, cfg, 123)
+    assert chain.xi.shape == (draws, m.spec.size)
+
+
 @pytest.mark.parametrize("lam", [1e200, 1e300])
 def test_de_mcmc_extreme_prior_scale_matches_loop_oracle(lam):
     # W' reaches ~lam, so e^{t - log Z} overflows and every shifted sum falls
