@@ -208,8 +208,7 @@ def test_generic_cdf_against_quadrature():
 @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
 def test_generic_cdf_keeps_relative_precision_in_the_lower_tail(p):
     # F(x) = gammaincc(1/p, |x|^p / p) / 2 for x < 0; 0.5 (1 - gammainc)
-    # alone was 7.8e-5 relatively off at x = -12, p = 1.5, and 1.1e-13 to
-    # 1.5e-13 off just below a switch to gammaincc at t = 1/p + 6
+    # alone was 7.8e-5 relatively off at x = -12, p = 1.5
     pr = PExpParams(p)
     x = -np.geomspace(1e-3, 40.0, 4001)
     ref = 0.5 * special.gammaincc(1.0 / p, np.abs(x) ** p / p)
