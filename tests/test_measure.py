@@ -502,14 +502,15 @@ def test_decentering_far_laplace_shift_converges():
 
 def test_decentering_far_generic_p_shift_converges():
     # at p = 1.5 the lower-tail CDF was 0.5 (1 - gammainc), whose rounding
-    # floor moved the lhs by 1.11e-5 between rules, a QuadratureError
+    # floor moved the lhs by 1.11e-5 between rules, a QuadratureError, and
+    # put the 48- and 256-node masses at c = (0, 4) in dim 2 2.8e-8 apart
     m = pexp_measure(lin_spec(1.5, 1.0, 3))
     res = decentering_check(m, 0.7, [0.2, 0.1, 3.0])
     assert res.achieved_tol <= 1e-12
     assert res.verdict == "PASS"
-    m2 = pexp_measure(lin_spec(1.5, 1.0, 2))
-    ref = _ball_probability(m2, 0.7, np.array([0.0, 4.0]), 256)
-    assert _ball_probability(m2, 0.7, np.array([0.0, 4.0]), 48) == pytest.approx(ref, rel=1e-13, abs=0)
+    plane, c = pexp_measure(lin_spec(1.5, 1.0, 2)), np.array([0.0, 4.0])
+    ref = _ball_probability(plane, 0.7, c, 256)
+    assert _ball_probability(plane, 0.7, c, 48) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 # The hardest shifts for the 48/38 pair: at p = 1.5 a disc that nearly
