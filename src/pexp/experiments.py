@@ -307,23 +307,27 @@ def run_inequalities(seed: int = 0) -> list[InequalityRow]:
 
     One generator from ``seed`` draws every Anderson shift first, in row
     order, then keys one stacked ``measure.anderson_check`` call per (p, dim)
-    group and one for the zero-shift row (``measure.mc_blocks``), so each
-    group's balls share one prior sample and the rows are the same for any
-    thread count.  Rows within a group are dependent; each row keeps its own
-    standard error and 3-SE rule."""
+    group (``measure.mc_blocks``), so each group's balls share one prior
+    sample and the rows are the same for any thread count.  The zero-shift
+    row's ball is the centred ball, so it rides on the p = 1, dim 1 group
+    and ties with it exactly.  Rows within a group are dependent; each row
+    keeps its own standard error and 3-SE rule."""
     rng = np.random.default_rng(seed)
     rows: list[InequalityRow] = []
-    # 20 Anderson shifts across dims 1..3, one prior sample per (p, dim)
+    # 20 Anderson shifts across dims 1..3, then the zero shift; one prior
+    # sample per (p, dim)
     keys = [(BATTERY_P[j % len(BATTERY_P)], 1 + j % 3) for j in range(20)]
     shifts = [rng.normal(scale=0.8, size=dim) for _, dim in keys]
+    keys.append((1.0, 1))
+    shifts.append(np.zeros(1))
     results = {}
     for p, dim in dict.fromkeys(keys):
         group = [j for j, key in enumerate(keys) if key == (p, dim)]
         m = pexp_measure(ScalingSpec(p, 1.0, 1, 1.0, "linear", n=dim))
         stack = np.array([shifts[j] for j in group])
         results.update(zip(group, measure.anderson_check(m, 1.0, stack, ANDERSON_SAMPLES, rng)))
-    for j, ((p, dim), shift) in enumerate(zip(keys, shifts)):
-        res = results[j]
+    *shifted, zero = (results[j] for j in range(len(keys)))
+    for (p, dim), shift, res in zip(keys, shifts, shifted):
         rows.append(
             InequalityRow(
                 "anderson",
@@ -333,11 +337,9 @@ def run_inequalities(seed: int = 0) -> list[InequalityRow]:
             )
         )
     # zero-shift row: probabilities coincide
-    m = pexp_measure(ScalingSpec(1.0, 1.0, 1, 1.0, "linear", n=2))
-    [res] = measure.anderson_check(m, 1.0, np.zeros((1, 2)), ANDERSON_SAMPLES, rng)
     rows.append(
         InequalityRow(
-            "anderson", "p=1 dim=2 shift=0", res.p_centered - res.p_shifted, res.verdict
+            "anderson", "p=1 dim=1 shift=0", zero.p_centered - zero.p_shifted, zero.verdict
         )
     )
     # decentering bound by quadrature

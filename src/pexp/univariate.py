@@ -4,12 +4,22 @@ For p = 1 this is the standard Laplace distribution, for p = 2 the standard
 normal.  The normalizing constant is c_p = 1 / (2 p^{1/p} Gamma(1 + 1/p)).
 All functions accept scalars or numpy arrays in ``x`` / ``u`` and are pure;
 sampling takes an explicit ``numpy.random.Generator``.
+
+The CDF is closed form at p = 1 and p = 2.  At 1 < p < 2 it is built from
+the regularized incomplete gammas P and Q of shape 1/p at t = |x|^p / p, in
+three ranges of t (``_incomplete_gammas``): a power series for P below
+t = 1.5; up to t = 48, Q at the next point of a grid of exact anchors 1/32
+apart plus a 3-node Gauss-Legendre increment, both positive; beyond that,
+``special.gammaincc``.  Against 30-digit references on a dense t grid at
+p from 1.01 to 1.99, Q was within 1e-14 relatively, P within 1e-15
+relatively and 1 - Q/2 within 4e-16 absolutely.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -50,24 +60,101 @@ def pdf(params: PExpParams, x):
     return out if out.ndim else float(out)
 
 
+SERIES_END = 1.5  # below: P by its power series
+SERIES_TERMS = 22  # the series tail left out is < 1.4e-18 of the sum at t <= 1.5
+ANCHORS_PER_UNIT = 32  # the anchors of the middle range are 1/32 apart
+ANCHOR_END = 48.0  # above: special.gammaincc on those points alone
+INCREMENT_NODES = 3  # Gauss-Legendre nodes per increment
+
+
+@lru_cache(maxsize=8)
+def _gamma_table(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For shape a: the series coefficients 1 / Gamma(a + k + 1), k <
+    SERIES_TERMS; the exact anchors Q(a, k / ANCHORS_PER_UNIT) from
+    SERIES_END to ANCHOR_END; and the Gauss-Legendre nodes on [0, 1] with
+    their weights over Gamma(a).  Built on a shape's first call."""
+    coef = np.empty(SERIES_TERMS)
+    coef[0] = 1.0 / math.gamma(a + 1.0)
+    for k in range(1, SERIES_TERMS):
+        coef[k] = coef[k - 1] / (a + k)
+    k = np.arange(SERIES_END * ANCHORS_PER_UNIT, ANCHOR_END * ANCHORS_PER_UNIT + 1)
+    anchors = special.gammaincc(a, k / ANCHORS_PER_UNIT)
+    x, w = np.polynomial.legendre.leggauss(INCREMENT_NODES)
+    return coef, anchors, 0.5 * (1.0 + x), 0.5 * w / math.gamma(a)
+
+
+def _incomplete_gammas(a: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q) = the regularized lower and upper incomplete gammas of shape
+    a in [1/2, 1] at t >= 0, elementwise; each value depends on its own t
+    only.  The three ranges of t, with f(s) = s^(a-1) e^(-s):
+
+    - t < SERIES_END: P = t^a e^-t sum_k t^k / Gamma(a + k + 1), its first
+      SERIES_TERMS terms by Horner's rule (the rest is < 1.4e-18 of the
+      sum), and Q = 1 - P.  All terms are positive, so P keeps its relative
+      precision down to t = 0, and Q >= Q(1/2, 1.5) = 0.083 here.
+    - t up to ANCHOR_END: Q(t) = Q(T) + Gamma(a)^-1 int_t^T f, with T the
+      next anchor at or above t and the integral by INCREMENT_NODES-point
+      Gauss-Legendre.  Its remainder is at most L^7 (3!)^4 / (7 (6!)^3)
+      max |f^(6)| for an interval of length L <= 1/32, and |f^(6)| <= 283 f
+      at s >= 1.5, so with the hazard f / (Gamma(a) Q) <= 1.24 there it is
+      below 5.1e-15 Q.  The anchors are within 7e-16 absolutely and 7e-15
+      relatively of Q (``special.gammaincc`` against 30-digit references;
+      below t = 1.5 it is up to 1e-14 off near a = 1/2, hence the series
+      there).  Both terms are positive, so Q keeps its relative precision.
+    - t > ANCHOR_END (or NaN): Q = ``special.gammaincc`` on those points.
+
+    Elsewhere than the series range P = 1 - Q.  The Gauss-Legendre terms
+    are summed one node at a time, elementwise: a matrix product would run
+    on BLAS threads that compete with the Monte Carlo pool's.
+    """
+    coef, anchors, nodes, weights = _gamma_table(a)
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    lower, upper = np.empty_like(flat), np.empty_like(flat)
+    # positions, not boolean masks: a masked gather or scatter over mixed
+    # ranges costs several times an indexed one
+    near = np.flatnonzero(flat < SERIES_END)
+    middle = np.flatnonzero((flat >= SERIES_END) & (flat <= ANCHOR_END))
+    far = np.flatnonzero(~(flat <= ANCHOR_END))  # NaN included
+    s = flat[near]
+    acc = np.full_like(s, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= s
+        acc += c
+    acc *= s**a * np.exp(-s)
+    lower[near] = acc
+    upper[near] = 1.0 - acc
+    s = flat[middle]
+    k = np.ceil(s * ANCHORS_PER_UNIT)  # the next anchor is T = k / ANCHORS_PER_UNIT >= t
+    step = k / ANCHORS_PER_UNIT - s
+    acc = np.zeros_like(s)
+    for x, w in zip(nodes, weights):
+        node = s + step * x
+        acc += w * np.exp((a - 1.0) * np.log(node) - node)
+    acc *= step
+    acc += anchors[k.astype(np.intp) - int(SERIES_END * ANCHORS_PER_UNIT)]
+    upper[middle] = acc
+    upper[far] = special.gammaincc(a, flat[far])
+    rest = np.concatenate([middle, far])
+    lower[rest] = 1.0 - upper[rest]
+    return lower.reshape(t.shape), upper.reshape(t.shape)
+
+
 def _cdf_generic(params: PExpParams, x):
-    """CDF via the regularized lower incomplete gamma of t = |x|^p / p with
-    shape 1/p.  Far in the lower tail, x < 0 and t > 1/p + 5, 1 - gammainc
-    keeps only an absolute precision, so there the CDF is 0.5 gammaincc,
-    evaluated on those points alone: the relative error stays below about
-    6e-14 on the whole lower tail (switching at t = 1/p + 6 left 1.5e-13)."""
+    """CDF as Q / 2 for x < 0 and 1 - Q / 2 for x >= 0, with Q the upper
+    incomplete gamma of shape 1/p at t = |x|^p / p (``_incomplete_gammas``),
+    so the lower tail keeps Q's relative precision."""
     x = np.asarray(x, dtype=float)
     p = params.p
-    t = np.abs(x) ** p / p
-    out = np.asarray(0.5 * (1.0 + np.sign(x) * special.gammainc(1.0 / p, t)))
-    far = x < -((1.0 + 5.0 * p) ** (1.0 / p))  # t > 1/p + 5
-    if far.any():
-        out[far] = 0.5 * special.gammaincc(1.0 / p, t[far])
-    return out
+    half = 0.5 * _incomplete_gammas(1.0 / p, np.abs(x) ** p / p)[1]
+    return np.where(x < 0, half, 1.0 - half)
 
 
 def cdf(params: PExpParams, x):
-    """P(X <= x).  Closed forms at p = 1 (Laplace) and p = 2 (normal)."""
+    """P(X <= x).  Closed forms at p = 1 (Laplace) and p = 2 (normal); at
+    1 < p < 2 the incomplete-gamma ranges of ``_incomplete_gammas``, so the
+    lower tail x < 0 keeps a relative precision of about 1e-14 however far
+    out, and x >= 0 is within a few units in the last place of 1."""
     x = np.asarray(x, dtype=float)
     if params.p == 1.0:
         tail = 0.5 * np.exp(-np.abs(x))
@@ -81,7 +168,10 @@ def cdf(params: PExpParams, x):
 
 def abs_cdf(params: PExpParams, r):
     """P(|X| <= r) for r >= 0 in one evaluation, free of the cancellation in
-    cdf(r) - cdf(-r) at small r; |X|^p / p ~ Gamma(1/p, 1)."""
+    cdf(r) - cdf(-r) at small r; |X|^p / p ~ Gamma(1/p, 1).  At 1 < p < 2
+    it is P of ``_incomplete_gammas``: the power series below t = r^p / p
+    = 1.5, which keeps its relative precision however small r is, and
+    1 - Q above, within a few units in the last place."""
     r = np.asarray(r, dtype=float)
     p = params.p
     if p == 1.0:
@@ -89,7 +179,7 @@ def abs_cdf(params: PExpParams, r):
     elif p == 2.0:
         out = special.erf(r / math.sqrt(2.0))
     else:
-        out = special.gammainc(1.0 / p, r**p / p)
+        out = _incomplete_gammas(1.0 / p, r**p / p)[0]
     return out if out.ndim else float(out)
 
 

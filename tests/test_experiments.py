@@ -342,7 +342,7 @@ def test_run_inequalities_all_pass():
 
 
 def test_run_inequalities_one_anderson_call_per_group(monkeypatch):
-    # 20 shifts fall into three (p, dim) groups, plus the zero-shift row
+    # 20 shifts fall into three (p, dim) groups; the zero shift joins the first
     calls, check = [], measure.anderson_check
 
     def counted(m, eps, shift, mc_samples, rng):
@@ -351,12 +351,14 @@ def test_run_inequalities_one_anderson_call_per_group(monkeypatch):
 
     monkeypatch.setattr(measure, "anderson_check", counted)
     rows = run_inequalities(seed=4)
-    assert calls == [(1.0, (7, 1)), (1.5, (7, 2)), (2.0, (6, 3)), (1.0, (1, 2))]
-    anderson = [r.params for r in rows if r.check == "anderson"]
+    assert calls == [(1.0, (8, 1)), (1.5, (7, 2)), (2.0, (6, 3))]
+    anderson = [r for r in rows if r.check == "anderson"]
     assert len(anderson) == 21
-    assert [a.split(" shift")[0] for a in anderson[:4]] == [
+    assert [a.params.split(" shift")[0] for a in anderson[:4]] == [
         "p=1.0 dim=1", "p=1.5 dim=2", "p=2.0 dim=3", "p=1.0 dim=1"
     ]
+    assert anderson[20].params == "p=1 dim=1 shift=0"
+    assert anderson[20].margin == 0.0
 
 
 def test_run_inequalities_decentering_rows_same_for_any_thread_count(monkeypatch):

@@ -9,6 +9,9 @@ from scipy import integrate, special, stats
 
 from pexp import univariate
 from pexp.univariate import (
+    ANCHOR_END,
+    ANCHORS_PER_UNIT,
+    SERIES_END,
     PExpParams,
     _cdf_generic,
     _quantile_generic,
@@ -216,6 +219,63 @@ def test_generic_cdf_keeps_relative_precision_in_the_lower_tail(p):
     np.testing.assert_allclose(cdf(pr, x), ref, rtol=1e-13, atol=0.0)
     assert type(cdf(pr, -12.0)) is float
     assert cdf(pr, -12.0) == pytest.approx(0.5 * special.gammaincc(1.0 / p, 12.0**p / p), rel=1e-13)
+
+
+P_HELPER = [1.01, 1.2, 1.5, 1.8, 1.99]
+
+
+def incomplete_gamma_grid():
+    """t across the three ranges of ``univariate._incomplete_gammas``: dense
+    up to SERIES_END; every anchor, which ends its interval; each interval's
+    middle and its start, where the increment is longest; ANCHOR_END and
+    beyond."""
+    anchors = np.arange(SERIES_END * ANCHORS_PER_UNIT, ANCHOR_END * ANCHORS_PER_UNIT + 1)
+    anchors /= ANCHORS_PER_UNIT
+    return np.concatenate(
+        [
+            np.linspace(0.0, SERIES_END, 1501),
+            [np.nextafter(SERIES_END, 0.0)],
+            anchors,
+            anchors[:-1] + 0.5 / ANCHORS_PER_UNIT,
+            anchors[:-1] + 1e-9,
+            np.linspace(ANCHOR_END, 80.0, 65),
+        ]
+    )
+
+
+@pytest.mark.parametrize("p", P_HELPER)
+def test_generic_cdf_and_abs_cdf_match_incomplete_gamma(p):
+    pr, a = PExpParams(p), 1.0 / p
+    t = incomplete_gamma_grid()
+    x = (p * t) ** (1.0 / p)
+    np.testing.assert_allclose(cdf(pr, -x), 0.5 * special.gammaincc(a, t), rtol=1e-13, atol=0.0)
+    # from t = 1.5 on, special.gammaincc was within 7e-16 of 30-digit
+    # references; below it, it and gammainc were up to 1e-14 off near
+    # a = 1/2, so there the reference is the quadrature of the density
+    far = t >= SERIES_END
+    np.testing.assert_allclose(
+        cdf(pr, x[far]), 1.0 - 0.5 * special.gammaincc(a, t[far]), rtol=0.0, atol=1e-15
+    )
+    for x0 in np.linspace(0.0, x[~far].max(), 41):
+        val, _ = integrate.quad(
+            lambda s: math.exp(-(s**p) / p), 0.0, x0, epsabs=1e-16, epsrel=1e-13
+        )
+        assert abs(cdf(pr, x0) - (0.5 + pr.norm_const * val)) <= 1e-15
+    r = np.concatenate([np.geomspace(1e-8, 1.0, 200), x[t > 0]])
+    np.testing.assert_allclose(abs_cdf(pr, r), special.gammainc(a, r**p / p), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p", P_HELPER)
+def test_generic_cdf_strictly_increasing_across_anchors(p):
+    # each side of an anchor takes a different anchor value, one exactly and
+    # one through a full-length increment; their mismatch must not show
+    pr = PExpParams(p)
+    anchors = np.arange(SERIES_END * ANCHORS_PER_UNIT, ANCHOR_END * ANCHORS_PER_UNIT + 1)
+    anchors /= ANCHORS_PER_UNIT
+    t = np.sort(np.concatenate([anchors * (1.0 - 1e-9), anchors, anchors * (1.0 + 1e-9)]))
+    x = (p * t) ** (1.0 / p)
+    assert np.all(np.diff(cdf(pr, -x[::-1])) > 0)
+    assert np.all(np.diff(cdf(pr, x)) >= 0)
 
 
 def test_moments_analytic():
