@@ -224,13 +224,18 @@ def test_generic_cdf_keeps_relative_precision_in_the_lower_tail(p):
 P_HELPER = [1.01, 1.2, 1.5, 1.8, 1.99]
 
 
+def anchor_points():
+    """The anchors of ``univariate._incomplete_gammas``, SERIES_END to ANCHOR_END."""
+    k = np.arange(SERIES_END * ANCHORS_PER_UNIT, ANCHOR_END * ANCHORS_PER_UNIT + 1)
+    return k / ANCHORS_PER_UNIT
+
+
 def incomplete_gamma_grid():
     """t across the three ranges of ``univariate._incomplete_gammas``: dense
     up to SERIES_END; every anchor, which ends its interval; each interval's
     middle and its start, where the increment is longest; ANCHOR_END and
     beyond."""
-    anchors = np.arange(SERIES_END * ANCHORS_PER_UNIT, ANCHOR_END * ANCHORS_PER_UNIT + 1)
-    anchors /= ANCHORS_PER_UNIT
+    anchors = anchor_points()
     return np.concatenate(
         [
             np.linspace(0.0, SERIES_END, 1501),
@@ -270,8 +275,7 @@ def test_generic_cdf_strictly_increasing_across_anchors(p):
     # each side of an anchor takes a different anchor value, one exactly and
     # one through a full-length increment; their mismatch must not show
     pr = PExpParams(p)
-    anchors = np.arange(SERIES_END * ANCHORS_PER_UNIT, ANCHOR_END * ANCHORS_PER_UNIT + 1)
-    anchors /= ANCHORS_PER_UNIT
+    anchors = anchor_points()
     t = np.sort(np.concatenate([anchors * (1.0 - 1e-9), anchors, anchors * (1.0 + 1e-9)]))
     x = (p * t) ** (1.0 / p)
     assert np.all(np.diff(cdf(pr, -x[::-1])) > 0)
