@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import univariate
 from .measure import PExpMeasure, WaveletBasis, mc_blocks, sample_prior_block
@@ -309,7 +308,7 @@ def _log_mgf_sq(p: float, a: np.ndarray) -> np.ndarray:
     pos = a > 0
     safe = np.where(pos, a, 1.0)
     out = 0.5 * np.log(math.pi / safe) - math.log(2.0) + np.log(
-        special.erfcx(0.5 / np.sqrt(safe))
+        univariate._erfcx(0.5 / np.sqrt(safe))
     )
     return np.where(pos, out, 0.0)
 

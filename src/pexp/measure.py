@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import univariate
 from .sequences import BesovParams, CoefVec, ScalingSpec, besov_weights, z_norm_p
@@ -325,7 +326,7 @@ def _graded_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     Gauss-Legendre converges far faster.  Returns the mapped nodes and the
     weights times theta', per unit panel length.
     """
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = leggauss(nodes)
     s = 0.5 * (t + 1.0)
     return s * s * (3.0 - 2.0 * s), 3.0 * s * (1.0 - s) * w
 

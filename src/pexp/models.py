@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import univariate
 from .measure import PExpMeasure, WaveletBasis, evaluate_function
@@ -119,6 +118,15 @@ def wn_posterior_sample(
     return PosteriorChain(xi, m.spec, 1.0, {"method": "conjugate"})
 
 
+def _log_erfcx(z: np.ndarray) -> np.ndarray:
+    """log erfcx(z) for real z: the log of ``univariate._erfcx`` at z >= 0,
+    and z^2 + log(2 - erfc(-z)) below, with erfc(-z) = erfcx(-z) e^{-z^2};
+    no term cancels another, so the log keeps its absolute precision."""
+    r = np.abs(z)
+    e = univariate._erfcx(r)
+    return np.where(z < 0, r * r + np.log(2.0 - e * np.exp(-r * r)), np.log(e))
+
+
 def _wn_rejection_sample(
     data: WhiteNoiseData, m: PExpMeasure, draws: int, rng: np.random.Generator
 ) -> PosteriorChain:
@@ -145,10 +153,10 @@ def _wn_rejection_sample(
     x0 = np.maximum(univariate.prox(np.abs(y) / g, 1.0 / p, a, p)[0], 1.0)
     s = x0 ** (p - 1.0)
     lam = np.stack([s - n * g * y, s + n * g * y])  # xi >= 0, xi < 0
-    # a side holds sqrt(pi / a) e^{lam^2 / (4a)} Phi(-lam / sqrt(2a)); the two
-    # lam^2 / (4a) differ by exactly -2 s y / gamma
-    log_odds = -2.0 * s * y / g + np.subtract(*special.log_ndtr(-lam / np.sqrt(2.0 * a)))
-    p_plus = special.expit(log_odds)
+    # a side holds (1/2) sqrt(pi / a) erfcx(lam / (2 sqrt a))
+    log_odds = np.subtract(*_log_erfcx(lam / (2.0 * np.sqrt(a))))
+    e = np.exp(-np.abs(log_odds))
+    p_plus = np.where(log_odds >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     shape = (draws, len(y))
     xi = np.empty(shape) if 0 in shape else None  # round 1's proposals become xi
     todo = None if xi is None else np.arange(0)  # flat positions pending; None in round 1
@@ -254,13 +262,15 @@ def _log_int_exp(W: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
 
 def _log_int_exp_near(W: np.ndarray, shift: float) -> float:
     """``_log_int_exp(W)[0]`` given a nearby ``shift`` (a chain's log Z): a
-    segment with larger end t and gap d holds h e^t exprel(-d), exprel(-d) in
-    (0, 1], so log Z = shift + log mean e^{t - shift} exprel(-d).  A sum below
-    2^-960 (underflowed terms err by 2^-1074 at most), inf or NaN falls back
-    to ``_log_int_exp``.  Call under ``np.errstate`` ignoring over, under, invalid."""
+    segment with larger end t and gap d holds h e^t (1 - e^{-d}) / d, a
+    factor in (0, 1] (d floored as in ``_log_int_exp``), so log Z = shift +
+    log mean e^{t - shift} (1 - e^{-d}) / d.  A sum below 2^-960 (underflowed
+    terms err by 2^-1074 at most), inf or NaN falls back to
+    ``_log_int_exp``.  Call under ``np.errstate`` ignoring over, under, invalid."""
     a, b = W[:-1], W[1:]
     top = np.maximum(a, b)
-    s = np.exp(top - shift) @ special.exprel(np.minimum(a, b) - top)
+    nd = np.minimum(np.minimum(a, b) - top, -_TINY)  # -d, floored
+    s = np.exp(top - shift) @ (np.expm1(nd) / nd)
     if 2.0**-960 <= s < math.inf:
         return shift + math.log(s / len(top))
     return _log_int_exp(W)[0]

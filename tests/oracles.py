@@ -390,8 +390,13 @@ def wn_rejection_loop(data, m, draws, rng):
     x0 = np.maximum(univariate.prox(np.abs(y) / g, 1.0 / p, a, p)[0], 1.0)
     s = x0 ** (p - 1.0)
     lam = np.stack([s - n * g * y, s + n * g * y])
-    log_odds = -2.0 * s * y / g + np.subtract(*special.log_ndtr(-lam / np.sqrt(2.0 * a)))
-    p_plus = special.expit(log_odds)
+    # log of each side's mass up to a common factor: log erfcx(z) at z >= 0,
+    # and z^2 + log erfc(z) below, from scipy, independent of pexp's kernel
+    z = lam / (2.0 * np.sqrt(a))
+    neg = z < 0
+    log_mass = np.log(special.erfcx(np.where(neg, 0.0, z)))
+    log_mass[neg] = z[neg] ** 2 + np.log(special.erfc(z[neg]))
+    p_plus = special.expit(log_mass[0] - log_mass[1])
     col = np.tile(np.arange(len(y)), draws)
     xi = np.empty(draws * len(y))
     todo = np.arange(xi.size)

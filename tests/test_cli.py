@@ -1,12 +1,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pexp import experiments, measure
 from pexp.cli import main
 from pexp.sequences import BesovParams, load_coefvec, make_truth, save_coefvec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -344,3 +350,21 @@ def test_check_inequalities_cli(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "inequalities.csv").exists()
     assert "checks passed" in out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.special clones numpy's namespace on import, loading numpy.f2py,
+    # numpy.testing and numpy.ma: about 0.2 s and 25 MiB of every run's set-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import sys, pexp.cli; "
+        "print(sorted(m for m in ('scipy', 'numpy.f2py', 'numpy.testing') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"

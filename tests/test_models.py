@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from oracles import log_int_exp_where, metropolis_loop, wn_rejection_loop
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from pexp import univariate
 from pexp.measure import WaveletBasis, evaluate_function, pexp_measure
@@ -261,6 +261,37 @@ def test_wn_rejection_matches_loop_oracle(p, n):
     assert chain.step_log == log
     assert r1.random() == r2.random()
     assert (log["rounds"] == 1) == (p == 1.0)
+
+
+class PinnedUniforms:
+    """A generator whose ``random`` returns u everywhere; its other draws
+    come from a real generator."""
+
+    def __init__(self, u, rng):
+        self.u, self.rng = u, rng
+
+    def random(self, size=None):
+        return np.full(size, self.u)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_wn_side_odds_keep_precision_on_deep_coordinates():
+    # gamma = 1e-4, n = 256: the side log-masses differ by -2 s y / gamma
+    # = 1.3e4 plus a log_ndtr difference of the same size, and that sum
+    # put P(xi >= 0) 3.1e-11 high; as log erfcx(lam / (2 sqrt a)) no two
+    # terms cancel.  Uniforms 1e-11 either side of the exact P pick the side.
+    n, g, y = 256.0, 1.007917868212517e-4, -0.6632979011245124
+    a = n * g**2 / 2.0
+    z = np.array([1.0 - n * g * y, 1.0 + n * g * y]) / (2.0 * math.sqrt(a))  # s = 1 at p = 1
+    p_plus = special.expit(np.subtract(*np.log(special.erfcx(z))))
+    assert p_plus == pytest.approx(0.49144260700002956, rel=1e-15, abs=0.0)  # 50-digit mpmath
+    m = pexp_measure(lin_spec(1.0, 1.0, 1, lam=g))
+    data = WhiteNoiseData(n, CoefVec.linear(np.array([y])))
+    for u, minus in ((p_plus - 1e-11, False), (p_plus + 1e-11, True)):
+        chain = wn_posterior_sample(data, m, 1, PinnedUniforms(u, np.random.default_rng(3)))
+        assert (chain.xi[0, 0] < 0.0) == minus
 
 
 def test_wn_conjugate_draw_matches_closed_form():

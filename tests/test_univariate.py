@@ -14,7 +14,9 @@ from pexp.univariate import (
     SERIES_END,
     PExpParams,
     _cdf_generic,
+    _erfcx,
     _quantile_generic,
+    _upper_gamma_fraction,
     abs_cdf,
     abs_sample,
     cdf,
@@ -107,6 +109,25 @@ def test_quantile_cdf_roundtrip(p):
     np.testing.assert_allclose(cdf(pr, quantile(pr, u)), u, atol=1e-10)
     x = np.linspace(-5, 5, 1000)
     np.testing.assert_allclose(quantile(pr, cdf(pr, x)), x, atol=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 2.0])
+def test_quantile_round_trip_keeps_the_lower_tail(p):
+    # inverting gammaincinv(1/p, |2u - 1|) lost the lower tail: at p = 1.5
+    # the round trip was 8e-4 off at u = 1e-15 and gave -inf at u = 1e-17.
+    # One ulp of x moves the CDF by about |x|^(p-1) ulp(x) relatively, up to
+    # 2.5e-13 at p = 2, u = 1e-300, so the bound allows 4 ulps of x on top.
+    pr = PExpParams(p)
+    u = np.concatenate([np.geomspace(1e-300, 0.5, 3001), [1e-17, 1e-15, 1e-12, 1e-8]])
+    x = quantile(pr, u)
+    assert np.all(x <= 0.0) and np.isfinite(x).all()
+    tol = 1e-13 + 4.0 * np.abs(x) ** (p - 1.0) * np.spacing(np.abs(x))
+    assert np.all(np.abs(cdf(pr, x) / u - 1.0) <= tol)
+    assert np.all(np.abs(cdf(pr, x[u >= 1e-100]) / u[u >= 1e-100] - 1.0) <= 1e-13)
+    assert quantile(pr, 0.5) == 0.0
+    # the upper half mirrors the lower one wherever 1 - u is exact
+    v = 1.0 - u[u >= 1e-16]
+    np.testing.assert_array_equal(quantile(pr, v), -quantile(pr, 1.0 - v))
 
 
 def test_quantile_rejects_bad_u():
@@ -280,6 +301,104 @@ def test_generic_cdf_strictly_increasing_across_anchors(p):
     x = (p * t) ** (1.0 / p)
     assert np.all(np.diff(cdf(pr, -x[::-1])) > 0)
     assert np.all(np.diff(cdf(pr, x)) >= 0)
+
+
+# 30-digit mpmath values of the normal CDF, rounded to double
+NORMAL_CDF_REFERENCES = {
+    -0.5: 0.3085375387259869,
+    -1.0: 0.15865525393145705,
+    -3.0: 0.0013498980316300946,
+    -5.0: 2.866515718791939e-07,
+    -10.0: 7.619853024160525e-24,
+    -20.0: 2.7536241186062337e-89,
+    -30.0: 4.906713927148187e-198,
+    -37.5: 4.605353009581955e-308,
+}
+
+
+def test_erfcx_matches_scipy():
+    z = np.concatenate([np.linspace(0.0, 10.0, 20001), np.geomspace(1e-300, 1e8, 20001)])
+    np.testing.assert_allclose(_erfcx(z), special.erfcx(z), rtol=4e-15, atol=0.0)
+    # each of Cody's three ranges at and around its ends
+    ends = np.array([univariate.ERF_END, univariate.ERFCX_MID_END])
+    z = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf)])
+    np.testing.assert_allclose(_erfcx(z), special.erfcx(z), rtol=4e-15, atol=0.0)
+    assert _erfcx(np.zeros((2, 3))).shape == (2, 3)
+
+
+def test_normal_cdf_matches_ndtr_and_references():
+    pr = PExpParams(2.0)
+    # scipy's ndtr takes erfc(-x / sqrt 2) and rounds x / sqrt 2 first, so
+    # it is itself up to 2.4e-13 off near x = -37.5 and 2.2e-16 above 0
+    x = np.linspace(-37.5, 0.0, 30001)
+    np.testing.assert_allclose(cdf(pr, x), special.ndtr(x), rtol=3e-13, atol=0.0)
+    np.testing.assert_allclose(cdf(pr, x[x >= -20.0]), special.ndtr(x[x >= -20.0]), rtol=1e-13, atol=0.0)
+    x = np.concatenate([np.linspace(0.0, 40.0, 30001), np.geomspace(1e-300, 1.0, 301)])
+    np.testing.assert_allclose(cdf(pr, x), special.ndtr(x), rtol=0.0, atol=2.5e-16)
+    x = np.array(list(NORMAL_CDF_REFERENCES))
+    np.testing.assert_allclose(cdf(pr, x), list(NORMAL_CDF_REFERENCES.values()), rtol=2e-15, atol=0.0)
+
+
+def test_normal_abs_cdf_matches_erf_down_to_tiny_r():
+    # x^2 / 2 underflows below r = 1e-154; P is taken from r itself
+    r = np.concatenate([np.geomspace(1e-300, 40.0, 20001), np.linspace(0.0, 3.0, 3001)])
+    np.testing.assert_allclose(
+        abs_cdf(PExpParams(2.0), r), special.erf(r / math.sqrt(2.0)), rtol=1e-14, atol=0.0
+    )
+
+
+# Q(a, t) from 30-digit mpmath, rounded to double.  The fraction converges
+# slowest at the smallest t it serves, near a = 1/2: there one term fewer
+# than FRACTION_TERMS is 1.1e-15 off at a = 1/1.99
+FRACTION_REFERENCES = {
+    (0.5, 1.5): 0.0832645166635504,
+    (1.0 / 1.99, 1.5): 0.08384363129629635,
+    (1.0 / 1.8, 1.5): 0.09640837809639902,
+    (1.0 / 1.5, 1.5): 0.12472723276678456,
+    (1.0 / 1.2, 1.5): 0.1717216618296805,
+    (1.0 / 1.2, 100.0): 1.527180319258669e-44,
+    (1.0 / 1.5, 300.0): 5.672978860775233e-132,
+    (0.5, 600.0): 6.0995688148084334e-263,
+}
+
+
+def test_upper_gamma_fraction_matches_references_and_gammaincc():
+    for (a, t), ref in FRACTION_REFERENCES.items():
+        assert abs(_upper_gamma_fraction(a, np.array([t]))[0] / ref - 1.0) <= 1e-15
+    # against 30-digit references scipy's gammaincc is itself up to 1.3e-14
+    # off on [1.5, 48] (at a = 1/2) and 1.1e-13 on [48, 700]
+    t = np.linspace(SERIES_END, ANCHOR_END, 2001)
+    far = np.linspace(ANCHOR_END, 700.0, 2001)
+    for a in [0.5, 1.0 / 1.99, 1.0 / 1.8, 1.0 / 1.5, 1.0 / 1.2, 1.0]:
+        np.testing.assert_allclose(
+            _upper_gamma_fraction(a, t), special.gammaincc(a, t), rtol=2e-14, atol=0.0
+        )
+        np.testing.assert_allclose(
+            _upper_gamma_fraction(a, far), special.gammaincc(a, far), rtol=1.5e-13, atol=0.0
+        )
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_special_functions_at_edge_inputs(p):
+    # the limit or NaN, with no RuntimeWarning (an error under the test
+    # settings) and a bounded number of steps
+    pr = PExpParams(p)
+    tiny = 5e-324
+    x = np.array([-0.0, 0.0, tiny, -tiny, np.inf, -np.inf, np.nan, 1e300, -1e300])
+    out = cdf(pr, x)
+    np.testing.assert_array_equal(out[:4], 0.5)
+    np.testing.assert_array_equal(out[4:], [1.0, 0.0, np.nan, 1.0, 0.0])
+    r = np.array([0.0, tiny, np.inf, np.nan, 1e300])
+    out = abs_cdf(pr, r)
+    assert out[0] == 0.0 and 0.0 <= out[1] <= 1e-323
+    np.testing.assert_array_equal(out[2:], [1.0, np.nan, 1.0])
+    u = quantile(pr, np.array([tiny, 1e-310, 0.5, np.nan, 1.0 - 2.0**-53]))
+    assert np.isfinite(u[[0, 1, 4]]).all() and u[0] < u[1] < 0.0 < u[4]
+    assert u[2] == 0.0 and np.isnan(u[3])
+    np.testing.assert_array_equal(_erfcx(np.array([0.0, -0.0, tiny, np.inf, np.nan])), [1.0, 1.0, 1.0, 0.0, np.nan])
+    assert _erfcx(1e300) == pytest.approx(1.0 / (math.sqrt(math.pi) * 1e300), rel=1e-15)
+    t = _upper_gamma_fraction(1.0 / p, np.array([1000.0, np.nan]))
+    assert t[0] == 0.0 and np.isnan(t[1])
 
 
 def test_moments_analytic():
