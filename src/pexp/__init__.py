@@ -14,12 +14,6 @@ models         white noise and density estimation posteriors
 experiments    contraction sweeps, inequality batteries, result emission
 """
 
-# numpy loads numpy.random and numpy.ma (which np.median reaches) on first
-# use; every run path of pexp uses both, so they load here, in set-up, and
-# not inside the first timed draw or median
-import numpy.ma  # noqa: F401
-import numpy.random  # noqa: F401
-
 from . import concentration, experiments, measure, models, rates, sequences, univariate
 
 __all__ = [

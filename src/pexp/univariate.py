@@ -8,7 +8,8 @@ are numpy code here, so importing pexp loads no scipy.
 
 The CDF is closed form at p = 1.  At p = 2 it is (1/2) erfcx(|x| / sqrt 2)
 e^{-x^2/2} in the tails, with erfcx from Cody's rational approximations
-(``_erfcx``), and 1/2 + erf(x / sqrt 2) / 2 near 0.  At 1 < p < 2 it is
+(``_erfcx``), and 1/2 + erf(x / sqrt 2) / 2 near 0; P(|X| <= r) is built
+from the same two pieces.  At 1 < p < 2 it is
 built from the regularized incomplete gammas P and Q of shape 1/p at
 t = |x|^p / p, in three ranges of t (``_incomplete_gammas``): a power series
 for P below t = 1.5; up to t = 48, Q at the next point of a grid of exact
@@ -16,8 +17,9 @@ anchors 1/32 apart plus a 3-node Gauss-Legendre increment, both positive;
 beyond that, Legendre's continued fraction for Q (``_upper_gamma_fraction``),
 which also gives the anchors.  Against 30-digit references on a dense t grid
 at p from 1.01 to 1.99, Q was within 1e-14 relatively, P within 1e-15
-relatively and 1 - Q/2 within 4e-16 absolutely.  The quantile solves the
-lower tail by a safeguarded Newton iteration at every p > 1.
+relatively and 1 - Q/2 within 4e-16 absolutely.  Both CDFs run over
+blocks of CDF_BLOCK points.  The quantile solves the lower tail by a safeguarded
+Newton iteration at every p > 1.
 """
 
 from __future__ import annotations
@@ -88,13 +90,17 @@ _ERFCX_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e
             6.05183413124413191e-2, 2.33520497626869185e-3)
 _SQRT_HALF = math.sqrt(0.5)
 _SPLIT = 2.0**20  # x = h + (x - h) with h a multiple of 2^-20, so h^2 is exact for |x| < 64
+# points per block of the CDF kernels, which make a few dozen temporaries
+# each: larger blocks spill them out of the cache
+CDF_BLOCK = 16384
 
 
 def _rational(x, num, den):
     """num(x) / den(x) by Horner's rule in Cody's order of operations, for
     coefficients highest degree first and a monic den, its leading 1 left out."""
-    top = np.full_like(x, num[0])
-    for c in num[1:]:
+    top = x * num[0]
+    top += num[1]
+    for c in num[2:]:
         top *= x
         top += c
     bottom = x + den[0]
@@ -103,6 +109,14 @@ def _rational(x, num, den):
         bottom += c
     top /= bottom
     return top
+
+
+def _erf_small(y):
+    """erf(y) = y A(y^2) / B(y^2) for |y| <= ERF_END, elementwise; it keeps
+    its relative precision however small y is."""
+    acc = _rational(y * y, _ERF_A, _ERF_B)
+    acc *= y
+    return acc
 
 
 def _erfcx(z):
@@ -120,11 +134,8 @@ def _erfcx(z):
     far = np.flatnonzero(~(flat <= ERFCX_MID_END))  # inf and NaN included
     if near.size:
         y = flat[near]
-        s = y * y
-        acc = _rational(s, _ERF_A, _ERF_B)
-        acc *= -y
-        acc += 1.0
-        acc *= np.exp(s)
+        acc = 1.0 - _erf_small(y)
+        acc *= np.exp(y * y)
         out[near] = acc
     if middle.size:
         out[middle] = _rational(flat[middle], _ERFCX_C, _ERFCX_D)
@@ -140,42 +151,75 @@ def _erfcx(z):
     return out.reshape(z.shape)
 
 
-def _cdf_normal(x):
-    """Phi(x): 1/2 + erf(x / sqrt 2) / 2 where |x| / sqrt 2 <= ERF_END, else
-    the tail T = (1/2) erfcx(|x| / sqrt 2) e^{-x^2/2}, as T below 0 and 1 - T
-    above.  With h = |x| rounded down to a multiple of 2^-20, x^2 = h^2 +
-    (|x| - h)(|x| + h) and h^2 is exact, so e^{-x^2/2} is the product of two
-    exponentials of nearly exact arguments and the lower tail keeps its
-    relative precision down to Phi(-37.5) ~ 5e-308.  |x| is capped at 40,
-    where T has underflowed to 0."""
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    out = np.empty_like(flat)
-    y = flat * _SQRT_HALF
-    small = np.abs(y) <= ERF_END
-    near = np.flatnonzero(small)
-    tails = np.flatnonzero(~small)  # NaN included
-    if near.size:
-        y = y[near]
-        acc = _rational(y * y, _ERF_A, _ERF_B)
-        acc *= y
-        acc *= 0.5
-        acc += 0.5
-        out[near] = acc
-    if not tails.size:
-        return out.reshape(x.shape)
-    r = np.minimum(np.abs(flat[tails]), 40.0)
+def _normal_tail(x):
+    """Phi(x) for |x| / sqrt 2 > ERF_END (or NaN): the tail T = (1/2)
+    erfcx(|x| / sqrt 2) e^{-x^2/2}, as T below 0 and 1 - T above.  Where no
+    entry lies beyond ERFCX_MID_END, erfcx is the middle rational of
+    ``_erfcx`` without its search for ranges.  With h = |x| rounded down to a
+    multiple of 2^-20, x^2 = h^2 + (|x| - h)(|x| + h) and h^2 is exact, so
+    e^{-x^2/2} is the product of two exponentials of nearly exact arguments
+    and the lower tail keeps its relative precision down to Phi(-37.5) ~
+    5e-308.  |x| is capped at 40, where T has underflowed to 0."""
+    r = np.abs(x)
+    z = r * _SQRT_HALF
+    if z.max() <= ERFCX_MID_END:  # False where any entry is NaN
+        tail = _rational(z, _ERFCX_C, _ERFCX_D)
+    else:
+        tail = _erfcx(z)
+        np.minimum(r, 40.0, out=r)
     h = np.floor(r * _SPLIT)
     h /= _SPLIT
-    tail = _erfcx(r * _SQRT_HALF)
     tail *= 0.5
     tail *= np.exp(-0.5 * h * h)
     d = r - h  # exact
     d *= r + h
     d *= -0.5
     tail *= np.exp(d)
-    out[tails] = np.where(flat[tails] < 0, tail, 1.0 - tail)
+    np.subtract(1.0, tail, out=tail, where=x > 0)
+    return tail
+
+
+def _cdf_normal(x):
+    """Phi(x): 1/2 + erf(x / sqrt 2) / 2 where |x| / sqrt 2 <= ERF_END, else
+    ``_normal_tail``."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, CDF_BLOCK):
+        xb, ob = flat[start : start + CDF_BLOCK], out[start : start + CDF_BLOCK]
+        y = xb * _SQRT_HALF
+        small = np.abs(y) <= ERF_END
+        near = np.flatnonzero(small)
+        if near.size:
+            acc = _erf_small(y[near])
+            acc *= 0.5
+            acc += 0.5
+            ob[near] = acc
+        tails = np.flatnonzero(~small)  # NaN included
+        if tails.size:
+            ob[tails] = _normal_tail(xb[tails])
     return out.reshape(x.shape)
+
+
+def _abs_cdf_normal(r):
+    """P(|X| <= r) at p = 2: erf(r / sqrt 2) by ``_erf_small`` where r /
+    sqrt 2 <= ERF_END, so it keeps its relative precision however small r
+    is, else 1 - 2 Phi(-r) by ``_normal_tail``."""
+    r = np.asarray(r, dtype=float)
+    flat = r.reshape(-1)
+    out = np.empty_like(flat)
+    y = flat * _SQRT_HALF
+    small = y <= ERF_END
+    near = np.flatnonzero(small)
+    if near.size:
+        out[near] = _erf_small(y[near])
+    tails = np.flatnonzero(~small)  # NaN included
+    if tails.size:
+        acc = _normal_tail(-flat[tails])
+        acc *= -2.0
+        acc += 1.0
+        out[tails] = acc
+    return out.reshape(r.shape)
 
 
 SERIES_END = 1.5  # below: P by its power series
@@ -252,38 +296,44 @@ def _incomplete_gammas(p: float, x) -> tuple[np.ndarray, np.ndarray]:
     coef, anchors, nodes, weights = _gamma_table(a)
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
-    with np.errstate(over="ignore"):  # huge x: t = inf, capped below
-        t = flat**p
-    t /= p
     lower, upper = np.empty_like(flat), np.empty_like(flat)
-    # positions, not boolean masks: a masked gather or scatter over mixed
-    # ranges costs several times an indexed one
-    near = np.flatnonzero(t < SERIES_END)
-    middle = np.flatnonzero((t >= SERIES_END) & (t <= ANCHOR_END))
-    far = np.flatnonzero(~(t <= ANCHOR_END))  # NaN included
-    s = t[near]
-    acc = np.full_like(s, coef[-1])
-    for c in coef[-2::-1]:
-        acc *= s
-        acc += c
-    acc *= np.exp(-s)
-    acc *= flat[near]
-    lower[near] = acc
-    upper[near] = 1.0 - acc
-    s = t[middle]
-    k = np.ceil(s * ANCHORS_PER_UNIT)  # the next anchor is T = k / ANCHORS_PER_UNIT >= t
-    step = k / ANCHORS_PER_UNIT - s
-    acc = np.zeros_like(s)
-    for node, w in zip(nodes, weights):
-        node = s + step * node
-        acc += w * np.exp((a - 1.0) * np.log(node) - node)
-    acc *= step
-    acc += anchors[k.astype(np.intp) - int(SERIES_END * ANCHORS_PER_UNIT)]
-    upper[middle] = acc
-    if far.size:  # the battery never gets here, and the fraction's terms cost ~0.1 ms on no points
-        upper[far] = _upper_gamma_fraction(a, np.minimum(t[far], 1000.0))
-    rest = np.concatenate([middle, far])
-    lower[rest] = 1.0 - upper[rest]
+    for start in range(0, flat.size, CDF_BLOCK):
+        xb = flat[start : start + CDF_BLOCK]
+        lo, up = lower[start : start + CDF_BLOCK], upper[start : start + CDF_BLOCK]
+        with np.errstate(over="ignore"):  # huge x: t = inf, capped below
+            t = xb**p
+        t /= p
+        # positions, not boolean masks: a masked gather or scatter over mixed
+        # ranges costs several times an indexed one
+        near = np.flatnonzero(t < SERIES_END)
+        middle = np.flatnonzero((t >= SERIES_END) & (t <= ANCHOR_END))
+        far = np.flatnonzero(~(t <= ANCHOR_END))  # NaN included
+        # an empty range is skipped: its array operations dominate a small call
+        if near.size:
+            s = t[near]
+            acc = np.full_like(s, coef[-1])
+            for c in coef[-2::-1]:
+                acc *= s
+                acc += c
+            acc *= np.exp(-s)
+            acc *= xb[near]
+            lo[near] = acc
+            up[near] = 1.0 - acc
+        if middle.size:
+            s = t[middle]
+            k = np.ceil(s * ANCHORS_PER_UNIT)  # the next anchor is T = k / ANCHORS_PER_UNIT >= t
+            step = k / ANCHORS_PER_UNIT - s
+            acc = np.zeros_like(s)
+            for node, w in zip(nodes, weights):
+                node = s + step * node
+                acc += w * np.exp((a - 1.0) * np.log(node) - node)
+            acc *= step
+            acc += anchors[k.astype(np.intp) - int(SERIES_END * ANCHORS_PER_UNIT)]
+            up[middle] = acc
+        if far.size:  # the battery never gets here
+            up[far] = _upper_gamma_fraction(a, np.minimum(t[far], 1000.0))
+        rest = np.concatenate([middle, far])
+        lo[rest] = 1.0 - up[rest]
     return lower.reshape(x.shape), upper.reshape(x.shape)
 
 
@@ -292,8 +342,10 @@ def _cdf_generic(params: PExpParams, x):
     incomplete gamma of shape 1/p at t = |x|^p / p (``_incomplete_gammas``),
     so the lower tail keeps Q's relative precision."""
     x = np.asarray(x, dtype=float)
-    half = 0.5 * _incomplete_gammas(params.p, np.abs(x))[1]
-    return np.where(x < 0, half, 1.0 - half)
+    half = _incomplete_gammas(params.p, np.abs(x))[1]
+    half *= 0.5
+    np.subtract(1.0, half, out=half, where=x >= 0)
+    return half
 
 
 def cdf(params: PExpParams, x):
@@ -315,13 +367,16 @@ def cdf(params: PExpParams, x):
 
 def abs_cdf(params: PExpParams, r):
     """P(|X| <= r) for r >= 0 in one evaluation, free of the cancellation in
-    cdf(r) - cdf(-r) at small r; |X|^p / p ~ Gamma(1/p, 1).  At 1 < p <= 2
-    it is P of ``_incomplete_gammas``: the power series below t = r^p / p
-    = 1.5, which keeps its relative precision however small r is, and
-    1 - Q above, within a few units in the last place."""
+    cdf(r) - cdf(-r) at small r; |X|^p / p ~ Gamma(1/p, 1).  At p = 2 it is
+    ``_abs_cdf_normal``; at 1 < p < 2 P of ``_incomplete_gammas``: the power
+    series below t = r^p / p = 1.5, which keeps its relative precision
+    however small r is, and 1 - Q above, within a few units in the last
+    place."""
     r = np.asarray(r, dtype=float)
     if params.p == 1.0:
         out = -np.expm1(-r)
+    elif params.p == 2.0:
+        out = _abs_cdf_normal(r)
     else:
         out = _incomplete_gammas(params.p, r)[0]
     return out if out.ndim else float(out)

@@ -368,3 +368,24 @@ def test_cli_import_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_what_the_run_paths_use():
+    # numpy imports numpy.ma (reached by np.median and np.unique) and
+    # numpy.random on first use; pexp imports both itself, so that their
+    # cost falls in set-up and not inside the first timed operation
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import sys, numpy as np, pexp.cli; before = set(sys.modules); "
+        "np.median(np.arange(3.0)); np.unique(np.arange(3)); "
+        "np.quantile(np.arange(3.0), 0.9); np.random.default_rng(0).random(); "
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"

@@ -146,6 +146,22 @@ def test_fast_paths_match_generic(p):
     np.testing.assert_allclose(quantile(pr, u), _quantile_generic(pr, u), atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
+def test_cdf_blocks_give_the_same_bits(p, monkeypatch):
+    # the CDF kernels run over blocks of CDF_BLOCK points; each value depends
+    # on its own x only, so blocks of 7, most of them missing some range,
+    # must give the bits of one block
+    pr = PExpParams(p)
+    rng = np.random.default_rng(31)
+    x = np.concatenate([rng.normal(0.0, 4.0, 3001), [0.0, -0.0, np.inf, -np.inf, np.nan, 60.0, -60.0, 1e-300]])
+    x = rng.permutation(x).reshape(3, -1)
+    whole = cdf(pr, x), abs_cdf(pr, np.abs(x))
+    monkeypatch.setattr(univariate, "CDF_BLOCK", 7)
+    np.testing.assert_array_equal(cdf(pr, x), whole[0])
+    np.testing.assert_array_equal(abs_cdf(pr, np.abs(x)), whole[1])
+    assert cdf(pr, np.array([])).shape == (0,)
+
+
 def test_sampler_variance_gaussian():
     rng = np.random.default_rng(101)
     x = sample(PExpParams(2.0), rng, 10**6)
