@@ -11,8 +11,8 @@ adaptive random-walk Metropolis in whitened coordinates, one level per
 proposal, accepted on that level's log-posterior change.  Its likelihood
 sum_i W(X_i) = S . u, S_l = sum_i psi_l(X_i), enters a chain only via S.
 Per iteration the chain takes all levels' draws and computes every level's
-proposal, prior sum, likelihood term and node increment at once; per level
-it only moves W, takes the new normalizer and makes the accept test.
+proposal, prior sum, likelihood term, node increment and normalizer at once;
+after an accept, the levels above are passed again from the new W.
 """
 
 from __future__ import annotations
@@ -260,20 +260,28 @@ def _log_int_exp(W: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     return (log_z[0] if W.ndim == 1 else np.reshape(log_z, W.shape[:-1])), seg
 
 
-def _log_int_exp_near(W: np.ndarray, shift: float) -> float:
-    """``_log_int_exp(W)[0]`` given a nearby ``shift`` (a chain's log Z): a
-    segment with larger end t and gap d holds h e^t (1 - e^{-d}) / d, a
-    factor in (0, 1] (d floored as in ``_log_int_exp``), so log Z = shift +
-    log mean e^{t - shift} (1 - e^{-d}) / d.  A sum below 2^-960 (underflowed
-    terms err by 2^-1074 at most), inf or NaN falls back to
-    ``_log_int_exp``.  Call under ``np.errstate`` ignoring over, under, invalid."""
-    a, b = W[:-1], W[1:]
-    top = np.maximum(a, b)
-    nd = np.minimum(np.minimum(a, b) - top, -_TINY)  # -d, floored
-    s = np.exp(top - shift) @ (np.expm1(nd) / nd)
-    if 2.0**-960 <= s < math.inf:
-        return shift + math.log(s / len(top))
-    return _log_int_exp(W)[0]
+def _log_int_exp_shifted(W: np.ndarray, shift: float) -> list[float]:
+    """``_log_int_exp(row)[0]`` for each row of a C-contiguous (rows, nodes) W,
+    given a nearby ``shift`` (a chain's log Z): a segment with larger end t and
+    gap d holds h e^t (1 - e^{-d}) / d, a factor in (0, 1] (d floored as in
+    ``_log_int_exp``), so log Z = shift + log mean e^{t - shift} (1 - e^{-d}) / d.
+    A row sum below 2^-960 (underflowed terms err by 2^-1074 at most), inf or
+    NaN falls back to ``_log_int_exp``.  The rows run as one flat array; each
+    row's sum ends in a zero (the segment between two rows, or a pad), so it
+    does not depend on the other rows.  Call under ``np.errstate`` ignoring
+    over, under, invalid."""
+    rows, nodes = W.shape
+    f = W.reshape(-1)
+    seg = np.empty(f.size)
+    top = np.maximum(f[:-1], f[1:], out=seg[:-1])
+    nd = np.minimum(f[:-1], f[1:])
+    np.minimum(np.subtract(nd, top, out=nd), -_TINY, out=nd)  # -d, floored
+    np.exp(np.subtract(top, shift, out=top), out=top)
+    top *= np.expm1(nd) / nd
+    seg[nodes - 1 :: nodes] = 0.0
+    sums = seg.reshape(rows, nodes).sum(axis=1).tolist()
+    return [shift + math.log(s / (nodes - 1)) if 2.0**-960 <= s < math.inf
+            else _log_int_exp(W[i])[0] for i, s in enumerate(sums)]
 
 
 def de_density(u, basis: WaveletBasis) -> np.ndarray:
@@ -345,8 +353,9 @@ def de_posterior_mcmc(
     it computes once, for all levels: the proposed coefficients xi + step,
     the per-level prior sums and likelihood terms (one ``np.add.reduceat``
     each) and every level's increment of W on the node grid (one gather).
-    Per level remain W' = W + dW_k, log Z' from ``_log_int_exp_near`` and the
-    accept test.  The full log-posterior is computed at the end.
+    The proposals W' = W + dW_k and their log Z' are one batched pass
+    (``_log_int_exp_shifted``), re-run on levels k+1..K only when level k is
+    accepted.  The full log-posterior is computed at the end.
     Raises ValueError when gamma S is not finite.
     """
     if m.spec.scheme != "dyadic":
@@ -397,14 +406,16 @@ def de_posterior_mcmc(
             dW = step[idx]
             dW *= gval
             for k, sl in enumerate(slices):
-                W2 = Wg + dW[k]
-                log_z2 = _log_int_exp_near(W2, log_z)
-                delta = lik[k] - n * (log_z2 - log_z) - (pk[k] - prior[k]) / p
+                if k == 0 or moved:  # levels k..K's proposals, from the current W
+                    base, moved, W2 = k, False, Wg + dW[k:]
+                    log_z2 = _log_int_exp_shifted(W2, log_z)
+                delta = lik[k] - n * (log_z2[k - base] - log_z) - (pk[k] - prior[k]) / p
                 if not math.isfinite(delta):
                     raise FloatingPointError(f"non-finite log-posterior at level {k}")
                 u = uniforms[k]
                 if u == 0.0 or math.log(u) < delta:
-                    xi[sl], Wg, log_z, prior[k] = xs[sl], W2, log_z2, pk[k]
+                    xi[sl], Wg, log_z, prior[k] = xs[sl], W2[k - base], log_z2[k - base], pk[k]
+                    moved = True
                     acc[k] += 1
                     acc_post += it >= cfg.burn_in
                 if adapt:

@@ -11,7 +11,7 @@ e^{-x^2/2} in the tails, with erfcx from Cody's rational approximations
 (``_erfcx``), and 1/2 + erf(x / sqrt 2) / 2 near 0; P(|X| <= r) is built
 from the same two pieces.  At 1 < p < 2 it is
 built from the regularized incomplete gammas P and Q of shape 1/p at
-t = |x|^p / p, in three ranges of t (``_incomplete_gammas``): a power series
+t = |x|^p / p, in three ranges of t (``_incomplete_gamma``): a power series
 for P below t = 1.5; up to t = 48, Q at the next point of a grid of exact
 anchors 1/32 apart plus a 3-node Gauss-Legendre increment, both positive;
 beyond that, Legendre's continued fraction for Q (``_upper_gamma_fraction``),
@@ -127,7 +127,7 @@ def _erfcx(z):
     z = np.asarray(z, dtype=float)
     flat = z.reshape(-1)
     out = np.empty_like(flat)
-    # positions, not boolean masks, as in _incomplete_gammas; an empty range
+    # positions, not boolean masks, as in _incomplete_gamma; an empty range
     # is skipped, as its dozens of array operations dominate a small call
     near = np.flatnonzero(flat <= ERF_END)
     middle = np.flatnonzero((flat > ERF_END) & (flat <= ERFCX_MID_END))
@@ -266,11 +266,11 @@ def _gamma_table(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return coef, anchors, 0.5 * (1.0 + x), 0.5 * w / math.gamma(a)
 
 
-def _incomplete_gammas(p: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """(P, Q) = the regularized lower and upper incomplete gammas of shape
-    a = 1/p at t = x^p / p, for x >= 0 (or NaN) elementwise; each value
-    depends on its own x only.  The three ranges of t, with f(s) = s^(a-1)
-    e^(-s):
+def _incomplete_gamma(p: float, x, lower: bool) -> np.ndarray:
+    """P if ``lower`` else Q: the regularized lower or upper incomplete gamma
+    of shape a = 1/p at t = x^p / p, for x >= 0 (or NaN) elementwise; each
+    value depends on its own x only.  The three ranges of t, with f(s) =
+    s^(a-1) e^(-s):
 
     - t < SERIES_END: P = t^a e^-t sum_k t^k / Gamma(a + k + 1), its first
       SERIES_TERMS terms by Horner's rule (the rest is < 1.4e-18 of the
@@ -288,18 +288,17 @@ def _incomplete_gammas(p: float, x) -> tuple[np.ndarray, np.ndarray]:
     - t > ANCHOR_END (or NaN): Q = ``_upper_gamma_fraction`` on those points,
       with t capped at 1000, where Q has underflowed to 0 (x = inf included).
 
-    Elsewhere than the series range P = 1 - Q.  The Gauss-Legendre terms
-    are summed one node at a time, elementwise: a matrix product would run
-    on BLAS threads that compete with the Monte Carlo pool's.
+    Elsewhere than the series range P = 1 - Q; only the asked one is formed.
+    The Gauss-Legendre terms are summed one node at a time: a matrix product
+    would run on BLAS threads that compete with the Monte Carlo pool's.
     """
     a = 1.0 / p
     coef, anchors, nodes, weights = _gamma_table(a)
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
-    lower, upper = np.empty_like(flat), np.empty_like(flat)
+    out = np.empty_like(flat)
     for start in range(0, flat.size, CDF_BLOCK):
-        xb = flat[start : start + CDF_BLOCK]
-        lo, up = lower[start : start + CDF_BLOCK], upper[start : start + CDF_BLOCK]
+        xb, ob = flat[start : start + CDF_BLOCK], out[start : start + CDF_BLOCK]
         with np.errstate(over="ignore"):  # huge x: t = inf, capped below
             t = xb**p
         t /= p
@@ -317,8 +316,7 @@ def _incomplete_gammas(p: float, x) -> tuple[np.ndarray, np.ndarray]:
                 acc += c
             acc *= np.exp(-s)
             acc *= xb[near]
-            lo[near] = acc
-            up[near] = 1.0 - acc
+            ob[near] = acc if lower else 1.0 - acc
         if middle.size:
             s = t[middle]
             k = np.ceil(s * ANCHORS_PER_UNIT)  # the next anchor is T = k / ANCHORS_PER_UNIT >= t
@@ -329,20 +327,21 @@ def _incomplete_gammas(p: float, x) -> tuple[np.ndarray, np.ndarray]:
                 acc += w * np.exp((a - 1.0) * np.log(node) - node)
             acc *= step
             acc += anchors[k.astype(np.intp) - int(SERIES_END * ANCHORS_PER_UNIT)]
-            up[middle] = acc
+            ob[middle] = acc
         if far.size:  # the battery never gets here
-            up[far] = _upper_gamma_fraction(a, np.minimum(t[far], 1000.0))
-        rest = np.concatenate([middle, far])
-        lo[rest] = 1.0 - up[rest]
-    return lower.reshape(x.shape), upper.reshape(x.shape)
+            ob[far] = _upper_gamma_fraction(a, np.minimum(t[far], 1000.0))
+        if lower:
+            rest = np.concatenate([middle, far])
+            ob[rest] = 1.0 - ob[rest]
+    return out.reshape(x.shape)
 
 
 def _cdf_generic(params: PExpParams, x):
     """CDF as Q / 2 for x < 0 and 1 - Q / 2 for x >= 0, with Q the upper
-    incomplete gamma of shape 1/p at t = |x|^p / p (``_incomplete_gammas``),
+    incomplete gamma of shape 1/p at t = |x|^p / p (``_incomplete_gamma``),
     so the lower tail keeps Q's relative precision."""
     x = np.asarray(x, dtype=float)
-    half = _incomplete_gammas(params.p, np.abs(x))[1]
+    half = _incomplete_gamma(params.p, np.abs(x), lower=False)
     half *= 0.5
     np.subtract(1.0, half, out=half, where=x >= 0)
     return half
@@ -350,7 +349,7 @@ def _cdf_generic(params: PExpParams, x):
 
 def cdf(params: PExpParams, x):
     """P(X <= x).  Closed form at p = 1 (Laplace); ``_cdf_normal`` at p = 2
-    and the incomplete-gamma ranges of ``_incomplete_gammas`` at 1 < p < 2,
+    and the incomplete-gamma ranges of ``_incomplete_gamma`` at 1 < p < 2,
     so the lower tail x < 0 keeps a relative precision of about 1e-14
     however far out, and x >= 0 is within a few units in the last place of
     1.  -inf, inf and NaN give 0, 1 and NaN."""
@@ -368,7 +367,7 @@ def cdf(params: PExpParams, x):
 def abs_cdf(params: PExpParams, r):
     """P(|X| <= r) for r >= 0 in one evaluation, free of the cancellation in
     cdf(r) - cdf(-r) at small r; |X|^p / p ~ Gamma(1/p, 1).  At p = 2 it is
-    ``_abs_cdf_normal``; at 1 < p < 2 P of ``_incomplete_gammas``: the power
+    ``_abs_cdf_normal``; at 1 < p < 2 P of ``_incomplete_gamma``: the power
     series below t = r^p / p = 1.5, which keeps its relative precision
     however small r is, and 1 - Q above, within a few units in the last
     place."""
@@ -378,7 +377,7 @@ def abs_cdf(params: PExpParams, r):
     elif params.p == 2.0:
         out = _abs_cdf_normal(r)
     else:
-        out = _incomplete_gammas(params.p, r)[0]
+        out = _incomplete_gamma(params.p, r, lower=True)
     return out if out.ndim else float(out)
 
 

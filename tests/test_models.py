@@ -5,13 +5,13 @@ import pytest
 from oracles import log_int_exp_where, metropolis_loop, wn_rejection_loop
 from scipy import integrate, special, stats
 
-from pexp import univariate
+from pexp import models, univariate
 from pexp.measure import WaveletBasis, evaluate_function, pexp_measure
 from pexp.models import (
     ChainConfig,
     WhiteNoiseData,
     _log_int_exp,
-    _log_int_exp_near,
+    _log_int_exp_shifted,
     _wn_rejection_sample,
     de_density,
     de_posterior_mcmc,
@@ -607,11 +607,70 @@ def near_cases():
 
 @pytest.mark.parametrize("W, shift", near_cases())
 def test_log_int_exp_near_matches_the_full_normalizer(W, shift):
+    # each case as a batch of one row, given a nearby shift
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # as the chain calls it
-        got = _log_int_exp_near(W, shift)
+        got = _log_int_exp_shifted(W[None], shift)
     want = _log_int_exp(W)[0]
-    assert isinstance(got, float)
-    assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * abs(shift))
+    assert len(got) == 1 and isinstance(got[0], float)
+    assert got[0] == pytest.approx(want, rel=1e-13, abs=1e-13 * abs(shift))
+
+
+def near_batch():
+    """Every near case's W as one batch, with a seam: a row of +700s next to
+    a row of -700s, whose straddling segment would overflow at a low shift."""
+    return np.stack([W for W, _ in near_cases()] + [np.full(129, 700.0), np.full(129, -700.0)])
+
+
+@pytest.mark.parametrize("shift", sorted({shift for _, shift in near_cases()}))
+def test_log_int_exp_shifted_matches_the_full_normalizer(shift):
+    # one batch mixes ordinary rows with rows that fall back (overflowed and
+    # all-underflow sums), under the chain's errstate, so any escaping
+    # RuntimeWarning fails it
+    batch = near_batch()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = _log_int_exp_shifted(batch, shift)
+    assert len(got) == len(batch) and all(isinstance(g, float) for g in got)
+    for g, W in zip(got, batch):
+        assert g == pytest.approx(_log_int_exp(W)[0], rel=1e-13, abs=1e-13 * abs(shift))
+
+
+@pytest.mark.parametrize("shift", [0.0, -700.0, 700.0])
+def test_log_int_exp_shifted_rows_do_not_depend_on_their_neighbours(shift):
+    # a row gives the same bits alone and at any position of the batch, so no
+    # accept decision depends on which level was accepted last
+    batch = near_batch()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = [_log_int_exp_shifted(W[None], shift)[0] for W in batch]
+        for r in range(len(batch)):
+            got = _log_int_exp_shifted(np.roll(batch, r, axis=0), shift)
+            assert np.roll(got, -r).tolist() == want
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e200])
+def test_de_mcmc_runs_one_normalizer_pass_per_iteration_and_per_accept(lam, monkeypatch):
+    # one pass per iteration, and one more after each accept below the top
+    # level; at lam = 1e200 every proposal is rejected
+    calls = []
+
+    def counted(W, shift):
+        calls.append(len(W))
+        return _log_int_exp_shifted(W, shift)
+
+    monkeypatch.setattr(models, "_log_int_exp_shifted", counted)
+    basis = WaveletBasis(3)
+    spec = ScalingSpec(1.0, 1.0, 1, lam, "dyadic", levels=3)
+    truth = CoefVec.dyadic(spec.unit().gamma() * np.random.default_rng(112).normal(size=15), 3)
+    sample = de_simulate(truth, basis, 50, np.random.default_rng(113))
+    cfg = ChainConfig(draws=50, burn_in=200, thin=2)
+    chain = de_posterior_mcmc(sample, pexp_measure(spec), basis, cfg, np.random.default_rng(114))
+    total = cfg.burn_in + cfg.draws * cfg.thin
+    accepts = np.rint(chain.step_log["per_level_accept"] * total).astype(int)
+    assert len(calls) == total + accepts[:-1].sum()
+    assert calls.count(4) == total
+    if lam > 1.0:
+        assert len(calls) == total and chain.acceptance_rate == 0.0
+    else:
+        assert accepts[:-1].sum() > 0
 
 
 def test_log_int_exp_rows_match_single_rows_exactly():

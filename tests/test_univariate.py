@@ -262,13 +262,13 @@ P_HELPER = [1.01, 1.2, 1.5, 1.8, 1.99]
 
 
 def anchor_points():
-    """The anchors of ``univariate._incomplete_gammas``, SERIES_END to ANCHOR_END."""
+    """The anchors of ``univariate._incomplete_gamma``, SERIES_END to ANCHOR_END."""
     k = np.arange(SERIES_END * ANCHORS_PER_UNIT, ANCHOR_END * ANCHORS_PER_UNIT + 1)
     return k / ANCHORS_PER_UNIT
 
 
 def incomplete_gamma_grid():
-    """t across the three ranges of ``univariate._incomplete_gammas``: dense
+    """t across the three ranges of ``univariate._incomplete_gamma``: dense
     up to SERIES_END; every anchor, which ends its interval; each interval's
     middle and its start, where the increment is longest; ANCHOR_END and
     beyond."""
