@@ -79,8 +79,8 @@ def inf_term_exact(w, eps: float, spec: ScalingSpec) -> tuple[float, np.ndarray]
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     w = coef_values(w)
-    if len(w) != spec.size:
-        raise ValueError("w length must match the spec truncation")
+    if len(w) != spec.size or not np.isfinite(w).all():
+        raise ValueError("w must be finite and match the spec truncation in length")
     a = np.abs(w)
     sgn = np.sign(w)
     p = spec.p
@@ -162,8 +162,8 @@ def inf_term_truncation_ub(w, eps: float, spec: ScalingSpec) -> tuple[float, int
     """Upper bound from the proof construction: keep the first L coordinates,
     L minimal with ||h_{1:L} - w||_2 <= eps.  Always >= the exact value."""
     w = coef_values(w)
-    if len(w) != spec.size:
-        raise ValueError("w length must match the spec truncation")
+    if len(w) != spec.size or not np.isfinite(w).all():
+        raise ValueError("w must be finite and match the spec truncation in length")
     total = float((w**2).sum())
     if math.sqrt(total) <= eps:
         return 0.0, 0
@@ -346,17 +346,17 @@ def _saddlepoint_theta(p: float, g2: np.ndarray, eps2: float) -> float:
     return math.exp(0.5 * (lo + hi))
 
 
-def _tilted_squares(p: float, a: np.ndarray, rows: int, rng: np.random.Generator):
-    """(rows, len(a)) draws of xi_l^2 with xi_l from the density prop. to
-    f_p(x) exp(-a_l x^2).
-
-    p = 2: xi ~ N(0, 1 / (1 + 2a)).  p = 1: |xi| has density prop. to
-    exp(-x - a x^2) on x >= 0.
+def _tilted_squares(p: float, a: np.ndarray, g2: np.ndarray, rng: np.random.Generator, rows: int):
+    """X = sum_l g2_l xi_l^2 for ``rows`` draws of xi_l from the density prop.
+    to f_p(x) exp(-a_l x^2): at p = 2 xi ~ N(0, 1 / (1 + 2a)), at p = 1 |xi|
+    has density prop. to exp(-x - a x^2) on x >= 0.  Each row is summed by
+    einsum, not by a BLAS product, whose sums depend on its thread count.
     """
     if p == 2.0:
-        return rng.standard_normal((rows, len(a))) ** 2 / (1.0 + 2.0 * a)
-    x = univariate.halfline_sample(1.0, np.broadcast_to(a, (rows, len(a))), rng)
-    return x * x
+        sq = rng.standard_normal((rows, len(a))) ** 2 / (1.0 + 2.0 * a)
+    else:
+        sq = univariate.halfline_sample(1.0, np.broadcast_to(a, (rows, len(a))), rng) ** 2
+    return np.einsum("ij,j->i", sq, g2)
 
 
 @_eps_grid
@@ -373,6 +373,7 @@ def smallball_l2_tilted(m: PExpMeasure, eps, samples: int, rng: np.random.Genera
     near 1/sqrt(samples) however small mu is; theta = 0 (eps^2 >= E X) is
     plain Monte Carlo.  The confidence interval is the normal 95% interval
     from the sample standard error of the weights, mapped through -log.
+    Rows are drawn in ``measure.mc_blocks`` blocks, the same for any thread count.
 
     Returns a SmallBallEstimate (or a list of them for a grid) whose ``hits``
     counts the draws inside the ball.  Raises ValueError for other p and
@@ -390,10 +391,8 @@ def smallball_l2_tilted(m: PExpMeasure, eps, samples: int, rng: np.random.Genera
         theta = _saddlepoint_theta(p, g2, e2)
         a = theta * g2
         log_bound = theta * e2 + float(_log_mgf_sq(p, a).sum())
-        x = np.empty(samples)
-        for start in range(0, samples, 4096):  # 4096 x N draws at a time
-            rows = min(4096, samples - start)
-            x[start : start + rows] = _tilted_squares(p, a, rows, rng) @ g2
+        draw = functools.partial(_tilted_squares, p, a, g2)
+        x = np.concatenate(mc_blocks(draw, samples, len(g2), rng))
         inside = x <= e2
         hits = int(inside.sum())
         if hits == 0:

@@ -79,6 +79,12 @@ class ExperimentConfig:
             raise ValueError("replicates and posterior_draws must be >= 1")
         if not (self.thin >= 1 and self.burn_in >= 0):
             raise ValueError("thin must be >= 1 and burn_in >= 0")
+        if self.lambda_rule is not None:  # InvalidRateQuery without a rescaled theory
+            r = rates.rate_l2_rescaled(rates.RateQuery(self.alpha, self.beta, self.p, self.q))
+            poly, log = float(r.lambda_poly_exponent), float(r.lambda_log_exponent)
+            if log or not math.isclose(self.lambda_rule.poly_exponent, poly, rel_tol=1e-12):
+                raise ValueError(f"lambda_rule {self.lambda_rule} is not the rescaled theory's "
+                                 f"lambda_n = n^-{poly:.12g} log^{log:g} n")
         self.n_grid = ns
 
     @classmethod

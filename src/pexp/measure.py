@@ -203,27 +203,23 @@ def regularity_scan(
 
     CONVERGED when the median norm stabilizes (relative increment below 1%),
     DIVERGING when it grows as a power of N (log-log slope above 0.05).
+    Trials are drawn in ``mc_blocks`` blocks, the same for any thread count.
     """
     if trials < 30:
         raise ValueError("regularity_scan needs at least 30 trials")
     truncations = 2 ** np.arange(6, 15)
     nmax = int(truncations.max())
-    spec_full = ScalingSpec(
-        m.spec.p, m.spec.alpha, m.spec.d, m.spec.lam, "linear", n=nmax
-    )
-    gamma = spec_full.gamma()
+    full = PExpMeasure(ScalingSpec(m.spec.p, m.spec.alpha, m.spec.d, m.spec.lam, "linear", n=nmax))
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    norms = np.empty((trials, len(s_grid), len(truncations)))
-    for t in range(trials):
-        xi = univariate.sample(m.params, rng, size=nmax)
-        u = gamma * xi
-        for i, s in enumerate(s_grid):
-            w = besov_weights(BesovParams(s, q, m.spec.d), nmax)
-            csum = np.cumsum(w * np.abs(u) ** q)
-            norms[t, i] = csum[truncations - 1] ** (1.0 / q)
+    weights = np.array([besov_weights(BesovParams(s, q, m.spec.d), nmax) for s in s_grid])
+
+    def norms(block_rng, rows):  # (s, trial, truncation)
+        uq = np.abs(sample_prior_block(full, block_rng, rows)) ** q
+        return np.cumsum(weights[:, None] * uq, axis=2)[..., truncations - 1] ** (1.0 / q)
+
+    medians = np.median(np.concatenate(mc_blocks(norms, trials, nmax, rng), axis=1), axis=1)
     rows = []
-    for i, s in enumerate(s_grid):
-        med = np.median(norms[:, i, :], axis=0)
+    for s, med in zip(s_grid, medians):
         slope = loglog_fit(truncations, med)[0]
         last_inc = med[-1] / med[-2] - 1.0
         if slope > 0.05:

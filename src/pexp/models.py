@@ -10,9 +10,9 @@ dyadic nodes so that its normalizer is exact on the node grid, and runs
 adaptive random-walk Metropolis in whitened coordinates, one level per
 proposal, accepted on that level's log-posterior change.  Its likelihood
 sum_i W(X_i) = S . u, S_l = sum_i psi_l(X_i), enters a chain only via S.
-Per iteration the chain takes all levels' draws and computes every level's
-proposal, prior sum, likelihood term, node increment and normalizer at once;
-after an accept, the levels above are passed again from the new W.
+Per iteration the chain makes two draws (normals, uniforms), computes every
+level's proposal, prior sum, likelihood term, node increment and normalizer
+at once and, after an accept, passes the levels above again from the new W.
 """
 
 from __future__ import annotations
@@ -346,13 +346,12 @@ def de_posterior_mcmc(
     step - n (log Z' - log Z) - (sum |xi_k'|^p - sum |xi_k|^p) / p, from the
     cached log Z and per-level prior sums, so its cost does not grow with n.
 
-    No draw depends on a decision, and a level's new scale is first used in
-    the next iteration.  So each iteration first takes all its draws, per
-    level k = 0..K the 2^k normals of the step (scale times standard normals,
-    as ``rng.normal(0, scale, 2^k)`` draws them) and then one uniform.  Then
-    it computes once, for all levels: the proposed coefficients xi + step,
-    the per-level prior sums and likelihood terms (one ``np.add.reduceat``
-    each) and every level's increment of W on the node grid (one gather).
+    Each iteration draws twice: a standard normal per coefficient (a step is
+    its level's scale times these), then K + 1 uniforms, level k accepting
+    when log u_k is below its difference.  Then it computes once, for all
+    levels: the proposed coefficients xi + step, the per-level prior sums
+    and likelihood terms (one ``np.add.reduceat`` each) and every level's
+    increment of W on the node grid (one gather).
     The proposals W' = W + dW_k and their log Z' are one batched pass
     (``_log_int_exp_shifted``), re-run on levels k+1..K only when level k is
     accepted.  The full log-posterior is computed at the end.
@@ -389,16 +388,14 @@ def de_posterior_mcmc(
     acc, acc_post = [0] * (K + 1), 0  # accepts per level, and after burn-in
     kept = np.empty((cfg.draws, m.spec.size))
     z = np.empty(m.spec.size)  # the iteration's standard normals
-    z_levels = [z[sl] for sl in slices]
     scale_of = np.repeat(scales, sizes)  # per coefficient
     total = cfg.burn_in + cfg.draws * cfg.thin
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    # divide: log u = -inf at u = 0, which accepts
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         for it in range(total):
             adapt = it < cfg.burn_in and (it + 1) % ADAPT_BATCH == 0
-            uniforms = []
-            for zk in z_levels:
-                rng.standard_normal(out=zk)
-                uniforms.append(rng.random())
+            rng.standard_normal(out=z)
+            log_u = np.log(rng.random(K + 1)).tolist()
             step = z * scale_of
             xs = xi + step
             pk = np.add.reduceat(np.abs(xs) ** p, starts).tolist()
@@ -412,8 +409,7 @@ def de_posterior_mcmc(
                 delta = lik[k] - n * (log_z2[k - base] - log_z) - (pk[k] - prior[k]) / p
                 if not math.isfinite(delta):
                     raise FloatingPointError(f"non-finite log-posterior at level {k}")
-                u = uniforms[k]
-                if u == 0.0 or math.log(u) < delta:
+                if log_u[k] < delta:
                     xi[sl], Wg, log_z, prior[k] = xs[sl], W2[k - base], log_z2[k - base], pk[k]
                     moved = True
                     acc[k] += 1

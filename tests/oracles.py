@@ -10,7 +10,8 @@ written one outer node at a time, and the density Metropolis kernel against
 ``block_generators`` writes out the row blocks of ``measure.mc_blocks`` one
 after another; ``norm_samples_blocks`` (with its own |xi| sampler and sign
 draw) and ``anderson_hits_blocks`` draw from them serially, as the reference
-streams of ``concentration.unit_norm_sample`` and ``measure.anderson_check``.
+streams of ``concentration.unit_norm_sample`` and ``measure.anderson_check``,
+and ``tilted_x_blocks`` as that of ``concentration.smallball_l2_tilted``.
 ``halfline_loop`` and ``wn_rejection_loop`` are the white-noise rejection
 samplers written with one index gather per array and round;
 ``univariate.halfline_sample`` and ``models.wn_posterior_sample`` must make
@@ -248,9 +249,12 @@ def metropolis_loop(sample, m, basis, cfg, rng):
     kept = []
     total = cfg.burn_in + cfg.draws * cfg.thin
     for it in range(total):
+        z = rng.standard_normal(m.spec.size)
+        with np.errstate(divide="ignore"):  # log 0 = -inf accepts
+            log_u = np.log(rng.random(K + 1))
         for k in range(K + 1):
             sl = level_slices[k]
-            step = scales[k] * rng.standard_normal(2**k)
+            step = scales[k] * z[sl]
             du = gamma[sl] * step
             gidx, gval = gathers_grid[k]
             xidx, xval = gathers_X[k]
@@ -262,7 +266,7 @@ def metropolis_loop(sample, m, basis, cfg, rng):
             lpost2 = Wx2.sum() - len(X) * log_int_exp_where(Wg2)[0] - prior
             if not np.isfinite(lpost2):
                 raise FloatingPointError(f"non-finite log-posterior at level {k}")
-            accept = np.log(rng.random()) < lpost2 - lpost
+            accept = log_u[k] < lpost2 - lpost
             if accept:
                 xi, Wg, Wx, lpost = xi2, Wg2, Wx2, lpost2
             tries[k] += 1
@@ -327,6 +331,21 @@ def norm_samples_blocks(m, norm, samples, rng, block_floats, basis=None):
             signs = np.where(gen.random((b, ncoef)) < 0.5, -1.0, 1.0)
             u = signs * mags * gamma
             parts.append(np.abs(u @ Psi.T).max(axis=1))
+    return np.concatenate(parts)
+
+
+def tilted_x_blocks(p, a, g2, samples, rng, block_floats):
+    """X = sum_l g2_l xi_l^2 for ``samples`` draws of
+    ``concentration.smallball_l2_tilted`` at tilts a, block by block: xi_l
+    has density prop. to f_p(x) exp(-a_l x^2), drawn as N(0, 1 / (1 + 2 a))
+    at p = 2 and by ``halfline_loop`` at p = 1, and rows are summed by np.sum."""
+    parts = []
+    for gen, b in block_generators(samples, len(a), rng, block_floats):
+        if p == 2.0:
+            xi = gen.standard_normal((b, len(a))) / np.sqrt(1.0 + 2.0 * a)
+        else:
+            xi = halfline_loop(1.0, np.broadcast_to(a, (b, len(a))), gen)
+        parts.append(np.sum(xi * xi * g2, axis=1))
     return np.concatenate(parts)
 
 

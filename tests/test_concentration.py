@@ -8,6 +8,7 @@ from oracles import (
     projected_subgradient_batch,
     rate_solve_loop,
     smallball_agree,
+    tilted_x_blocks,
 )
 
 from pexp import concentration, measure
@@ -132,6 +133,17 @@ def test_truncation_ub_feasible_zero():
     spec = lin_spec(1.5, 1.0, 10)
     w = np.full(10, 0.01)
     assert inf_term_truncation_ub(w, 10.0, spec) == (0.0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solver", [inf_term_exact, inf_term_truncation_ub])
+def test_inf_terms_reject_a_non_finite_truth(solver, bad):
+    # with one NaN the bound returned (0.0, 0), and the exact solve spent
+    # seconds before a bracket SolverError
+    spec = lin_spec(1.5, 1.0, 4)
+    w = np.array([0.3, bad, -0.2, 0.1])
+    with pytest.raises(ValueError, match="w must be finite"):
+        solver(w, 0.5, spec)
 
 
 @pytest.mark.slow
@@ -336,6 +348,41 @@ def test_smallball_tilted_univariate_oracle(p):
         se = (est.ci[1] - est.ci[0]) / (2 * 1.959963984540054)
         assert se < 0.01
         assert abs(est.neglog - exact) <= 3 * se
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_smallball_tilted_matches_block_oracle(p, monkeypatch):
+    # 3000 rows of 16 coordinates in 6 blocks per radius, tilted (eps = 0.3)
+    # and plain (eps = 1.7, theta = 0): the hits and the estimate of the
+    # oracle's serial block draws, and the caller's generator at the same point
+    monkeypatch.setattr(measure, "BLOCK_FLOATS", 500 * 16)
+    m = pexp_measure(lin_spec(p, 1.0, 16))
+    g2 = m.spec.gamma() ** 2
+    eps = [0.3, 1.7]
+    rng, ref_rng = np.random.default_rng(78), np.random.default_rng(78)
+    ests = smallball_l2_tilted(m, eps, 3000, rng)
+    for e, est in zip(eps, ests):
+        theta = concentration._saddlepoint_theta(p, g2, e * e)
+        x = tilted_x_blocks(p, theta * g2, g2, 3000, ref_rng, 500 * 16)
+        inside = x <= e * e
+        mean = np.where(inside, np.exp(theta * (x - e * e)), 0.0).mean()
+        log_bound = theta * e * e + concentration._log_mgf_sq(p, theta * g2).sum()
+        assert est.hits == inside.sum() > 0
+        assert est.neglog == pytest.approx(-(log_bound + math.log(mean)), rel=1e-12, abs=1e-14)
+    assert (theta == 0.0) and est.hits < 3000
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_smallball_tilted_same_for_any_thread_count(p, monkeypatch):
+    # 5000 rows in 50 blocks per radius on pools of 1 and 3 threads
+    monkeypatch.setattr(measure, "BLOCK_FLOATS", 100 * 32)
+    m = pexp_measure(lin_spec(p, 1.0, 32))
+    results = []
+    for threads in (1, 3):
+        monkeypatch.setattr(measure, "MC_THREADS", threads)
+        results.append(smallball_l2_tilted(m, [0.3, 0.6], 5000, np.random.default_rng(79)))
+    assert results[0] == results[1]
 
 
 def test_smallball_tilted_rejects_other_p():

@@ -131,8 +131,16 @@ def test_config_rejects_non_integer_counts(key, value):
         ExperimentConfig.from_dict(dict(small_wn_config().to_dict(), **{key: value}))
 
 
+def criterion_9_config():
+    return ExperimentConfig(
+        model="white-noise", p=1.0, alpha=1.0, beta=2.0, q=1.0,
+        n_grid=[2**k for k in range(8, 17)], replicates=20, posterior_draws=200,
+        master_seed=42, slope_tol=0.07, lambda_rule=LambdaRule(0.2),
+    )
+
+
 def test_config_roundtrip_and_hash(tmp_path):
-    cfg = small_wn_config(lambda_rule=LambdaRule(0.2))
+    cfg = criterion_9_config()
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     path = tmp_path / "cfg.json"
     with open(path, "w") as fh:
@@ -141,6 +149,35 @@ def test_config_roundtrip_and_hash(tmp_path):
     assert cfg2 == cfg
     assert config_hash(cfg2) == config_hash(cfg)
     assert len(config_hash(cfg)) == 40
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        ({}, "rescaled rates require q < 2"),  # q = 2: no rescaled theory
+        ({"q": 1.0, "lambda_rule": LambdaRule(0.9)}, "poly_exponent=0.9.*n\\^-0.2 log\\^0 n"),
+        ({"q": 1.0, "lambda_rule": LambdaRule(0.2 * (1 + 1e-11))}, "n\\^-0.2 log\\^0 n"),
+        ({"q": 1.5}, "n\\^-0.2 log\\^0.2 n"),  # q > p: lambda_n carries a log factor
+    ],
+    ids=["q=2", "0.9", "0.2 off by 1e-11", "log factor"],
+)
+def test_config_rejects_a_lambda_rule_off_the_rescaled_theory(overrides, match):
+    # these ran every cell; then q = 2 raised InvalidRateQuery and 0.9 read
+    # INCONSISTENT, blaming the prior for the config's lambda_n
+    base = dict(p=1.0, beta=2.0, lambda_rule=LambdaRule(0.2))
+    with pytest.raises(ValueError, match=match):
+        small_wn_config(**dict(base, **overrides))
+
+
+@pytest.mark.parametrize(
+    "p, rule", [(1.0, 0.2), (1.0, 0.2 * (1 + 1e-13)), (2.0, 0.125), (1.5, 2 / 13)]
+)
+def test_config_accepts_the_rescaled_theory_lambda_rule(p, rule):
+    # q = 1 < p, beta = 2: lambda_n = n^-(1 / (2 + 3p))
+    cfg = ExperimentConfig.from_dict(
+        dict(small_wn_config(p=p, beta=2.0, q=1.0).to_dict(), lambda_rule={"poly_exponent": rule})
+    )
+    assert cfg.lambda_rule == LambdaRule(rule)
 
 
 @pytest.mark.parametrize(

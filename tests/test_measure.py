@@ -159,6 +159,19 @@ def test_regularity_scan_verdicts():
     assert verdicts[1.5] == "DIVERGING"
 
 
+def test_regularity_scan_same_for_any_thread_count(monkeypatch):
+    # 30 trials of 2^14 coordinates in 8 blocks on pools of 1 and 3 threads
+    monkeypatch.setattr(measure, "BLOCK_FLOATS", 4 * 2**14)
+    m = pexp_measure(lin_spec(1.5, 1.0, 64))
+    rows = []
+    for threads in (1, 3):
+        monkeypatch.setattr(measure, "MC_THREADS", threads)
+        rows.append(regularity_scan(m, [0.5, 1.0], 2.0, 30, np.random.default_rng(81)))
+    for a, b in zip(*rows):
+        assert np.array_equal(a.median_norms, b.median_norms)
+        assert (a.slope, a.verdict) == (b.slope, b.verdict)
+
+
 def test_regularity_scan_needs_trials():
     m = pexp_measure(lin_spec(1.5, 1.0, 64))
     with pytest.raises(ValueError):

@@ -541,8 +541,8 @@ def de_case(p, levels, n, seed):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_de_mcmc_leaves_the_generator_where_the_loop_oracle_does(p):
-    # all of an iteration's draws come first, per level normals then one
-    # uniform: the same calls in the same order as the per-level loop
+    # all of an iteration's draws come first, every level's normals then
+    # one uniform per level: the same calls in the same order as the loop
     sample, m, basis = de_case(p, 4, 300, 120)
     cfg = ChainConfig(draws=20, burn_in=60, thin=3)
     rng, ref_rng = np.random.default_rng(121), np.random.default_rng(121)
