@@ -48,7 +48,7 @@ for K in (4, 5, 6):
     pi0 = de_density(truth, basis)
     sample = de_simulate(truth, basis, 1000, np.random.default_rng(80))
     chain = de_posterior_mcmc(
-        sample, pexp_measure(spec), basis, ChainConfig(draws=100, burn_in=800, thin=3), rng
+        sample, pexp_measure(spec), ChainConfig(draws=100, burn_in=800, thin=3), rng
     )
     hs = hellinger(de_density(chain.u, basis), pi0)
     print(

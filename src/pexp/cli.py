@@ -19,22 +19,12 @@ from .measure import WaveletBasis, pexp_measure
 from .sequences import ScalingSpec, load_coefvec, save_coefvec
 
 
-def _spec_from_args(args, n=None) -> ScalingSpec:
+def _spec_from_args(args) -> ScalingSpec:
     if args.scheme == "dyadic":
         return ScalingSpec(
             args.p, args.alpha, args.d, args.lam, "dyadic", levels=args.levels
         )
-    return ScalingSpec(args.p, args.alpha, args.d, args.lam, "linear", n=n or args.n)
-
-
-def _add_prior_args(sp):
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sp.add_argument("--scheme", choices=["linear", "dyadic"], default="linear")
-    sp.add_argument("--levels", type=int, default=6)
-    sp.add_argument("--n", type=int, default=256)
+    return ScalingSpec(args.p, args.alpha, args.d, args.lam, "linear", n=args.n)
 
 
 def _regime_dict(r: rates.RateRegime | None) -> dict:
@@ -95,8 +85,9 @@ def _parse_eps_grid(text: str) -> np.ndarray:
 
 def cmd_conc(args) -> int:
     w = load_coefvec(args.w_file)
-    spec = _spec_from_args(args, n=len(w))
-    m = pexp_measure(spec)
+    # the w-file fixes the prior's scheme and truncation: its levels or its length
+    args.scheme, args.levels, args.n = w.scheme, w.levels, len(w)
+    m = pexp_measure(_spec_from_args(args))
     rng = np.random.default_rng(args.seed)
     # one sample for the whole grid: phi is then non-increasing in eps
     sample = concentration.unit_norm_sample(m, args.norm, args.mc_samples, rng)
@@ -193,6 +184,15 @@ def cmd_check_inequalities(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pexp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    law = argparse.ArgumentParser(add_help=False)  # the prior's law
+    law.add_argument("--p", type=float, required=True)
+    law.add_argument("--alpha", type=float, required=True)
+    law.add_argument("--d", type=int, default=1)
+    law.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    truncation = argparse.ArgumentParser(add_help=False)  # its scheme and length
+    truncation.add_argument("--scheme", choices=["linear", "dyadic"], default="linear")
+    truncation.add_argument("--levels", type=int, default=6)
+    truncation.add_argument("--n", type=int, default=256)
 
     sp = sub.add_parser("rate", help="closed-form contraction-rate calculators")
     sp.add_argument("--setting", choices=["l2", "l2-rescaled", "sup"], default="l2")
@@ -205,26 +205,25 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sweep alpha and emit CSV")
     sp.set_defaults(func=cmd_rate)
 
-    sp = sub.add_parser("conc", help="concentration function on an eps grid")
-    sp.add_argument("--w-file", required=True)
+    sp = sub.add_parser("conc", parents=[law], help="concentration function on an eps grid")
+    sp.add_argument("--w-file", required=True, help="CoefVec CSV; sets scheme and truncation")
     sp.add_argument("--eps-grid", required=True, help="comma-separated radii")
-    _add_prior_args(sp)
     sp.add_argument("--norm", choices=["l2", "sup"], default="l2")
     sp.add_argument("--mc-samples", type=int, default=10**5)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_conc)
 
-    sp = sub.add_parser("smallball", help="centered small-ball Monte Carlo")
+    sp = sub.add_parser(
+        "smallball", parents=[law, truncation], help="centered small-ball Monte Carlo"
+    )
     sp.add_argument("--eps-grid", required=True)
-    _add_prior_args(sp)
     sp.add_argument("--norm", choices=["l2", "sup"], default="l2")
     sp.add_argument("--mc-samples", type=int, default=10**5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--fit-slope", action="store_true")
     sp.set_defaults(func=cmd_smallball)
 
-    sp = sub.add_parser("sample-prior", help="draw from the prior")
-    _add_prior_args(sp)
+    sp = sub.add_parser("sample-prior", parents=[law, truncation], help="draw from the prior")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--out", default="prior_draws")

@@ -48,6 +48,7 @@ class SmallBallResolutionError(RuntimeError):
 
 P_MIN_GUARD = 1e-4  # smallest probability treated as MC-estimable at desk scale
 Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
+SUP_CELLS = 101  # odd cell count of smallball_sup_nodes' node-value grid
 
 
 @dataclass
@@ -161,16 +162,15 @@ def _kkt_residual(a, c, lam, p, h, lo, hi) -> float:
 def inf_term_truncation_ub(w, eps: float, spec: ScalingSpec) -> tuple[float, int]:
     """Upper bound from the proof construction: keep the first L coordinates,
     L minimal with ||h_{1:L} - w||_2 <= eps.  Always >= the exact value."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     w = coef_values(w)
     if len(w) != spec.size or not np.isfinite(w).all():
         raise ValueError("w must be finite and match the spec truncation in length")
-    total = float((w**2).sum())
-    if math.sqrt(total) <= eps:
-        return 0.0, 0
-    # tail2[L] = sum_{ell > L} w_ell^2 for L = 0..N
-    tail2 = np.concatenate([[total], total - np.cumsum(w**2)])
-    ok = np.sqrt(np.maximum(tail2, 0.0)) <= eps
-    L = int(np.argmax(ok))
+    # tail2[L] = sum_{ell > L} w_ell^2 for L = 0..N, summed from the end, so it
+    # is non-increasing in L and exactly 0 at L = N, where h = w is feasible
+    tail2 = np.append(np.cumsum(w[::-1] ** 2)[::-1], 0.0)
+    L = int(np.count_nonzero(np.sqrt(tail2) > eps))
     c = spec.gamma() ** (-spec.p)
     value = float((c[:L] * np.abs(w[:L]) ** spec.p).sum())
     return value, L
@@ -421,7 +421,7 @@ def smallball_l2_tilted(m: PExpMeasure, eps, samples: int, rng: np.random.Genera
 
 
 @_eps_grid
-def smallball_sup_nodes(m: PExpMeasure, eps, cells: int = 101):
+def smallball_sup_nodes(m: PExpMeasure, eps):
     """-log mu(eps B_sup) for the dyadic Faber-Schauder prior by a node recursion.
 
     The expansion is piecewise linear with f(0) = f(1) = 0, and each
@@ -433,20 +433,19 @@ def smallball_sup_nodes(m: PExpMeasure, eps, cells: int = 101):
         Q_k(a, b) = int_{-eps}^{eps} phi_k(m - (a + b)/2) Q_{k+1}(a, m) Q_{k+1}(m, b) dm,
 
     with Q_{K+1} = 1 and phi_k the density of gamma_k 2^{k/2} xi.  The node
-    values are discretised to the centers of an odd number of equal cells
-    over [-eps, eps] (so 0 is a center), with exact cell masses from
-    univariate.cdf; the cost is O(K cells^3).  With levels = 0 the result is
-    exact.  The value is deterministic: ``ci`` is the point itself and
+    values are discretised to the centers of SUP_CELLS equal cells over
+    [-eps, eps] (an odd count, so 0 is a center), with exact cell masses from
+    univariate.cdf; the cost is O(K SUP_CELLS^3).  With levels = 0 the result
+    is exact.  The value is deterministic: ``ci`` is the point itself and
     ``hits = samples = 0``; its discretisation error is checked by refining
-    the grid.
+    the grid (raising SUP_CELLS).
 
     Returns a SmallBallEstimate (or a list of them for a grid).
     """
     spec = m.spec
     if spec.scheme != "dyadic":
         raise ValueError("sup-norm node recursion requires the dyadic scheme")
-    if cells < 1 or cells % 2 == 0:
-        raise ValueError(f"cells must be a positive odd number, got {cells}")
+    cells = SUP_CELLS
     gamma = spec.gamma()
     scales = [gamma[2**k - 1] * 2.0 ** (k / 2.0) for k in range(spec.levels + 1)]
     results = []

@@ -86,6 +86,7 @@ class ExperimentConfig:
                 raise ValueError(f"lambda_rule {self.lambda_rule} is not the rescaled theory's "
                                  f"lambda_n = n^-{poly:.12g} log^{log:g} n")
         self.n_grid = ns
+        theory_exponent(self)  # a ValueError outside the rate theory, before any cell runs
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -225,7 +226,7 @@ def _de_cell(cfg: ExperimentConfig, truth: CoefVec, i_n: int, rep: int) -> Exper
     ccfg = models.ChainConfig(
         draws=cfg.posterior_draws, burn_in=cfg.burn_in, thin=cfg.thin
     )
-    chain = models.de_posterior_mcmc(sample, m, basis, ccfg, rng)
+    chain = models.de_posterior_mcmc(sample, m, ccfg, rng)
     return _row(n, rep, models.hellinger(models.de_density(chain.u, basis), pi0))
 
 

@@ -330,13 +330,10 @@ def hellinger(p1, p2):
 
 
 def de_posterior_mcmc(
-    sample: DensitySample,
-    m: PExpMeasure,
-    basis: WaveletBasis,
-    cfg: ChainConfig,
-    rng: np.random.Generator,
+    sample: DensitySample, m: PExpMeasure, cfg: ChainConfig, rng: np.random.Generator
 ) -> PosteriorChain:
-    """Adaptive random-walk Metropolis on whitened coefficients.
+    """Adaptive random-walk Metropolis on whitened coefficients, on the hat
+    basis of m's levels, ``WaveletBasis(m.spec.levels)``.
 
     Proposals update one resolution level at a time; each level's scale is
     adapted toward the 0.234 acceptance target during burn-in and then
@@ -360,20 +357,20 @@ def de_posterior_mcmc(
     if m.spec.scheme != "dyadic":
         raise ValueError("density model requires a dyadic spec")
     K = m.spec.levels
-    if K > basis.levels:
-        raise ValueError("spec levels exceed basis levels")
+    basis = WaveletBasis(K)
     p = m.spec.p
     gamma = m.spec.gamma()
     X = np.asarray(sample.points, dtype=float)
     n = len(X)
     S = np.zeros(m.spec.size)
-    for idx, val in basis.gather(X)[: K + 1]:
+    for idx, val in basis.gather(X):
         S += np.bincount(idx, weights=val, minlength=m.spec.size)
     with np.errstate(over="ignore"):
         gS = gamma * S
     if not np.isfinite(gS).all():
         raise ValueError(f"gamma * S overflows at prior scale lam={m.spec.lam:g}")
-    grid = basis.gather(basis.node_grid())[: K + 1]
+    nodes = basis.node_grid()
+    grid = basis.gather(nodes)
     idx = np.stack([gidx for gidx, _ in grid])  # (K + 1, nodes): each level's node gather
     gval = np.stack([gv * gamma[gidx] for gidx, gv in grid])  # with gamma folded in
     sizes = 2 ** np.arange(K + 1)
@@ -381,7 +378,7 @@ def de_posterior_mcmc(
     slices = [slice(s, 2 * s + 1) for s in starts.tolist()]
 
     xi = np.zeros(m.spec.size)
-    Wg = np.zeros(basis.node_grid().shape)
+    Wg = np.zeros(nodes.shape)
     log_z = 0.0  # at xi = 0, W = 0
     prior = [0.0] * (K + 1)  # per level: sum |xi_k|^p
     scales = [INIT_SCALE] * (K + 1)

@@ -100,9 +100,9 @@ def _l2_smallball_leg(alpha, d) -> Fraction:
 def _l2_switch(beta, p, q, d):
     """Switch-point alpha* together with its squared rational form.
 
-    Returns (t0, a2) such that the approximation leg applies iff
-    2 p alpha - (p beta - d) >= sqrt(a2), i.e. iff t >= 0 and t^2 >= a2 with
-    t = 2 p alpha - p beta + d (q >= 2 reduces to alpha >= beta).
+    Returns (denom, offset, a2): the approximation leg applies iff t >= 0 and
+    t^2 >= a2 with t = denom alpha - offset, so alpha* = (offset + sqrt(a2)) /
+    denom.  None for q >= 2, where the leg applies iff alpha >= beta.
     """
     b, pp, qq, dd = map(_frac, (beta, p, q, d))
     if qq >= 2:

@@ -6,11 +6,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pexp import experiments, measure
+from pexp import concentration, experiments, measure
 from pexp.cli import main
-from pexp.sequences import BesovParams, load_coefvec, make_truth, save_coefvec
+from pexp.measure import pexp_measure
+from pexp.sequences import (
+    BesovParams,
+    CoefVec,
+    ScalingSpec,
+    load_coefvec,
+    make_truth,
+    save_coefvec,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -181,6 +190,39 @@ def test_conc_shares_one_sample_across_the_grid(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("norm", ["l2", "sup"])
+def test_conc_takes_scheme_and_truncation_from_the_w_file(tmp_path, capsys, norm):
+    # a dyadic w-file used to be read under the default linear prior
+    spec = ScalingSpec(1.0, 1.0, scheme="dyadic", levels=4)
+    w = CoefVec.dyadic(spec.gamma() * np.random.default_rng(6).normal(size=spec.size), 4)
+    path = tmp_path / "w.csv"
+    save_coefvec(w, path)
+    code, out = run_cli(
+        capsys, "conc", "--w-file", str(path), "--eps-grid", "0.5,1", "--p", "1",
+        "--alpha", "1", "--norm", norm, "--mc-samples", "20000", "--seed", "7",
+    )
+    assert code == 0
+    m = pexp_measure(spec)
+    sample = concentration.unit_norm_sample(m, norm, 20000, np.random.default_rng(7))
+    for line, eps in zip(out.strip().splitlines()[1:], (0.5, 1.0), strict=True):
+        est = concentration.concentration_fn(w, eps, m, norm, sample)
+        assert [float(v) for v in line.split(",")[1:]] == [
+            est.inf_term, np.linalg.norm(est.argmin), est.neglog_smallball,
+            *est.neglog_ci, est.phi,
+        ]
+
+
+@pytest.mark.parametrize("flag", [["--scheme", "dyadic"], ["--levels", "4"], ["--n", "16"]])
+def test_conc_has_no_truncation_flags(tmp_path, capsys, flag):
+    # argparse reads --n as an abbreviation of --norm, which rejects "16"
+    path = tmp_path / "w.csv"
+    save_coefvec(make_truth(BesovParams(1.0, 2.0, 1), n=16), path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["conc", "--w-file", str(path), "--eps-grid", "0.6", "--p", "1.5",
+              "--alpha", "1", *flag])
+    assert exit_.value.code == 2 and "error:" in capsys.readouterr().err
+
+
 def test_smallball_fit_slope(capsys):
     code, out = run_cli(
         capsys,
@@ -270,6 +312,10 @@ WN_CFG = dict(model="white-noise", p=2.0, alpha=1.0, beta=1.0, q=2.0, n_grid=[32
         ("wn-experiment", '{"model": "white-noise", "p": 2.0}', "missing 7 required"),
         ("wn-experiment", json.dumps(dict(WN_CFG, n_grid=256)), "not iterable"),
         ("de-experiment", None, "No such file"),
+        # outside the rate theory: a traceback after every cell, or failed cells
+        ("wn-experiment", json.dumps(dict(WN_CFG, beta=0.2, q=1.0)), "beta must exceed"),
+        ("wn-experiment", json.dumps(dict(WN_CFG, alpha=-1.0)), "alpha must be positive"),
+        ("de-experiment", json.dumps(dict(WN_CFG, model="density", p=3.0)), "p must lie"),
     ],
 )
 def test_experiment_reports_a_bad_config_in_one_line(tmp_path, capsys, command, text, problem):

@@ -135,6 +135,27 @@ def test_truncation_ub_feasible_zero():
     assert inf_term_truncation_ub(w, 10.0, spec) == (0.0, 0)
 
 
+def test_truncation_ub_keeps_every_coordinate_at_a_tiny_radius():
+    # the tail sums total - cumsum(w^2) kept a rounding residue at L = N, so
+    # below eps ~ sqrt(N ulp(total)) no L passed and the bound was (0.0, 0)
+    spec = lin_spec(1.5, 1.0, 100)
+    c = spec.gamma() ** -1.5
+    rng = np.random.default_rng(130)
+    for _ in range(50):
+        w = rng.normal(size=100)
+        value, L = inf_term_truncation_ub(w, 1e-12, spec)
+        assert L == 100
+        assert value == float((c * np.abs(w) ** 1.5).sum())
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.5, 0.0])
+def test_truncation_ub_rejects_a_bad_radius(eps):
+    # each returned (0.0, 0), where inf_term_exact raises
+    spec = lin_spec(1.5, 1.0, 4)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        inf_term_truncation_ub(np.array([0.3, 0.5, -0.2, 0.1]), eps, spec)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("solver", [inf_term_exact, inf_term_truncation_ub])
 def test_inf_terms_reject_a_non_finite_truth(solver, bad):
@@ -402,12 +423,13 @@ def test_smallball_tilted_matches_mc(p):
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-def test_smallball_sup_nodes_single_level_exact(p):
+def test_smallball_sup_nodes_single_level_exact(p, monkeypatch):
     # levels=0: one node at 1/2 carrying lam * xi
+    monkeypatch.setattr(concentration, "SUP_CELLS", 11)
     m = pexp_measure(ScalingSpec(p, 1.0, lam=0.7, scheme="dyadic", levels=0))
     for e in (0.05, 0.5, 2.0):
         exact = -math.log(cdf(PExpParams(p), e / 0.7) - cdf(PExpParams(p), -e / 0.7))
-        assert smallball_sup_nodes(m, e, 11).neglog == pytest.approx(exact, rel=1e-12)
+        assert smallball_sup_nodes(m, e).neglog == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -419,12 +441,17 @@ def test_smallball_sup_nodes_matches_mc(p):
         assert smallball_agree(a, b)
 
 
-def test_smallball_sup_nodes_grid_convergence():
+def test_smallball_sup_nodes_grid_convergence(monkeypatch):
     # cells G -> 2G-1 halves the cell width; the error is second order, so
     # successive differences shrink about fourfold, in the bulk and deep
     m = pexp_measure(ScalingSpec(1.0, 1.0, scheme="dyadic", levels=7))
     eps = [0.03, 0.3, 1.5]
-    g51, g101, g201 = (smallball_sup_nodes(m, eps, g) for g in (51, 101, 201))
+
+    def at(cells):
+        monkeypatch.setattr(concentration, "SUP_CELLS", cells)
+        return smallball_sup_nodes(m, eps)
+
+    g51, g101, g201 = at(51), at(101), at(201)
     for a, b, c in zip(g51, g101, g201):
         d1, d2 = abs(a.neglog - b.neglog), abs(b.neglog - c.neglog)
         assert d2 < 1e-3 * c.neglog
@@ -432,9 +459,6 @@ def test_smallball_sup_nodes_grid_convergence():
 
 
 def test_smallball_sup_nodes_rejects_bad_input():
-    dyadic = pexp_measure(ScalingSpec(1.0, 1.0, scheme="dyadic", levels=3))
-    with pytest.raises(ValueError):
-        smallball_sup_nodes(dyadic, 0.5, cells=100)
     with pytest.raises(ValueError):
         smallball_sup_nodes(pexp_measure(lin_spec(1.0, 1.0, 8)), 0.5)
 
@@ -463,7 +487,7 @@ def test_smallball_tilted_rejects_non_finite_eps(eps):
 def test_smallball_sup_nodes_rejects_non_finite_eps(eps):
     m = pexp_measure(ScalingSpec(1.0, 1.0, scheme="dyadic", levels=3))
     with pytest.raises(ValueError, match="finite and > 0"):
-        smallball_sup_nodes(m, eps, 11)
+        smallball_sup_nodes(m, eps)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf])

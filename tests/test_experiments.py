@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import ball_probability_loop
 
-from pexp import experiments, measure
+from pexp import experiments, measure, rates
 from pexp.experiments import (
     ExperimentConfig,
     ExperimentError,
@@ -129,6 +129,23 @@ def test_config_rejects_non_integer_counts(key, value):
     # 64.7 used to be truncated to 64, 1.5 and true to fail mid-run
     with pytest.raises(ValueError, match=f"config key {key} needs an integer"):
         ExperimentConfig.from_dict(dict(small_wn_config().to_dict(), **{key: value}))
+
+
+@pytest.mark.parametrize(
+    "model, bad, error",
+    [
+        ("white-noise", {"beta": 0.2, "q": 1.0}, rates.InvalidRateQuery),  # beta <= 1/q - 1/2
+        ("white-noise", {"alpha": -1.0}, rates.DegenerateRateQuery),
+        ("density", {"alpha": -1.0}, rates.DegenerateRateQuery),
+        ("white-noise", {"p": 3.0}, rates.DegenerateRateQuery),
+        ("density", {"p": 3.0}, rates.DegenerateRateQuery),
+    ],
+)
+def test_config_outside_the_rate_theory_is_rejected_at_load(model, bad, error):
+    # each used to run its cells: a traceback from theory_exponent after the
+    # last one, or every cell failing
+    with pytest.raises(error):
+        small_wn_config(model=model, **bad)
 
 
 def criterion_9_config():

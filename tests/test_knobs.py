@@ -39,7 +39,6 @@ CALLER_DIRS = ("src/pexp", "demos", "perfbench")
 JSON_CONFIGS = ("ExperimentConfig",)
 
 ALLOWED = {
-    "smallball_sup_nodes.cells": "the tests refine the cell grid to measure its error",
     "ExperimentConfig.truth_file": "set by users' JSON configs; only the tests write a truth file",
     "ExperimentConfig.max_truncation": "set by users' JSON configs; the tests cap N to keep sweeps cheap",
 }

@@ -494,7 +494,7 @@ def test_de_mcmc_matches_metropolis_loop_oracle_exactly(p, levels, n):
     else:
         sample = type("S", (), {"points": np.empty(0), "n": 0})()
     cfg = ChainConfig(draws=50, burn_in=200, thin=2)
-    chain = de_posterior_mcmc(sample, m, basis, cfg, np.random.default_rng(101))
+    chain = de_posterior_mcmc(sample, m, cfg, np.random.default_rng(101))
     want = metropolis_loop(sample, m, basis, cfg, np.random.default_rng(101))
     assert chain.xi.shape == (50, spec.size)
     np.testing.assert_array_equal(chain.xi, want["xi"])
@@ -506,7 +506,7 @@ def test_de_mcmc_matches_metropolis_loop_oracle_exactly(p, levels, n):
 
 
 def chain_matches_loop_oracle(sample, m, basis, cfg, seed):
-    chain = de_posterior_mcmc(sample, m, basis, cfg, np.random.default_rng(seed))
+    chain = de_posterior_mcmc(sample, m, cfg, np.random.default_rng(seed))
     want = metropolis_loop(sample, m, basis, cfg, np.random.default_rng(seed))
     np.testing.assert_array_equal(chain.xi, want["xi"])
     assert chain.acceptance_rate == want["acceptance_rate"]
@@ -546,7 +546,7 @@ def test_de_mcmc_leaves_the_generator_where_the_loop_oracle_does(p):
     sample, m, basis = de_case(p, 4, 300, 120)
     cfg = ChainConfig(draws=20, burn_in=60, thin=3)
     rng, ref_rng = np.random.default_rng(121), np.random.default_rng(121)
-    de_posterior_mcmc(sample, m, basis, cfg, rng)
+    de_posterior_mcmc(sample, m, cfg, rng)
     metropolis_loop(sample, m, basis, cfg, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -586,7 +586,7 @@ def test_de_mcmc_rejects_overflowing_prior_scale():
     sample = de_simulate(truth, basis, 50, np.random.default_rng(113))
     cfg = ChainConfig(draws=50, burn_in=200, thin=2)
     with pytest.raises(ValueError, match="overflows"):
-        de_posterior_mcmc(sample, pexp_measure(spec), basis, cfg, np.random.default_rng(114))
+        de_posterior_mcmc(sample, pexp_measure(spec), cfg, np.random.default_rng(114))
 
 
 def near_cases():
@@ -662,7 +662,7 @@ def test_de_mcmc_runs_one_normalizer_pass_per_iteration_and_per_accept(lam, monk
     truth = CoefVec.dyadic(spec.unit().gamma() * np.random.default_rng(112).normal(size=15), 3)
     sample = de_simulate(truth, basis, 50, np.random.default_rng(113))
     cfg = ChainConfig(draws=50, burn_in=200, thin=2)
-    chain = de_posterior_mcmc(sample, pexp_measure(spec), basis, cfg, np.random.default_rng(114))
+    chain = de_posterior_mcmc(sample, pexp_measure(spec), cfg, np.random.default_rng(114))
     total = cfg.burn_in + cfg.draws * cfg.thin
     accepts = np.rint(chain.step_log["per_level_accept"] * total).astype(int)
     assert len(calls) == total + accepts[:-1].sum()
@@ -705,10 +705,9 @@ def test_de_mcmc_prior_recovery_without_data():
     # no observations: chain marginals must match the prior f_p
     spec = ScalingSpec(1.0, 1.0, scheme="dyadic", levels=3)
     m = pexp_measure(spec)
-    basis = WaveletBasis(3)
     sample = type("S", (), {"points": np.empty(0), "n": 0})()
     cfg = ChainConfig(draws=10000, burn_in=1500, thin=2)
-    chain = de_posterior_mcmc(sample, m, basis, cfg, np.random.default_rng(87))
+    chain = de_posterior_mcmc(sample, m, cfg, np.random.default_rng(87))
     pr = PExpParams(1.0)
     for idx in (0, 3, 10):
         xs = chain.xi[:, idx]
@@ -724,7 +723,7 @@ def test_de_mcmc_acceptance_and_detailed_balance():
     truth = CoefVec.dyadic(np.zeros(15), 3)
     sample = de_simulate(truth, basis, 200, np.random.default_rng(88))
     cfg = ChainConfig(draws=50, burn_in=300, thin=1)
-    chain = de_posterior_mcmc(sample, m, basis, cfg, np.random.default_rng(89))
+    chain = de_posterior_mcmc(sample, m, cfg, np.random.default_rng(89))
     assert 0.05 < chain.acceptance_rate < 0.7
     assert chain.xi.shape == (50, 15)
     # Metropolis ratio identity: a(x->y) pi(x) = a(y->x) pi(y) for symmetric
@@ -748,7 +747,7 @@ def test_de_mcmc_posterior_mode_tracks_strong_data():
     pi0 = de_density(truth, basis)
     sample = de_simulate(truth, basis, 4000, np.random.default_rng(91))
     cfg = ChainConfig(draws=150, burn_in=800, thin=2)
-    chain = de_posterior_mcmc(sample, m, basis, cfg, np.random.default_rng(92))
+    chain = de_posterior_mcmc(sample, m, cfg, np.random.default_rng(92))
     post_mean = CoefVec.dyadic(chain.u.mean(axis=0), 3)
     h = hellinger(de_density(post_mean, basis), pi0)
     assert h < 0.08
@@ -779,7 +778,7 @@ def test_de_mcmc_mean_matches_penalized_mle_oracle():
                    options={"maxiter": 20000, "xatol": 1e-6, "fatol": 1e-8})
     cfg = ChainConfig(draws=300, burn_in=1000, thin=2)
     chain = de_posterior_mcmc(
-        de_simulate(truth, basis, 6000, np.random.default_rng(94 + 1)), m, basis, cfg,
+        de_simulate(truth, basis, 6000, np.random.default_rng(94 + 1)), m, cfg,
         np.random.default_rng(95),
     )
     # the chain explores the posterior ball around the mode: compare means
