@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -112,11 +113,7 @@ def cmd_smallball(args) -> int:
     for e in ests:
         print(f"{e.eps},{e.p_hat:.17g},{e.neglog:.17g},{e.ci[0]:.17g},{e.ci[1]:.17g}")
     if args.fit_slope:
-        try:
-            slope, se = concentration.smallball_slope(ests)
-        except ValueError as exc:
-            print(f"pexp smallball: cannot fit a slope: {exc}", file=sys.stderr)
-            return 1
+        slope, se = concentration.smallball_slope(ests)
         theory = -args.d / args.alpha if args.norm == "l2" else -1.0 / args.alpha
         print(f"slope,{slope:.17g},stderr,{se:.17g},theory_slope,{theory:.17g}")
     return 0
@@ -182,8 +179,9 @@ def cmd_check_inequalities(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pexp", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)  # no prefixes
+    parser = exact(prog="pexp", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
     law = argparse.ArgumentParser(add_help=False)  # the prior's law
     law.add_argument("--p", type=float, required=True)
     law.add_argument("--alpha", type=float, required=True)
@@ -247,7 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, concentration.ZeroHitsError) as exc:
+        print(f"pexp {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

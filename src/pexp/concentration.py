@@ -348,14 +348,14 @@ def _saddlepoint_theta(p: float, g2: np.ndarray, eps2: float) -> float:
 
 def _tilted_squares(p: float, a: np.ndarray, g2: np.ndarray, rng: np.random.Generator, rows: int):
     """X = sum_l g2_l xi_l^2 for ``rows`` draws of xi_l from the density prop.
-    to f_p(x) exp(-a_l x^2): at p = 2 xi ~ N(0, 1 / (1 + 2a)), at p = 1 |xi|
-    has density prop. to exp(-x - a x^2) on x >= 0.  Each row is summed by
-    einsum, not by a BLAS product, whose sums depend on its thread count.
+    to f_p(x) exp(-a_l x^2): at p = 2 xi ~ N(0, 1 / (1 + 2a)), at p = 1 by
+    ``univariate.tilted_sample`` with b = 0.  Each row is summed by einsum,
+    not by a BLAS product, whose sums depend on its thread count.
     """
     if p == 2.0:
         sq = rng.standard_normal((rows, len(a))) ** 2 / (1.0 + 2.0 * a)
     else:
-        sq = univariate.halfline_sample(1.0, np.broadcast_to(a, (rows, len(a))), rng) ** 2
+        sq = univariate.tilted_sample(1.0, a, 0.0, rng, (rows, len(a)))[0] ** 2
     return np.einsum("ij,j->i", sq, g2)
 
 

@@ -3,16 +3,16 @@ estimation on [0, 1].
 
 White noise observations are y_ell = w0_ell + n^{-1/2} z_ell; the posterior
 under a p-exponential prior factorizes over coordinates, so it is sampled
-exactly (conjugate formulas at p = 2, otherwise rejection from a
-two-sided truncated-Gaussian envelope, which is exact at p = 1).  The
-density model exponentiates a Faber-Schauder expansion, linear between
-dyadic nodes so that its normalizer is exact on the node grid, and runs
-adaptive random-walk Metropolis in whitened coordinates, one level per
-proposal, accepted on that level's log-posterior change.  Its likelihood
-sum_i W(X_i) = S . u, S_l = sum_i psi_l(X_i), enters a chain only via S.
-Per iteration the chain makes two draws (normals, uniforms), computes every
-level's proposal, prior sum, likelihood term, node increment and normalizer
-at once and, after an accept, passes the levels above again from the new W.
+exactly: conjugate at p = 2, else by ``univariate.tilted_sample``, whose
+truncated-Gaussian envelope is exact at p = 1.  The density model
+exponentiates a Faber-Schauder expansion, linear between dyadic nodes so
+that its normalizer is exact on the node grid, and runs adaptive random-walk
+Metropolis in whitened coordinates, one level per proposal, accepted on that
+level's log-posterior change.  Its likelihood sum_i W(X_i) = S . u,
+S_l = sum_i psi_l(X_i), enters a chain only via S.  Per iteration the chain
+makes two draws (normals, uniforms), computes every level's proposal, prior
+sum, likelihood term, node increment and normalizer at once and, after an
+accept, passes the levels above again from the new W.
 """
 
 from __future__ import annotations
@@ -98,9 +98,10 @@ def wn_conjugate_moments(data: WhiteNoiseData, m: PExpMeasure):
 def wn_posterior_sample(
     data: WhiteNoiseData, m: PExpMeasure, draws: int, rng: np.random.Generator
 ) -> PosteriorChain:
-    """Exact independent joint posterior draws, all coordinates at once: the
-    conjugate form at p = 2 (one (draws, N) block of standard normals), else
-    ``_wn_rejection_sample``."""
+    """Exact independent joint posterior draws, all coordinates at once, of xi
+    prop. to exp(-a xi^2 + b xi - |xi|^p / p), a = n gamma^2 / 2, b = n gamma
+    y: conjugate at p = 2 (one (draws, N) block of standard normals), else
+    ``univariate.tilted_sample``, whose log is the step log."""
     if m.spec.scheme != "linear":
         raise ValueError("white noise model uses the linear scheme")
     y = data.y.values
@@ -109,96 +110,16 @@ def wn_posterior_sample(
     if not (data.n > 0 and np.isfinite(y).all()):
         raise ValueError("white noise data need n > 0 and finite observations")
     if m.spec.p != 2.0:
-        return _wn_rejection_sample(data, m, draws, rng)
+        g, n = m.spec.gamma(), data.n
+        a, b = n * g**2 / 2.0, n * g * y
+        xi, log = univariate.tilted_sample(m.spec.p, a, b, rng, (draws, len(y)))
+        return PosteriorChain(xi, m.spec, 1.0, {"method": "rejection", **log})
     mean_u, var_u = wn_conjugate_moments(data, m)
     xi = rng.standard_normal((draws, len(y)))
     xi *= np.sqrt(var_u)
     xi += mean_u
     xi /= m.spec.gamma()
     return PosteriorChain(xi, m.spec, 1.0, {"method": "conjugate"})
-
-
-def _log_erfcx(z: np.ndarray) -> np.ndarray:
-    """log erfcx(z) for real z: the log of ``univariate._erfcx`` at z >= 0,
-    and z^2 + log(2 - erfc(-z)) below, with erfc(-z) = erfcx(-z) e^{-z^2};
-    no term cancels another, so the log keeps its absolute precision."""
-    r = np.abs(z)
-    e = univariate._erfcx(r)
-    return np.where(z < 0, r * r + np.log(2.0 - e * np.exp(-r * r)), np.log(e))
-
-
-def _wn_rejection_sample(
-    data: WhiteNoiseData, m: PExpMeasure, draws: int, rng: np.random.Generator
-) -> PosteriorChain:
-    """Exact posterior draws by rejection, at any p; at p = 2 the tests
-    cross-check them against the conjugate formulas.
-
-    With a = n gamma^2 / 2 the posterior of xi is prop. to
-    exp(-a (xi - y/gamma)^2 - |xi|^p / p), whose mode has magnitude
-    univariate.prox(|y|/gamma, 1/p, a, p).  Its envelope replaces |xi|^p / p
-    by the tangent in |xi| at x0 = max(|mode|, 1), of slope s = x0^{p-1}: each
-    side is a half-line law exp(-lam x - a x^2), lam = s -+ n gamma y, picked
-    by its exact mass and kept with probability exp(tangent - |xi|^p / p),
-    which is 1 at p = 1.  Raises univariate.SamplerError if draws are left
-    after univariate.MAX_ROUNDS rounds.
-
-    The stream is fixed by the draw order.  Each round takes one uniform per
-    pending entry, in C order of the (draws, N) array, to pick the side; then
-    univariate.halfline_sample's draws for those entries; then, at p != 1,
-    one standard exponential per entry whose tangent gap is positive.  At
-    p = 1 the gap is exactly 0 and no exponential is drawn.
-    """
-    y, g, n, p = data.y.values, m.spec.gamma(), data.n, m.spec.p
-    a = n * g**2 / 2.0
-    x0 = np.maximum(univariate.prox(np.abs(y) / g, 1.0 / p, a, p)[0], 1.0)
-    s = x0 ** (p - 1.0)
-    lam = np.stack([s - n * g * y, s + n * g * y])  # xi >= 0, xi < 0
-    # a side holds (1/2) sqrt(pi / a) erfcx(lam / (2 sqrt a))
-    log_odds = np.subtract(*_log_erfcx(lam / (2.0 * np.sqrt(a))))
-    e = np.exp(-np.abs(log_odds))
-    p_plus = np.where(log_odds >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    shape = (draws, len(y))
-    xi = np.empty(shape) if 0 in shape else None  # round 1's proposals become xi
-    todo = None if xi is None else np.arange(0)  # flat positions pending; None in round 1
-    accept = []  # per rejection round
-    while todo is None or todo.size:
-        if len(accept) == univariate.MAX_ROUNDS:
-            raise univariate.SamplerError(
-                f"white-noise rejection: {todo.size} draws left after {len(accept)} rounds"
-            )
-        if todo is None:
-            minus = rng.random(shape) >= p_plus
-            lam_c, a_c, x0_c, s_c = np.where(minus, lam[1], lam[0]), a, x0, s
-        else:
-            c = todo % len(y)
-            minus = rng.random(todo.size) >= p_plus[c]
-            lam_c, a_c, x0_c, s_c = np.where(minus, lam[1, c], lam[0, c]), a[c], x0[c], s[c]
-        x = univariate.halfline_sample(lam_c, a_c, rng)
-        if p == 1.0:  # the tangent is |xi| itself: every proposal is kept
-            ok = np.ones(x.shape, dtype=bool)
-        else:
-            gap = x**p
-            gap -= x0_c**p
-            gap /= p
-            step = np.subtract(x, x0_c)
-            step *= s_c
-            gap -= step
-            tight = gap > 0.0
-            ok = ~tight
-            ok[tight] = rng.standard_exponential(np.count_nonzero(tight)) >= gap[tight]
-        # lam_c's memory takes the sign, -1/2 on the minus side; the half-line
-        # draws are >= +0, so copysign negates them exactly there
-        np.copyto(lam_c, minus)
-        np.copysign(x, np.subtract(0.5, lam_c, out=lam_c), out=x)
-        if todo is None:
-            xi, todo = x, np.flatnonzero(~ok)
-        else:
-            xi.reshape(-1)[todo[ok]] = x[ok]
-            todo = todo[~ok]
-        accept.append(float(ok.mean()))
-    log = {"method": "rejection", "rounds": len(accept),
-           "first_round_accept": accept[0] if accept else 1.0}
-    return PosteriorChain(xi, m.spec, 1.0, log)
 
 
 RADII_BLOCK_FLOATS = 2**16  # entries of wn_error_radii's one scratch block

@@ -20,6 +20,9 @@ at p from 1.01 to 1.99, Q was within 1e-14 relatively, P within 1e-15
 relatively and 1 - Q/2 within 4e-16 absolutely.  Both CDFs run over
 blocks of CDF_BLOCK points.  The quantile solves the lower tail by a safeguarded
 Newton iteration at every p > 1.
+
+``tilted_sample`` draws the Gaussian-tilted law exp(-a x^2 + b x - |x|^p / p):
+a white-noise posterior coordinate and, at b = 0, a tilted small-ball one.
 """
 
 from __future__ import annotations
@@ -460,10 +463,18 @@ def abs_sample(params: PExpParams, rng: np.random.Generator, size=None):
     return out if np.ndim(out) else float(out)
 
 
-def halfline_sample(lam, a, rng: np.random.Generator) -> np.ndarray:
-    """Exact draws from the density prop. to exp(-lam x - a x^2) on x >= 0, one
-    per entry of the broadcast of ``lam`` and ``a`` (a >= 0, a > 0 if lam <= 0).
+def _log_erfcx(z: np.ndarray) -> np.ndarray:
+    """log erfcx(z) for real z: the log of ``_erfcx`` at z >= 0, and z^2 +
+    log(2 - erfc(-z)) below, with erfc(-z) = erfcx(-z) e^{-z^2}; no term
+    cancels another, so the log keeps its absolute precision."""
+    r = np.abs(z)
+    e = _erfcx(r)
+    return np.where(z < 0, r * r + np.log(2.0 - e * np.exp(-r * r)), np.log(e))
 
+
+def _halfline_sample(lam, a, rng: np.random.Generator) -> np.ndarray:
+    """Exact draws from the density prop. to exp(-lam x - a x^2) on x >= 0, one
+    per entry of the array ``lam``, with ``a`` broadcast: ``tilted_sample``'s sides.
     Each round proposes from Exp(lam) accepting with exp(-a x^2) where
     a < pi lam^2 / 4, else from N(-lam/(2a), 1/(2a)): folded at 0 and accepted
     with exp(-lam x) when lam >= 0, or kept when nonnegative when lam < 0.
@@ -478,21 +489,18 @@ def halfline_sample(lam, a, rng: np.random.Generator) -> np.ndarray:
     acceptance exponential per pending entry in C order.  Round 1 covers
     every entry; later rounds only the rejected ones.
     """
-    lam, a = np.asarray(lam, dtype=float), np.asarray(a, dtype=float)
-    if not (np.isfinite(lam).all() and np.isfinite(a).all() and (a >= 0).all()
-            and ((a > 0).all() or ((a > 0) | (lam > 0)).all())):
-        raise ValueError("halfline_sample needs finite lam, a >= 0, and a > 0 where lam <= 0")
-    shape = np.broadcast_shapes(lam.shape, a.shape)
-    # Every pass below works on the broadcast through ufunc masks and out=
-    # buffers: a round makes two arrays of its size besides its draws, and the
-    # parameters stay unbroadcast until the rejected entries are gathered.
+    # Every pass below works on lam's shape through ufunc masks and out=
+    # buffers: a round makes two arrays of its size besides its draws, and a
+    # stays unbroadcast until the rejected entries are gathered.
     l, q = lam, a  # gathered to the pending entries after round 1
-    size = shape or (1,)  # of the current round
+    size = lam.shape  # of the current round
     todo = None  # flat positions of the pending entries in x; None in round 1, which makes x
     rounds = 0
     while todo is None or todo.size:
         if rounds == MAX_ROUNDS:
-            raise SamplerError(f"halfline_sample: {todo.size} draws left after {rounds} rounds")
+            raise SamplerError(
+                f"tilted_sample: {todo.size} half-line draws left after {rounds} rounds"
+            )
         rounds += 1
         buf = np.multiply(math.pi / 4.0, l, out=np.empty(size))
         buf *= l
@@ -528,7 +536,74 @@ def halfline_sample(lam, a, rng: np.random.Generator) -> np.ndarray:
         pending = np.unravel_index(rejected, size)
         l, q = np.broadcast_to(l, size)[pending], np.broadcast_to(q, size)[pending]
         size = todo.shape
-    return x.reshape(shape)
+    return x
+
+
+def tilted_sample(p: float, a, b, rng: np.random.Generator, size: tuple):
+    """Exact draws of shape ``size`` from the density prop. to exp(-a x^2 + b x
+    - |x|^p / p), p in [1, 2], a >= 0 and b broadcast along the last axis,
+    with a log of the tangent test's ``rounds`` and ``first_round_accept``.
+
+    The envelope replaces |x|^p / p by its tangent in |x| at x0 = max(|mode|,
+    1), of slope s = x0^{p-1}: its side x >= 0 (x < 0) is the half-line law
+    exp(-lam x - a x^2), lam = s - b (s + b), of mass (1/2) sqrt(pi / a)
+    erfcx(lam / (2 sqrt a)), or 1 / lam at a = 0.  Each round picks a side by
+    one uniform per pending entry in C order, draws it by ``_halfline_sample``
+    and keeps it with probability exp(tangent - |x|^p / p), by one exponential
+    per entry whose gap is positive (none at p = 1).  Round 1 runs on the full
+    arrays.  ValueError unless a and b are finite, a >= 0 and a > 0 wherever
+    lam <= 0; SamplerError if draws are left after MAX_ROUNDS rounds.
+    """
+    cols = size[-1]
+    a, b = (np.broadcast_to(np.asarray(v, dtype=float), (cols,)) for v in (a, b))
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and (a >= 0).all()):
+        raise ValueError("tilted_sample needs finite a >= 0 and finite b")
+    curved = a > 0
+    safe_a = np.where(curved, a, 1.0)
+    # |mode| solves h^{p-1} + 2 a h = |b|; at a = 0 a valid lam needs |mode| < 1
+    mode = prox(np.where(curved, np.abs(b), 0.0) / (2.0 * safe_a), 1.0 / p, safe_a, p)[0]
+    x0 = np.maximum(mode, 1.0)
+    s = x0 ** (p - 1.0)
+    lam = np.stack([s - b, s + b])  # x >= 0, x < 0
+    if not (curved | (lam > 0)).all():
+        raise ValueError("tilted_sample needs a > 0 where a side's rate s -+ b is <= 0")
+    log_odds = np.subtract(*_log_erfcx(lam / (2.0 * np.sqrt(safe_a))))
+    t = np.exp(-np.abs(log_odds))
+    p_plus = np.where(log_odds >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    p_plus = np.where(curved, p_plus, lam[1] / (lam[0] + lam[1]))  # masses 1 / lam at a = 0
+    out = np.empty(size) if 0 in size else None  # else round 1's draws become it
+    todo = None if out is None else np.arange(0)  # flat positions pending; None in round 1
+    rounds, first = 0, 1.0
+    while todo is None or todo.size:
+        if rounds == MAX_ROUNDS:
+            raise SamplerError(f"tilted_sample: {todo.size} draws left after {rounds} rounds")
+        rounds += 1
+        c = slice(None) if todo is None else todo % cols  # round 1 broadcasts along rows
+        minus = rng.random(size if todo is None else todo.size) >= p_plus[c]
+        lam_c, a_c, x0_c, s_c = np.where(minus, lam[1, c], lam[0, c]), a[c], x0[c], s[c]
+        x = _halfline_sample(lam_c, a_c, rng)
+        if p == 1.0:  # the tangent is |x| itself: every draw is kept
+            ok = np.ones(x.shape, dtype=bool)
+        else:
+            gap = x**p
+            gap -= x0_c**p
+            gap /= p
+            step = np.subtract(x, x0_c)
+            step *= s_c
+            gap -= step
+            tight = gap > 0.0
+            ok = ~tight
+            ok[tight] = rng.standard_exponential(np.count_nonzero(tight)) >= gap[tight]
+        # lam_c's memory takes the sign, -1/2 on the minus side; the half-line
+        # draws are >= +0, so copysign negates them exactly there
+        np.copysign(x, np.subtract(0.5, minus, out=lam_c), out=x)
+        if todo is None:
+            out, todo = x, np.flatnonzero(~ok)
+            first = float(np.count_nonzero(ok) / ok.size)
+        else:
+            out.reshape(-1)[todo[ok]] = x[ok]
+            todo = todo[~ok]
+    return out, {"rounds": rounds, "first_round_accept": first}
 
 
 def prox(a, c, lam, p: float):

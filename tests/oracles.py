@@ -12,12 +12,12 @@ after another; ``norm_samples_blocks`` (with its own |xi| sampler and sign
 draw) and ``anderson_hits_blocks`` draw from them serially, as the reference
 streams of ``concentration.unit_norm_sample`` and ``measure.anderson_check``,
 and ``tilted_x_blocks`` as that of ``concentration.smallball_l2_tilted``.
-``halfline_loop`` and ``wn_rejection_loop`` are the white-noise rejection
-samplers written with one index gather per array and round;
-``univariate.halfline_sample`` and ``models.wn_posterior_sample`` must make
-the same draws.  ``laplace_sample_where`` is the p = 1 draw of
-``univariate.sample`` with its sign as a product, which the ``copysign``
-form must match bit for bit.  ``rate_solve_loop`` is
+``tilted_loop`` and its side law ``halfline_loop`` are
+``univariate.tilted_sample``, the white-noise posterior's sampler, written
+with one index gather per array and round; it and
+``models.wn_posterior_sample`` must make the same draws.
+``laplace_sample_where`` is the p = 1 draw of ``univariate.sample`` with its
+sign as a product, which the ``copysign`` form must match bit for bit.  ``rate_solve_loop`` is
 ``concentration.rate_solve_numeric`` without its memo, which re-evaluates
 the points its search visits twice; the memoized solve must return the
 same eps.
@@ -338,13 +338,13 @@ def tilted_x_blocks(p, a, g2, samples, rng, block_floats):
     """X = sum_l g2_l xi_l^2 for ``samples`` draws of
     ``concentration.smallball_l2_tilted`` at tilts a, block by block: xi_l
     has density prop. to f_p(x) exp(-a_l x^2), drawn as N(0, 1 / (1 + 2 a))
-    at p = 2 and by ``halfline_loop`` at p = 1, and rows are summed by np.sum."""
+    at p = 2 and by ``tilted_loop`` at p = 1, and rows are summed by np.sum."""
     parts = []
     for gen, b in block_generators(samples, len(a), rng, block_floats):
         if p == 2.0:
             xi = gen.standard_normal((b, len(a))) / np.sqrt(1.0 + 2.0 * a)
         else:
-            xi = halfline_loop(1.0, np.broadcast_to(a, (b, len(a))), gen)
+            xi = tilted_loop(1.0, a, 0.0, gen, (b, len(a)))[0]
         parts.append(np.sum(xi * xi * g2, axis=1))
     return np.concatenate(parts)
 
@@ -365,12 +365,10 @@ def anderson_hits_blocks(m, eps, shifts, samples, rng, block_floats):
 
 
 def halfline_loop(lam, a, rng):
-    """``univariate.halfline_sample`` with every pending entry's lam, a and
-    proposal gathered by index in each round, and both branches' costs
-    computed for every entry."""
+    """``univariate._halfline_sample``, the side law of ``tilted_loop``, with
+    every pending entry's lam, a and proposal gathered by index in each
+    round, and both branches' costs computed for every entry."""
     lam, a = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(a, dtype=float))
-    if not (np.isfinite(lam) & np.isfinite(a) & (a >= 0) & ((a > 0) | (lam > 0))).all():
-        raise ValueError("halfline_sample needs finite lam, a >= 0, and a > 0 where lam <= 0")
     x = np.empty(lam.shape)
     lam, a, flat = lam.ravel(), a.ravel(), x.reshape(-1)
     todo = np.arange(lam.size)
@@ -378,7 +376,7 @@ def halfline_loop(lam, a, rng):
     while todo.size:
         if rounds == univariate.MAX_ROUNDS:
             raise univariate.SamplerError(
-                f"halfline_sample: {todo.size} draws left after {rounds} rounds"
+                f"tilted_sample: {todo.size} half-line draws left after {rounds} rounds"
             )
         rounds += 1
         l, q = lam[todo], a[todo]
@@ -397,47 +395,56 @@ def halfline_loop(lam, a, rng):
     return x
 
 
-def wn_rejection_loop(data, m, draws, rng):
-    """The rejection branch of ``models.wn_posterior_sample`` over a flat
-    (draws * N,) state with a tiled column map, drawing the tangent gap's
-    exponentials at every p; returns xi (draws, N) and the step log."""
-    y = data.y.values
-    g = m.spec.gamma()
-    n = data.n
-    p = m.spec.p
-    a = n * g**2 / 2.0
-    x0 = np.maximum(univariate.prox(np.abs(y) / g, 1.0 / p, a, p)[0], 1.0)
+def tilted_loop(p, a, b, rng, size):
+    """``univariate.tilted_sample`` over a flat state with a column map: each
+    round gathers every pending entry's side, rate and tangent by index,
+    draws the half-line laws by ``halfline_loop`` and the tangent gap's
+    exponentials at every p; the side odds come from scipy.  Returns the
+    draws and the log."""
+    shape = tuple(size)
+    cols = shape[-1] if shape else 1
+    a, b = (np.broadcast_to(np.asarray(v, dtype=float), (cols,)) for v in (a, b))
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and (a >= 0).all()):
+        raise ValueError("tilted_sample needs finite a >= 0 and finite b")
+    curved = a > 0
+    safe_a = np.where(curved, a, 1.0)
+    x0 = np.ones(cols)
+    if p != 1.0:
+        mode = univariate.prox(np.where(curved, np.abs(b), 0.0) / (2.0 * safe_a), 1.0 / p,
+                               safe_a, p)[0]
+        x0 = np.maximum(mode, 1.0)
     s = x0 ** (p - 1.0)
-    lam = np.stack([s - n * g * y, s + n * g * y])
+    lam = np.stack([s - b, s + b])
+    if not (curved | (lam > 0)).all():
+        raise ValueError("tilted_sample needs a > 0 where a side's rate s -+ b is <= 0")
     # log of each side's mass up to a common factor: log erfcx(z) at z >= 0,
-    # and z^2 + log erfc(z) below, from scipy, independent of pexp's kernel
-    z = lam / (2.0 * np.sqrt(a))
+    # and z^2 + log erfc(z) below, from scipy; the masses are 1 / lam at a = 0
+    z = lam / (2.0 * np.sqrt(safe_a))
     neg = z < 0
     log_mass = np.log(special.erfcx(np.where(neg, 0.0, z)))
     log_mass[neg] = z[neg] ** 2 + np.log(special.erfc(z[neg]))
-    p_plus = special.expit(log_mass[0] - log_mass[1])
-    col = np.tile(np.arange(len(y)), draws)
-    xi = np.empty(draws * len(y))
-    todo = np.arange(xi.size)
+    inv = np.divide(1.0, lam, out=np.ones_like(lam), where=lam > 0)
+    p_plus = np.where(curved, special.expit(log_mass[0] - log_mass[1]), inv[0] / inv.sum(axis=0))
+    x = np.empty(math.prod(shape))
+    todo = np.arange(x.size)
     accept = []
     while todo.size:
         if len(accept) == univariate.MAX_ROUNDS:
             raise univariate.SamplerError(
-                f"white-noise rejection: {todo.size} draws left after {len(accept)} rounds"
+                f"tilted_sample: {todo.size} draws left after {len(accept)} rounds"
             )
-        c = col[todo]
+        c = todo % cols
         minus = (rng.random(todo.size) >= p_plus[c]).astype(int)
-        x = halfline_loop(lam[minus, c], a[c], rng)
-        gap = (x**p - x0[c] ** p) / p - s[c] * (x - x0[c])
+        h = halfline_loop(lam[minus, c], a[c], rng)
+        gap = (h**p - x0[c] ** p) / p - s[c] * (h - x0[c])
         tight = gap > 0.0
         ok = ~tight
         ok[tight] = rng.standard_exponential(int(tight.sum())) >= gap[tight]
-        xi[todo[ok]] = np.where(minus[ok], -x[ok], x[ok])
+        x[todo[ok]] = np.where(minus[ok], -h[ok], h[ok])
         accept.append(float(ok.mean()))
         todo = todo[~ok]
-    log = {"method": "rejection", "rounds": len(accept),
-           "first_round_accept": accept[0] if accept else 1.0}
-    return xi.reshape(draws, len(y)), log
+    log = {"rounds": len(accept), "first_round_accept": accept[0] if accept else 1.0}
+    return x.reshape(shape), log
 
 
 def laplace_sample_where(rng, size=None):

@@ -214,7 +214,6 @@ def test_conc_takes_scheme_and_truncation_from_the_w_file(tmp_path, capsys, norm
 
 @pytest.mark.parametrize("flag", [["--scheme", "dyadic"], ["--levels", "4"], ["--n", "16"]])
 def test_conc_has_no_truncation_flags(tmp_path, capsys, flag):
-    # argparse reads --n as an abbreviation of --norm, which rejects "16"
     path = tmp_path / "w.csv"
     save_coefvec(make_truth(BesovParams(1.0, 2.0, 1), n=16), path)
     with pytest.raises(SystemExit) as exit_:
@@ -260,9 +259,49 @@ def test_smallball_fit_slope_needs_three_radii(capsys, grid):
 
 def test_smallball_rejects_non_finite_eps(capsys):
     # a nan radius used to print p_hat = 1
-    with pytest.raises(ValueError, match="finite and > 0"):
-        run_cli(capsys, "smallball", "--eps-grid", "0.5,nan", "--p", "1", "--alpha", "1",
-                "--n", "16", "--mc-samples", "1000")
+    code = main(["smallball", "--eps-grid", "0.5,nan", "--p", "1", "--alpha", "1",
+                 "--n", "16", "--mc-samples", "1000"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("pexp smallball: ") and "finite and > 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["conc", "--w-file", "W", "--norm", "sup", "--eps-grid", "0.5"], "dyadic scheme"),
+        (["smallball", "--norm", "sup", "--eps-grid", "0.5"], "dyadic scheme"),
+        (["conc", "--w-file", "W", "--eps-grid", "0.01", "--mc-samples", "100"], "no draws"),
+        (["smallball", "--n", "16", "--eps-grid", "0.01", "--mc-samples", "100"], "no draws"),
+        (["conc", "--w-file", "W", "--eps-grid", "0.5", "--mc-samples", "0"], "samples must be"),
+        (["smallball", "--eps-grid", "0.5", "--mc-samples", "0"], "samples must be"),
+        (["conc", "--w-file", "W", "--eps-grid", "0.5", "--p", "3"], "p must lie"),
+        (["sample-prior", "--out", "OUT", "--p", "3"], "p must lie"),
+        (["rate", "--beta", "1", "--p", "3"], "p must lie"),
+        (["rate", "--setting", "l2-rescaled", "--beta", "1", "--q", "2"], "require q < 2"),
+    ],
+)
+def test_cli_reports_an_input_error_in_one_line(tmp_path, capsys, argv, problem):
+    # each used to end in a traceback
+    path = tmp_path / "w.csv"  # a linear truth of 16 coefficients
+    save_coefvec(make_truth(BesovParams(1.0, 2.0, 1), n=16), path)
+    argv = [str(path) if a == "W" else str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    law = [] if "--p" in argv else ["--p", "1"]
+    code = main([*argv, *law, "--alpha", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith(f"pexp {argv[0]}: ") and problem in err
+
+
+@pytest.mark.parametrize("flag", [["--l", "4"], ["--n", "16"]])
+def test_cli_flags_are_not_abbreviated(tmp_path, capsys, flag):
+    # --l used to set --lambda, and --n to fail as an invalid --norm
+    path = tmp_path / "w.csv"
+    save_coefvec(make_truth(BesovParams(1.0, 2.0, 1), n=16), path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["conc", "--w-file", str(path), "--eps-grid", "0.6", "--p", "1.5",
+              "--alpha", "1", *flag])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2 and f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 def test_wn_experiment_end_to_end(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import log_int_exp_where, metropolis_loop, wn_rejection_loop
+from oracles import log_int_exp_where, metropolis_loop, tilted_loop
 from scipy import integrate, special, stats
 
 from pexp import models, univariate
@@ -12,7 +12,6 @@ from pexp.models import (
     WhiteNoiseData,
     _log_int_exp,
     _log_int_exp_shifted,
-    _wn_rejection_sample,
     de_density,
     de_posterior_mcmc,
     de_simulate,
@@ -28,6 +27,13 @@ from pexp.univariate import PExpParams, cdf, variance
 
 def lin_spec(p, alpha, n, lam=1.0):
     return ScalingSpec(p, alpha, 1, lam, "linear", n=n)
+
+
+def tilted_args(data, m):
+    """The (p, a, b) of the white-noise posterior of xi, exp(-a xi^2 + b xi -
+    |xi|^p / p), as ``wn_posterior_sample`` passes them to tilted_sample."""
+    g, n = m.spec.gamma(), data.n
+    return m.spec.p, n * g**2 / 2.0, n * g * data.y.values
 
 
 def trapezoid_mass(dens, cells):
@@ -99,11 +105,12 @@ def test_wn_rejection_sampler_matches_conjugate_moments():
     for n in (1e2, 1e4):
         data = wn_simulate(w0, n, rng)
         mean_u, var_u = wn_conjugate_moments(data, m)
-        chain = _wn_rejection_sample(data, m, 4000, rng)
-        emp_mean = chain.u.mean(axis=0)
+        # by rejection: the public sampler takes the conjugate form at p = 2
+        u = univariate.tilted_sample(*tilted_args(data, m), rng, (4000, 40))[0] * spec.gamma()
+        emp_mean = u.mean(axis=0)
         z = np.abs(emp_mean - mean_u) / np.sqrt(var_u / 4000)
         assert z.max() < 4.0
-        ratio = chain.u.var(axis=0) / var_u
+        ratio = u.var(axis=0) / var_u
         assert np.all(np.abs(ratio - 1) < 4 * math.sqrt(2 / 4000) + 0.01)
 
 
@@ -188,9 +195,12 @@ def test_wn_rejection_round_cap_raises(monkeypatch):
     m = pexp_measure(lin_spec(1.5, 1.0, 1))
     data = WhiteNoiseData(n, CoefVec.linear(np.array([y])))
     messages = []
-    for sampler in (wn_posterior_sample, wn_rejection_loop):
-        with pytest.raises(univariate.SamplerError, match="white-noise rejection") as err:
-            sampler(data, m, 20_000, np.random.default_rng(78))
+    for draw in (
+        lambda rng: wn_posterior_sample(data, m, 20_000, rng),
+        lambda rng: tilted_loop(*tilted_args(data, m), rng, (20_000, 1)),
+    ):
+        with pytest.raises(univariate.SamplerError, match=r"tilted_sample: \d+ draws left") as err:
+            draw(np.random.default_rng(78))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 
@@ -249,18 +259,21 @@ def test_wn_posterior_coordinates_uncorrelated():
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("n", [1e2, 1e4, 2.0**16])
 def test_wn_rejection_matches_loop_oracle(p, n):
-    # the rejection sampler is called directly: at p = 2 the public sampler
-    # takes the conjugate form, which draws differently
+    # tilted_sample is called directly: at p = 2 the public sampler takes the
+    # conjugate form, which draws differently
     m = pexp_measure(lin_spec(p, 1.0, 60))
     w0 = make_truth(BesovParams(1.0, 2.0, 1), n=60).values
     data = wn_simulate(w0, n, np.random.default_rng(97))
     r1, r2 = np.random.default_rng(98), np.random.default_rng(98)
-    chain = _wn_rejection_sample(data, m, 300, r1)
-    xi, log = wn_rejection_loop(data, m, 300, r2)
-    assert np.array_equal(chain.xi, xi)
-    assert chain.step_log == log
+    xi, log = univariate.tilted_sample(*tilted_args(data, m), r1, (300, 60))
+    xi2, log2 = tilted_loop(*tilted_args(data, m), r2, (300, 60))
+    assert np.array_equal(xi, xi2)
+    assert log == log2
     assert r1.random() == r2.random()
     assert (log["rounds"] == 1) == (p == 1.0)
+    if p != 2.0:
+        chain = wn_posterior_sample(data, m, 300, np.random.default_rng(98))
+        assert np.array_equal(chain.xi, xi) and chain.step_log == {"method": "rejection", **log}
 
 
 class PinnedUniforms:
@@ -795,8 +808,8 @@ def test_wn_rejection_sampler_finite_for_extreme_observations():
     m = pexp_measure(spec)
     y = np.array([50.0, -30.0, 10.0, 0.001])
     data = WhiteNoiseData(10.0, CoefVec.linear(y))
-    chain = _wn_rejection_sample(data, m, 200, np.random.default_rng(96))
-    assert np.isfinite(chain.xi).all()
+    xi, _ = univariate.tilted_sample(*tilted_args(data, m), np.random.default_rng(96), (200, 4))
+    assert np.isfinite(xi).all()
 
 
 # --- Hellinger -------------------------------------------------------------------

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from oracles import halfline_loop, laplace_sample_where
-from scipy import integrate, special, stats
+from oracles import halfline_loop, laplace_sample_where, tilted_loop
+from scipy import integrate, optimize, special, stats
 
 from pexp import univariate
 from pexp.univariate import (
@@ -20,12 +20,12 @@ from pexp.univariate import (
     abs_cdf,
     abs_sample,
     cdf,
-    halfline_sample,
     moment,
     pdf,
     prox,
     quantile,
     sample,
+    tilted_sample,
     variance,
 )
 
@@ -466,8 +466,9 @@ def halfline_moments(lam, a):
     ],
 )
 def test_halfline_sample_moments_against_quadrature(lam, a):
+    # tilted_sample's side law, drawn directly
     draws = 400_000
-    x = halfline_sample(np.full(draws, lam), a, np.random.default_rng(104))
+    x = univariate._halfline_sample(np.full(draws, lam), a, np.random.default_rng(104))
     assert x.shape == (draws,) and (x >= 0).all()
     mean, var = halfline_moments(lam, a)
     assert abs(x.mean() - mean) < 4.0 * math.sqrt(var / draws)
@@ -475,31 +476,22 @@ def test_halfline_sample_moments_against_quadrature(lam, a):
     assert abs(x.var() / var - 1.0) < 4.0 * math.sqrt(8.0 / draws)
 
 
-def test_halfline_sample_broadcasts_and_rejects_bad_input():
-    rng = np.random.default_rng(105)
-    assert halfline_sample(1.0, np.ones((3, 4)), rng).shape == (3, 4)
-    assert halfline_sample(np.array([-1.0, 2.0]), 1.0, rng).shape == (2,)
-    for lam, a in ((1.0, -0.1), (0.0, 0.0), (-1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)):
-        with pytest.raises(ValueError):
-            halfline_sample(lam, a, rng)
-
-
 def test_halfline_round_cap_raises(monkeypatch):
     # the half-normal proposal at (lam, a) = (1, 3) accepts under 90% of a round
     monkeypatch.setattr(univariate, "MAX_ROUNDS", 1)
     messages = []
-    for sampler in (halfline_sample, halfline_loop):
-        with pytest.raises(univariate.SamplerError, match="halfline_sample") as err:
+    for sampler in (univariate._halfline_sample, halfline_loop):
+        with pytest.raises(univariate.SamplerError, match="half-line draws left") as err:
             sampler(np.ones(1000), 3.0, np.random.default_rng(106))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 
 
-def assert_same_draws(lam, a, seed):
-    """halfline_sample and its loop oracle give equal draws and leave their
+def assert_same_halfline_draws(lam, a, seed):
+    """_halfline_sample and its loop oracle give equal draws and leave their
     generators at the same point."""
     r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-    x = halfline_sample(lam, a, r1)
+    x = univariate._halfline_sample(lam, a, r1)
     assert np.array_equal(x, halfline_loop(lam, a, r2))
     assert r1.random() == r2.random()
     return x
@@ -515,7 +507,7 @@ def assert_same_draws(lam, a, seed):
     ],
 )
 def test_halfline_sample_matches_loop_oracle_per_branch(lam, a):
-    x = assert_same_draws(np.full(5000, lam), a, 107)
+    x = assert_same_halfline_draws(np.full(5000, lam), a, 107)
     assert x.shape == (5000,)
 
 
@@ -526,13 +518,131 @@ def test_halfline_sample_matches_loop_oracle_on_mixed_branches():
     a = np.abs(rng.standard_normal(9))
     branch = np.where(lam < 0, "whole", np.where(a < math.pi / 4.0 * lam**2, "exp", "folded"))
     assert set(branch.ravel()) == {"whole", "exp", "folded"}
-    assert assert_same_draws(lam, a, 109).shape == (400, 9)
+    assert assert_same_halfline_draws(lam, a, 109).shape == (400, 9)
 
 
-def test_halfline_sample_matches_loop_oracle_on_scalar_lam():
-    # concentration._tilted_squares passes lam = 1 against a broadcast (rows, N) a
+def tilted_moments(p, a, b):
+    """Independent oracle: mean and variance of the density prop. to
+    exp(-a x^2 + b x - |x|^p / p) by quadrature in t = (x - m) / h, with m
+    the mode (closed form at p = 1, else a root of the stationarity
+    condition h^{p-1} + 2 a h = |b| by brentq) and h = min(1, 1 / sqrt(2a)),
+    split at the mode and at the kink x = 0."""
+    if b == 0.0:
+        mag = 0.0
+    elif p == 1.0:
+        mag = max(abs(b) - 1.0, 0.0) / (2.0 * a) if a > 0 else 0.0
+    else:
+        mag = optimize.brentq(lambda h: h ** (p - 1.0) + 2.0 * a * h - abs(b), 0.0,
+                              abs(b) ** (1.0 / (p - 1.0)) + 1.0, xtol=1e-14)
+    m = math.copysign(mag, b)
+    h = min(1.0, 1.0 / math.sqrt(2.0 * a)) if a > 0 else 1.0
+
+    def logf(t):  # the log-density at m + h t less its value at m, free of cancellation
+        return h * t * (b - 2.0 * a * m) - a * (h * t) ** 2 - (abs(m + h * t) ** p - mag**p) / p
+
+    kink = -m / h
+    points = [0.0] + ([kink] if -80.0 < kink < 80.0 and kink != 0.0 else [])
+    moms = [
+        integrate.quad(lambda t: t**k * math.exp(logf(t)), -80.0, 80.0,
+                       points=points, limit=400, epsabs=1e-13)[0]
+        for k in range(3)
+    ]
+    mean_t = moms[1] / moms[0]
+    return m + h * mean_t, h * h * (moms[2] / moms[0] - mean_t**2)
+
+
+@pytest.mark.parametrize(
+    "p, a, b",
+    [
+        (1.0, 3.0, 0.0),  # b = 0, as in the tilted small-ball draws
+        (1.0, 0.0, 0.5),  # a = 0, skewed: side masses 1 / lam
+        (1.0, 1.0, 1.5),  # a whole normal on the plus side (lam = -0.5)
+        (1.0, 2.0, 1e4 + 1.0),  # whole normal, mean 2500 sd 0.5
+        (1.5, 1.0, 3.0),  # whole normal side, tangent rejections
+        (1.5, 5e-5, 1.0),  # the worst envelope: about 2% accepted per round
+        (1.5, 0.0, 0.5),  # a = 0
+        (2.0, 0.5, 4.0),  # N(2, 1/2) through a whole normal side
+        (2.0, 0.0, -0.5),  # a = 0: N(-0.5, 1)
+    ],
+)
+def test_tilted_sample_moments_against_quadrature(p, a, b):
+    draws = 400_000
+    x, log = tilted_sample(p, a, b, np.random.default_rng(104), (draws,))
+    assert x.shape == (draws,) and np.isfinite(x).all() and log["rounds"] >= 1
+    mean, var = tilted_moments(p, a, b)
+    assert abs(x.mean() - mean) < 4.0 * math.sqrt(var / draws)
+    # the sample variance's sd is at most sqrt(8 / draws) var, as the law is
+    # log-concave (kurtosis at most the exponential's 9)
+    assert abs(x.var() / var - 1.0) < 4.0 * math.sqrt(8.0 / draws)
+
+
+def test_tilted_sample_without_tilt_is_laplace():
+    # a = 0, b = 0, p = 1: both sides are Exp(1), each with mass 1 / 2
+    x, _ = tilted_sample(1.0, 0.0, 0.0, np.random.default_rng(111), (20_000,))
+    assert stats.kstest(x, stats.laplace.cdf).statistic < 1.95 / math.sqrt(len(x))
+
+
+def test_tilted_sample_broadcasts_and_rejects_bad_input():
+    rng = np.random.default_rng(105)
+    assert tilted_sample(1.0, np.ones(4), 0.0, rng, (3, 4))[0].shape == (3, 4)
+    assert tilted_sample(1.5, 1.0, np.array([-1.0, 2.0]), rng, (2,))[0].shape == (2,)
+    assert tilted_sample(2.0, np.ones(3), np.arange(3.0), rng, (5, 2, 3))[0].shape == (5, 2, 3)
+    x, log = tilted_sample(1.0, 1.0, 0.0, rng, (0, 4))
+    assert x.shape == (0, 4) and log == {"rounds": 0, "first_round_accept": 1.0}
+    for p, a, b in (
+        (1.0, -0.1, 0.0),  # a < 0
+        (1.0, 0.0, 1.0),  # a = 0 and lam = 1 - b = 0
+        (1.5, 0.0, -2.0),  # a = 0 and lam = 1 + b < 0
+        (1.0, math.nan, 0.0),
+        (1.0, 1.0, math.inf),
+        (1.0, math.inf, 0.0),
+        (1.0, np.ones(3), 0.0),  # not along the last axis of (3, 4)
+    ):
+        with pytest.raises(ValueError):
+            tilted_sample(p, a, b, rng, (3, 4))
+
+
+def assert_same_draws(p, a, b, size, seed):
+    """tilted_sample and its loop oracle give equal draws and logs and leave
+    their generators at the same point."""
+    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    x, log = tilted_sample(p, a, b, r1, size)
+    x2, log2 = tilted_loop(p, a, b, r2, size)
+    assert np.array_equal(x, x2) and log == log2
+    assert r1.random() == r2.random()
+    return x, log
+
+
+@pytest.mark.parametrize(
+    "p, a, b",
+    [
+        (1.0, 1.0, 1.5),  # a whole normal side, about a third below zero
+        (1.0, 0.0, 0.0),  # a = 0
+        (1.5, 1.0, 3.0),  # whole normal side with tangent rejections
+        (1.5, 5e-5, 1.0),  # most sides drawn again
+        (2.0, 0.5, 4.0),  # whole normal side at p = 2
+    ],
+)
+def test_tilted_sample_matches_loop_oracle_per_branch(p, a, b):
+    assert assert_same_draws(p, a, b, (5000,), 107)[0].shape == (5000,)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_tilted_sample_matches_loop_oracle_on_mixed_branches(p):
+    # at p = 1 every row mixes all three proposals, in an order the rounds interleave
+    rng = np.random.default_rng(108)
+    a = np.abs(rng.standard_normal(12))
+    b = 2.0 * rng.standard_normal(12)
+    lam = np.stack([1.0 - b, 1.0 + b])
+    branch = np.where(lam < 0, "whole", np.where(a < math.pi / 4.0 * lam**2, "exp", "folded"))
+    assert set(branch.ravel()) == {"whole", "exp", "folded"}
+    assert assert_same_draws(p, a, b, (400, 12), 109)[0].shape == (400, 12)
+
+
+def test_tilted_sample_matches_loop_oracle_on_scalar_b():
+    # concentration._tilted_squares passes b = 0 against a vector a with zeros
     a = np.linspace(0.0, 2.0, 64)
-    x = assert_same_draws(1.0, np.broadcast_to(a, (300, 64)), 110)
+    x, _ = assert_same_draws(1.0, a, 0.0, (300, 64), 110)
     assert x.shape == (300, 64) and x.flags.c_contiguous
 
 
