@@ -8,7 +8,7 @@ smoothness level as converged or diverging.
 
 import numpy as np
 
-from pexp.measure import WaveletBasis, evaluate_function, pexp_measure, regularity_scan, sample_prior
+from pexp.measure import evaluate_function, pexp_measure, regularity_scan, sample_prior
 from pexp.sequences import ScalingSpec
 
 rng = np.random.default_rng(1)
@@ -23,8 +23,7 @@ print("\na function-space draw (dyadic scheme, Faber-Schauder hats):")
 spec = ScalingSpec(1.0, 1.0, scheme="dyadic", levels=6)
 md = pexp_measure(spec)
 u = sample_prior(md, rng)
-basis = WaveletBasis(6)
 grid = np.linspace(0, 1, 9)
-vals = evaluate_function(u, basis, grid)
+vals = evaluate_function(u, grid)
 print("  levels 0..6,", len(u), "coefficients")
 print("  W(x) at x = 0, 1/8, ..., 1:", np.round(vals, 3))

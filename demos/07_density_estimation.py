@@ -46,9 +46,9 @@ for K in (4, 5, 6):
     signs = np.where(np.random.default_rng(7).random(len(ks)) < 0.5, -1.0, 1.0)
     truth = CoefVec.dyadic(2.0 ** (-1.5 * ks) * signs, K)
     pi0 = de_density(truth, basis)
-    sample = de_simulate(truth, basis, 1000, np.random.default_rng(80))
+    points = de_simulate(truth, basis, 1000, np.random.default_rng(80))
     chain = de_posterior_mcmc(
-        sample, pexp_measure(spec), ChainConfig(draws=100, burn_in=800, thin=3), rng
+        points, pexp_measure(spec), ChainConfig(draws=100, burn_in=800, thin=3), rng
     )
     hs = hellinger(de_density(chain.u, basis), pi0)
     print(

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import concentration, experiments, measure, rates
-from .measure import WaveletBasis, pexp_measure
+from .measure import pexp_measure
 from .sequences import ScalingSpec, load_coefvec, save_coefvec
 
 
@@ -46,10 +46,10 @@ def _regime_dict(r: rates.RateRegime | None) -> dict:
 def _setting_rate(setting: str, rq: rates.RateQuery) -> tuple[rates.RateRegime, dict]:
     """The regime that sets the rate of rq in a setting, and the setting's
     report fields.  The sup setting reports both legs and contracts at the
-    slower one."""
+    slower one (``rates.sup_contraction_rate``)."""
     if setting == "sup":
         rho, rho_t = rates.rate_sup(rq.alpha, rq.beta, rq.p)
-        r = rho if rho.poly_exponent <= rho_t.poly_exponent else rho_t
+        r = rates.sup_contraction_rate(rq.alpha, rq.beta, rq.p)
         fields = {"rho": _regime_dict(rho), "rho_tilde": _regime_dict(rho_t)}
         return r, {**fields, "poly_exponent": float(r.poly_exponent)}
     r = rates.rate_l2(rq) if setting == "l2" else rates.rate_l2_rescaled(rq)
@@ -58,7 +58,7 @@ def _setting_rate(setting: str, rq: rates.RateQuery) -> tuple[rates.RateRegime, 
 
 def cmd_rate(args) -> int:
     if args.setting == "sup" and args.d != 1:
-        raise SystemExit(f"--setting sup is one-dimensional, got d={args.d}")
+        raise ValueError(f"--setting sup is one-dimensional, got d={args.d}")
     if args.grid is not None:
         lo, hi, count = args.grid
         out = csv.writer(sys.stdout, lineterminator="\n")
@@ -128,9 +128,8 @@ def cmd_sample_prior(args) -> int:
         u = measure.sample_prior(m, rng)
         save_coefvec(u, os.path.join(args.out, f"draw_{i:04d}.csv"))
         if spec.scheme == "dyadic":
-            basis = WaveletBasis(spec.levels)
             grid = np.linspace(0.0, 1.0, 2**10 + 1)
-            vals = measure.evaluate_function(u, basis, grid)
+            vals = measure.evaluate_function(u, grid)
             with open(os.path.join(args.out, f"draw_{i:04d}_values.csv"), "w") as fh:
                 fh.write("x,value\n")
                 for x, v in zip(grid, vals):
@@ -142,13 +141,11 @@ def cmd_sample_prior(args) -> int:
 def _run_experiment(args, model: str) -> int:
     try:
         cfg = experiments.ExperimentConfig.from_json(args.config)
+        if cfg.model != model:
+            raise ValueError(f"model {cfg.model!r} does not match {args.command}")
     except (OSError, TypeError, ValueError) as exc:  # unreadable, not JSON, or a bad key
         print(f"pexp {args.command}: bad config {args.config}: {exc}", file=sys.stderr)
         return 1
-    if cfg.model != model:
-        raise SystemExit(f"config model {cfg.model!r} does not match subcommand")
-    if args.seed is not None:
-        cfg.master_seed = args.seed
     try:
         result = experiments.run_contraction(cfg, threads=args.threads)
     except experiments.ExperimentError as exc:
@@ -230,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, model in (("wn-experiment", "white-noise"), ("de-experiment", "density")):
         sp = sub.add_parser(name, help=f"{model} contraction experiment")
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default="experiment_out")
         sp.add_argument("--threads", type=int, default=1,
                         help="threads for white-noise cells; density cells run serially")
@@ -247,7 +243,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, concentration.ZeroHitsError) as exc:
+    except (OSError, ValueError, concentration.ZeroHitsError) as exc:
         print(f"pexp {args.command}: {exc}", file=sys.stderr)
         return 1
 

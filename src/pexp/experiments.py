@@ -13,8 +13,7 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -79,6 +78,12 @@ class ExperimentConfig:
             raise ValueError("replicates and posterior_draws must be >= 1")
         if not (self.thin >= 1 and self.burn_in >= 0):
             raise ValueError("thin must be >= 1 and burn_in >= 0")
+        if self.levels < 0:
+            raise ValueError(f"levels must be >= 0, got {self.levels}")
+        if self.max_truncation < 16:  # _truncation_for's floor would override it
+            raise ValueError(f"max_truncation must be >= 16, got {self.max_truncation}")
+        if not (math.isfinite(self.slope_tol) and self.slope_tol > 0):
+            raise ValueError(f"slope_tol must be finite and > 0, got {self.slope_tol}")
         if self.lambda_rule is not None:  # InvalidRateQuery without a rescaled theory
             r = rates.rate_l2_rescaled(rates.RateQuery(self.alpha, self.beta, self.p, self.q))
             poly, log = float(r.lambda_poly_exponent), float(r.lambda_log_exponent)
@@ -133,17 +138,12 @@ class ExperimentRow:
 @dataclass
 class ExperimentResult:
     rows: list[ExperimentRow]
-    n_grid: list[int]
-    median_q90: list[float]
+    median_q90: list[float]  # one per config.n_grid entry
     fitted_slope: float
     stderr: float
     theory_exponent: float
     verdict: str
     config: ExperimentConfig
-    config_sha: str = field(init=False)
-
-    def __post_init__(self):
-        self.config_sha = config_hash(self.config)
 
 
 def theory_exponent(cfg: ExperimentConfig) -> float:
@@ -153,7 +153,7 @@ def theory_exponent(cfg: ExperimentConfig) -> float:
         if cfg.lambda_rule is not None:
             return float(rates.rate_l2_rescaled(rq).poly_exponent)
         return float(rates.rate_l2(rq).poly_exponent)
-    return float(rates.sup_contraction_exponent(cfg.alpha, cfg.beta, cfg.p))
+    return float(rates.sup_contraction_rate(cfg.alpha, cfg.beta, cfg.p).poly_exponent)
 
 
 def _truncation_for(cfg: ExperimentConfig, n: int, lam: float) -> int:
@@ -222,11 +222,11 @@ def _de_cell(cfg: ExperimentConfig, truth: CoefVec, i_n: int, rep: int) -> Exper
     basis = WaveletBasis(cfg.levels)
     m = pexp_measure(ScalingSpec(cfg.p, cfg.alpha, 1, 1.0, "dyadic", levels=cfg.levels))
     pi0 = models.de_density(truth, basis)
-    sample = models.de_simulate(truth, basis, n, rng)
+    points = models.de_simulate(truth, basis, n, rng)
     ccfg = models.ChainConfig(
         draws=cfg.posterior_draws, burn_in=cfg.burn_in, thin=cfg.thin
     )
-    chain = models.de_posterior_mcmc(sample, m, ccfg, rng)
+    chain = models.de_posterior_mcmc(points, m, ccfg, rng)
     return _row(n, rep, models.hellinger(models.de_density(chain.u, basis), pi0))
 
 
@@ -247,9 +247,11 @@ def run_contraction(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult
     an ascending sweep maps fresh ones at each size step.  Density cells,
     whose cost does not grow with n, run serially in grid order whatever
     ``threads`` says: their Metropolis loop is bound by per-call overhead
-    under the GIL, so threads slow them.  Rows fill preassigned slots, and
-    ``ExperimentError`` names the first failing cell in grid order, so
-    neither depends on the execution order."""
+    under the GIL, so threads slow them.  With ``threads`` > 1, white-noise
+    cells run on the shared pool of that many threads (``measure.pool_map``),
+    so a ``pool_map`` inside a cell maps serially.  Rows fill preassigned
+    slots, and ``ExperimentError`` names the first failing cell in grid
+    order, so neither depends on the execution order."""
     white_noise = cfg.model == "white-noise"
     truth = _wn_truth(cfg) if white_noise else _de_truth(cfg)
     cell = _wn_cell if white_noise else _de_cell
@@ -269,8 +271,7 @@ def run_contraction(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult
             errors[j] = exc
 
     if threads > 1 and white_noise:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, order))
+        measure.pool_map(work, order, threads=threads)
     else:
         for j in order:
             work(j)
@@ -293,7 +294,7 @@ def run_contraction(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult
         verdict = "CONSISTENT"
     else:
         verdict = "INCONSISTENT"
-    return ExperimentResult(rows, cfg.n_grid, med_q90, slope, se, theory, verdict, cfg)
+    return ExperimentResult(rows, med_q90, slope, se, theory, verdict, cfg)
 
 
 @dataclass
@@ -408,12 +409,12 @@ def write_outputs(result: ExperimentResult, out_dir) -> None:
         "theory_exponent": result.theory_exponent,
         "verdict": result.verdict,
         "config": result.config.to_dict(),
-        "config_hash": result.config_sha,
+        "config_hash": config_hash(result.config),
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(out_dir, "plotdata.csv"), "w") as fh:
         fh.write("log_n,log_q90\n")
-        for n, q in zip(result.n_grid, result.median_q90):
+        for n, q in zip(result.config.n_grid, result.median_q90):
             fh.write(f"{math.log(n):.17g},{math.log(q):.17g}\n")

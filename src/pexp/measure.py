@@ -125,13 +125,15 @@ def _mc_pool(threads: int, pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(threads, thread_name_prefix=_POOL_THREAD_PREFIX)
 
 
-def pool_map(fn, *items) -> list:
+def pool_map(fn, *items, threads: int | None = None) -> list:
     """``fn`` over ``items`` (zipped, as in ``map``) on the shared pool of
-    MC_THREADS threads, results in item order.  On a pool thread it maps
-    serially: a task that waits on the bounded pool can deadlock it."""
+    ``threads`` threads (MC_THREADS when None), results in item order.  On a
+    pool thread it maps serially: a task that waits on the bounded pool can
+    deadlock it.  So a white-noise cell, which ``run_contraction`` runs here,
+    maps serially inside itself instead of nesting a second pool."""
     if threading.current_thread().name.startswith(_POOL_THREAD_PREFIX):
         return list(map(fn, *items))
-    return list(_mc_pool(MC_THREADS, os.getpid()).map(fn, *items))
+    return list(_mc_pool(threads or MC_THREADS, os.getpid()).map(fn, *items))
 
 
 def mc_blocks(draw, samples: int, width: int, rng: np.random.Generator) -> list:
@@ -155,12 +157,12 @@ def mc_blocks(draw, samples: int, width: int, rng: np.random.Generator) -> list:
     return pool_map(lambda key, r: draw(np.random.default_rng(key), r), keys, rows)
 
 
-def evaluate_function(u, basis: WaveletBasis, xgrid) -> np.ndarray:
+def evaluate_function(u, xgrid) -> np.ndarray:
     """Pointwise sum over levels of u_{kl} psi_{kl}(x); exact for the hat system.
 
     ``u`` is a dyadic CoefVec, or a (draws, 2^{K+1} - 1) array of dyadic
     coefficient rows such as ``PosteriorChain.u``, which gives one row of
-    values per draw from a single gather.
+    values per draw from a single gather; its length fixes the hat basis.
     """
     if isinstance(u, CoefVec):
         if u.scheme != "dyadic":
@@ -171,13 +173,9 @@ def evaluate_function(u, basis: WaveletBasis, xgrid) -> np.ndarray:
         levels = values.shape[-1].bit_length() - 1
         if values.shape[-1] != 2 ** (levels + 1) - 1:
             raise ValueError(f"{values.shape[-1]} coefficients fill no whole dyadic level")
-    if levels > basis.levels:
-        raise ValueError("coefficient levels exceed basis levels")
     xgrid = np.asarray(xgrid, dtype=float)
     out = np.zeros(values.shape[:-1] + xgrid.shape)
-    for k, (idx, val) in enumerate(basis.gather(xgrid)):
-        if k > levels:
-            break
+    for idx, val in WaveletBasis(levels).gather(xgrid):
         out += values[..., idx] * val
     return out
 

@@ -33,12 +33,6 @@ class WhiteNoiseData:
     y: CoefVec
 
 
-@dataclass(frozen=True)
-class DensitySample:
-    points: np.ndarray
-    n: int
-
-
 @dataclass
 class PosteriorChain:
     """Posterior draws in whitened xi coordinates, one row per draw."""
@@ -209,20 +203,23 @@ def de_density(u, basis: WaveletBasis) -> np.ndarray:
     """exp(W) / int exp(W) at ``basis.node_grid()``, exactly normalized; the
     log-density is linear between the nodes, so these values define it.
     ``u`` is a dyadic CoefVec or an array of coefficient rows, as
-    ``evaluate_function`` takes it; rows give one density each."""
-    W = evaluate_function(u, basis, basis.node_grid())
+    ``evaluate_function`` takes it; rows give one density each.  The basis
+    fixes the node grid, which may be finer than u's levels."""
+    W = evaluate_function(u, basis.node_grid())
     return np.exp(W - np.expand_dims(_log_int_exp(W)[0], -1))
 
 
 def de_simulate(
     w0: CoefVec, basis: WaveletBasis, n: int, rng: np.random.Generator
-) -> DensitySample:
-    """Exact inverse-CDF sampling from the truth: a node segment by its mass,
-    then the closed-form inverse of the segment CDF (e^{st} - 1) / (e^s - 1)."""
+) -> np.ndarray:
+    """n points in [0, 1] from the density of ``w0`` on ``basis.node_grid()``
+    (as ``de_density`` gives it), by exact inverse-CDF sampling: a node
+    segment by its mass, then the closed-form inverse of the segment CDF
+    (e^{st} - 1) / (e^s - 1)."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
     nodes = basis.node_grid()
-    W = evaluate_function(w0, basis, nodes)
+    W = evaluate_function(w0, nodes)
     mass = _log_int_exp(W)[1]
     cdf = np.cumsum(mass)
     u = rng.random(n)
@@ -230,7 +227,7 @@ def de_simulate(
     v = np.clip((u - cdf[pos] + mass[pos]) / mass[pos], 0.0, 1.0)
     s = np.diff(W)[pos]
     t = np.divide(np.log1p(v * np.expm1(s)), s, out=v.copy(), where=s != 0.0)
-    return DensitySample(nodes[pos] + np.clip(t, 0.0, 1.0) * nodes[1], n)
+    return nodes[pos] + np.clip(t, 0.0, 1.0) * nodes[1]
 
 
 def hellinger(p1, p2):
@@ -251,10 +248,11 @@ def hellinger(p1, p2):
 
 
 def de_posterior_mcmc(
-    sample: DensitySample, m: PExpMeasure, cfg: ChainConfig, rng: np.random.Generator
+    points: np.ndarray, m: PExpMeasure, cfg: ChainConfig, rng: np.random.Generator
 ) -> PosteriorChain:
     """Adaptive random-walk Metropolis on whitened coefficients, on the hat
-    basis of m's levels, ``WaveletBasis(m.spec.levels)``.
+    basis of m's levels, ``WaveletBasis(m.spec.levels)``, given the observed
+    ``points`` in [0, 1] (as ``de_simulate`` returns them; n = len(points)).
 
     Proposals update one resolution level at a time; each level's scale is
     adapted toward the 0.234 acceptance target during burn-in and then
@@ -281,7 +279,7 @@ def de_posterior_mcmc(
     basis = WaveletBasis(K)
     p = m.spec.p
     gamma = m.spec.gamma()
-    X = np.asarray(sample.points, dtype=float)
+    X = np.asarray(points, dtype=float)
     n = len(X)
     S = np.zeros(m.spec.size)
     for idx, val in basis.gather(X):

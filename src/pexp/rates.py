@@ -221,7 +221,7 @@ def rate_sup(alpha, beta, p) -> tuple[RateRegime, RateRegime]:
     return rho, rho_t
 
 
-def sup_contraction_exponent(alpha, beta, p) -> Fraction:
-    """Decay exponent of the combined sup-norm contraction rate rho v rho-tilde."""
-    rho, rho_t = rate_sup(alpha, beta, p)
-    return min(rho.poly_exponent, rho_t.poly_exponent)
+def sup_contraction_rate(alpha, beta, p) -> RateRegime:
+    """The leg of ``rate_sup`` that sets the combined sup-norm rate rho v
+    rho-tilde: the slower one, rho on a tie."""
+    return min(rate_sup(alpha, beta, p), key=lambda r: r.poly_exponent)

@@ -220,13 +220,16 @@ def save_coefvec(u: CoefVec, path) -> None:
 
 
 def load_coefvec(path) -> CoefVec:
-    rows = []
+    """The CoefVec that ``save_coefvec`` wrote; ValueError names a missing column."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(row)
+        rows = list(reader)
     if not rows:
         raise ValueError("empty CoefVec file")
+    need = ["scheme", "value"] + (["k"] if rows[0].get("scheme") == "dyadic" else [])
+    missing = [c for c in need if c not in reader.fieldnames]
+    if missing:
+        raise ValueError(f"CoefVec file {path} lacks column(s) {', '.join(missing)}")
     scheme = rows[0]["scheme"]
     values = np.array([float(r["value"]) for r in rows])
     if scheme == "dyadic":

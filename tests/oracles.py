@@ -218,7 +218,7 @@ def log_int_exp_where(W):
     return mx + math.log(total / len(d)), seg / total
 
 
-def metropolis_loop(sample, m, basis, cfg, rng):
+def metropolis_loop(points, m, basis, cfg, rng):
     """The density model's adaptive random-walk Metropolis with the
     likelihood sum_i W(X_i) kept as an (n,) state W(X) and updated through
     each level's gather at the sample points.
@@ -230,7 +230,7 @@ def metropolis_loop(sample, m, basis, cfg, rng):
     K = m.spec.levels
     p = m.spec.p
     gamma = m.spec.gamma()
-    X = np.asarray(sample.points, dtype=float)
+    X = np.asarray(points, dtype=float)
     nodes = basis.node_grid()
     gathers_grid = basis.gather(nodes)[: K + 1]
     gathers_X = basis.gather(X)[: K + 1]

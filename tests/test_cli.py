@@ -64,9 +64,11 @@ def test_rate_rescaled_output(capsys):
 @pytest.mark.parametrize("grid", [(), ("--grid", "0.5", "2.0", "4")])
 def test_rate_sup_rejects_other_dimensions(capsys, grid):
     # rate_sup is a d = 1 calculator; d = 2 used to print its d = 1 legs
-    with pytest.raises(SystemExit, match="d=2"):
-        run_cli(capsys, "rate", "--setting", "sup", "--alpha", "1", "--beta", "1",
-                "--p", "1", "--d", "2", *grid)
+    code = main(["rate", "--setting", "sup", "--alpha", "1", "--beta", "1", "--p", "1",
+                 "--d", "2", *grid])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == "pexp rate: --setting sup is one-dimensional, got d=2\n"
 
 
 def test_rate_linear_minimax_is_null_for_other_dimensions(capsys):
@@ -278,13 +280,20 @@ def test_smallball_rejects_non_finite_eps(capsys):
         (["sample-prior", "--out", "OUT", "--p", "3"], "p must lie"),
         (["rate", "--beta", "1", "--p", "3"], "p must lie"),
         (["rate", "--setting", "l2-rescaled", "--beta", "1", "--q", "2"], "require q < 2"),
+        (["rate", "--setting", "sup", "--beta", "1", "--d", "2"], "one-dimensional"),
+        (["conc", "--w-file", "MISSING", "--eps-grid", "0.5"], "No such file"),
+        (["conc", "--w-file", "NOSCHEME", "--eps-grid", "0.5"], "lacks column(s) scheme"),
     ],
 )
 def test_cli_reports_an_input_error_in_one_line(tmp_path, capsys, argv, problem):
-    # each used to end in a traceback
+    # each used to end in a traceback (the sup row in a bare SystemExit)
     path = tmp_path / "w.csv"  # a linear truth of 16 coefficients
     save_coefvec(make_truth(BesovParams(1.0, 2.0, 1), n=16), path)
-    argv = [str(path) if a == "W" else str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    no_scheme = tmp_path / "noscheme.csv"
+    no_scheme.write_text("ell,value\n1,0.5\n2,0.25\n")
+    files = {"W": path, "OUT": tmp_path / "out", "MISSING": tmp_path / "missing.csv",
+             "NOSCHEME": no_scheme}
+    argv = [str(files[a]) if a in files else a for a in argv]
     law = [] if "--p" in argv else ["--p", "1"]
     code = main([*argv, *law, "--alpha", "1"])
     err = capsys.readouterr().err
@@ -355,6 +364,11 @@ WN_CFG = dict(model="white-noise", p=2.0, alpha=1.0, beta=1.0, q=2.0, n_grid=[32
         ("wn-experiment", json.dumps(dict(WN_CFG, beta=0.2, q=1.0)), "beta must exceed"),
         ("wn-experiment", json.dumps(dict(WN_CFG, alpha=-1.0)), "alpha must be positive"),
         ("de-experiment", json.dumps(dict(WN_CFG, model="density", p=3.0)), "p must lie"),
+        # a bare SystemExit, or accepted and then failed, overridden or never CONSISTENT
+        ("de-experiment", json.dumps(WN_CFG), "'white-noise' does not match de-experiment"),
+        ("de-experiment", json.dumps(dict(WN_CFG, model="density", levels=-1)), "levels"),
+        ("wn-experiment", json.dumps(dict(WN_CFG, slope_tol=-1)), "slope_tol"),
+        ("wn-experiment", json.dumps(dict(WN_CFG, max_truncation=0)), "max_truncation"),
     ],
 )
 def test_experiment_reports_a_bad_config_in_one_line(tmp_path, capsys, command, text, problem):
@@ -367,6 +381,18 @@ def test_experiment_reports_a_bad_config_in_one_line(tmp_path, capsys, command, 
     assert code == 1
     assert err.count("\n") == 1 and problem in err and str(cfg_path) in err
     assert not (tmp_path / "out").exists()
+
+
+def test_experiment_reports_a_missing_truth_file_in_one_line(tmp_path, capsys):
+    # used to end in a FileNotFoundError traceback
+    missing = tmp_path / "truth.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(WN_CFG, truth_file=str(missing))))
+    code = main(["wn-experiment", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("pexp wn-experiment: ")
+    assert "No such file" in err and str(missing) in err
 
 
 def test_wn_experiment_writes_partial_rows_when_cells_fail(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -103,14 +104,24 @@ def test_config_requires_increasing_grid():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"replicates": 0}, {"posterior_draws": 0}, {"thin": 0}, {"burn_in": -5}],
+    [{"replicates": 0}, {"posterior_draws": 0}, {"thin": 0}, {"burn_in": -5},
+     {"levels": -1}, {"max_truncation": 0}, {"max_truncation": 15}],
 )
 def test_config_rejects_empty_or_negative_sizes(bad):
-    # each used to run: a NaN verdict, failed cells or too few draws
+    # each used to run: a NaN verdict, failed cells, too few draws, numpy's
+    # "need at least one array" on levels -1, or a cap below the floor of 16
+    # that the truncation silently replaced
     with pytest.raises(ValueError, match="must be >= "):
         small_wn_config(**bad)
     with pytest.raises(ValueError, match="must be >= "):
         ExperimentConfig.from_dict(dict(small_wn_config().to_dict(), model="density", **bad))
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_config_rejects_a_slope_tolerance_that_decides_nothing(tol):
+    # -1 and 0 could never read CONSISTENT, NaN read INCONSISTENT silently
+    with pytest.raises(ValueError, match="slope_tol must be finite and > 0"):
+        small_wn_config(slope_tol=tol)
 
 
 @pytest.mark.parametrize(
@@ -319,6 +330,25 @@ def test_run_contraction_rows_are_the_cells_in_grid_order(threads):
     assert run_contraction(cfg, threads=threads).rows == grid_cells(cfg)
 
 
+def test_threaded_white_noise_cells_run_on_the_shared_pool(monkeypatch):
+    # one pool: the cells run on its threads, and a pool_map inside a cell
+    # maps on the cell's own thread instead of nesting a second pool
+    cfg = order_config()
+    seen, cell = [], experiments._wn_cell
+
+    def record(cfg, truth, i_n, rep):
+        outer = threading.current_thread().name
+        inner = measure.pool_map(lambda _: threading.current_thread().name, range(3))
+        seen.append((outer, inner))
+        return cell(cfg, truth, i_n, rep)
+
+    monkeypatch.setattr(experiments, "_wn_cell", record)
+    assert run_contraction(cfg, threads=2).rows == grid_cells(cfg)
+    assert len(seen) == 8
+    for outer, inner in seen:
+        assert outer.startswith("pexp-mc") and inner == [outer] * 3
+
+
 def test_serial_white_noise_sweep_runs_largest_truncation_first(monkeypatch):
     cfg = order_config()
     assert [_wn_scale(cfg, n)[1] for n in cfg.n_grid] == [283, 449, 512, 512]
@@ -378,7 +408,7 @@ def test_write_outputs_files(tmp_path):
     assert len(results) == 1 + 4 * 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdict"] == res.verdict
-    assert summary["config_hash"] == res.config_sha
+    assert summary["config_hash"] == config_hash(res.config)
     plot = (out / "plotdata.csv").read_text().splitlines()
     assert plot[0] == "log_n,log_q90"
     assert len(plot) == 5

@@ -94,29 +94,26 @@ def test_sample_prior_returns_coefvec():
 
 
 def test_evaluate_zero_function():
-    basis = WaveletBasis(4)
     u = CoefVec.dyadic(np.zeros(31), 4)
-    assert np.all(evaluate_function(u, basis, np.linspace(0, 1, 17)) == 0)
+    assert np.all(evaluate_function(u, np.linspace(0, 1, 17)) == 0)
 
 
 def test_evaluate_single_level0_hat():
-    basis = WaveletBasis(3)
     vals = np.zeros(15)
     vals[0] = 1.0
     u = CoefVec.dyadic(vals, 3)
     x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    np.testing.assert_allclose(evaluate_function(u, basis, x), [0, 0.5, 1.0, 0.5, 0])
+    np.testing.assert_allclose(evaluate_function(u, x), [0, 0.5, 1.0, 0.5, 0])
 
 
 def test_evaluate_is_linear_in_coefficients():
-    basis = WaveletBasis(5)
     rng = np.random.default_rng(25)
     x = rng.random(50)
     a = rng.normal(size=63)
     b = rng.normal(size=63)
-    fa = evaluate_function(CoefVec.dyadic(a, 5), basis, x)
-    fb = evaluate_function(CoefVec.dyadic(b, 5), basis, x)
-    fab = evaluate_function(CoefVec.dyadic(2 * a - 3 * b, 5), basis, x)
+    fa = evaluate_function(CoefVec.dyadic(a, 5), x)
+    fb = evaluate_function(CoefVec.dyadic(b, 5), x)
+    fab = evaluate_function(CoefVec.dyadic(2 * a - 3 * b, 5), x)
     np.testing.assert_allclose(fab, 2 * fa - 3 * fb, atol=1e-12)
 
 
@@ -126,13 +123,13 @@ def test_sup_norm_level_bound():
     rng = np.random.default_rng(26)
     vals = rng.normal(size=127)
     u = CoefVec.dyadic(vals, 6)
-    dense = np.abs(evaluate_function(u, basis, np.linspace(0, 1, 4097))).max()
+    dense = np.abs(evaluate_function(u, np.linspace(0, 1, 4097))).max()
     ks = np.concatenate([np.full(2**k, k) for k in range(7)])
     bound = sum(
         2.0 ** (k / 2) * np.abs(vals[ks == k]).max() for k in range(7)
     )
     assert dense <= bound + 1e-12
-    on_nodes = np.abs(evaluate_function(u, basis, basis.node_grid())).max()
+    on_nodes = np.abs(evaluate_function(u, basis.node_grid())).max()
     assert on_nodes >= dense - 1e-12
 
 
@@ -140,8 +137,8 @@ def test_sup_norm_exact_on_node_grid():
     basis = WaveletBasis(4)
     rng = np.random.default_rng(27)
     u = CoefVec.dyadic(rng.normal(size=31), 4)
-    exact = np.abs(evaluate_function(u, basis, basis.node_grid())).max()
-    dense = np.abs(evaluate_function(u, basis, np.linspace(0, 1, 2**12 + 1))).max()
+    exact = np.abs(evaluate_function(u, basis.node_grid())).max()
+    dense = np.abs(evaluate_function(u, np.linspace(0, 1, 2**12 + 1))).max()
     assert exact == pytest.approx(dense, rel=1e-12)
 
 

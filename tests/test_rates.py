@@ -16,7 +16,7 @@ from pexp.rates import (
     rate_l2,
     rate_l2_rescaled,
     rate_sup,
-    sup_contraction_exponent,
+    sup_contraction_rate,
 )
 
 
@@ -158,7 +158,15 @@ def test_sup_rates_example():
     rho, rho_t = rate_sup(1.0, 1.0, 1.0)
     assert rho.poly_exponent == Fraction(1, 3)
     assert rho_t.poly_exponent == Fraction(7, 24)
-    assert sup_contraction_exponent(1.0, 1.0, 1.0) == Fraction(7, 24)
+    assert sup_contraction_rate(1.0, 1.0, 1.0) == rho_t
+
+
+def test_sup_contraction_rate_keeps_the_rate_equation_leg_on_ties():
+    # p = 2 with beta > alpha ties the legs exactly; the slower leg otherwise
+    for alpha, beta, p in ((1, 2, 2), (Fraction(1, 2), 1, 2), (1, 1, 1), (2, 1, 1.5)):
+        rho, rho_t = rate_sup(alpha, beta, p)
+        want = rho_t if rho_t.poly_exponent < rho.poly_exponent else rho
+        assert sup_contraction_rate(alpha, beta, p) == want
 
 
 def test_sup_collapse_at_p2():
