@@ -23,6 +23,8 @@ from .measure import WaveletBasis, pexp_measure
 from .sequences import BesovParams, CoefVec, ScalingSpec, load_coefvec, make_truth
 from .sequences import dyadic_level_index, loglog_fit
 
+MIN_TRUNCATION = 16  # white-noise cells keep at least this many coefficients
+
 
 @dataclass(frozen=True)
 class LambdaRule:
@@ -80,8 +82,9 @@ class ExperimentConfig:
             raise ValueError("thin must be >= 1 and burn_in >= 0")
         if self.levels < 0:
             raise ValueError(f"levels must be >= 0, got {self.levels}")
-        if self.max_truncation < 16:  # _truncation_for's floor would override it
-            raise ValueError(f"max_truncation must be >= 16, got {self.max_truncation}")
+        if self.max_truncation < MIN_TRUNCATION:
+            raise ValueError(
+                f"max_truncation must be >= {MIN_TRUNCATION}, got {self.max_truncation}")
         if not (math.isfinite(self.slope_tol) and self.slope_tol > 0):
             raise ValueError(f"slope_tol must be finite and > 0, got {self.slope_tol}")
         if self.lambda_rule is not None:  # InvalidRateQuery without a rescaled theory
@@ -162,7 +165,7 @@ def _truncation_for(cfg: ExperimentConfig, n: int, lam: float) -> int:
     budget = (0.01 * mn) ** 2
     # integral tail bound: lam^2 N^{-2 alpha} / (2 alpha)
     N = math.ceil((lam**2 / (2 * cfg.alpha) / budget) ** (1.0 / (2 * cfg.alpha)))
-    return max(16, min(N, cfg.max_truncation))
+    return max(MIN_TRUNCATION, min(N, cfg.max_truncation))
 
 
 def _wn_truth(cfg: ExperimentConfig) -> CoefVec:
@@ -172,9 +175,12 @@ def _wn_truth(cfg: ExperimentConfig) -> CoefVec:
 
 
 def _de_truth(cfg: ExperimentConfig) -> CoefVec:
-    """Dyadic truth at the B^beta_{inf,inf} boundary: |u_kl| = 2^{-(1/2+beta)k}."""
+    """Dyadic truth at the B^beta_{inf,inf} boundary: |u_kl| = 2^{-(1/2+beta)k};
+    a truth_file may be coarser than ``levels``, not finer (ValueError)."""
     if cfg.truth_file:
-        return load_coefvec(cfg.truth_file)
+        truth = load_coefvec(cfg.truth_file)
+        models.check_depth(truth, WaveletBasis(cfg.levels))
+        return truth
     K = cfg.levels
     ks = dyadic_level_index(K)
     mags = 2.0 ** (-(0.5 + cfg.beta) * ks)

@@ -118,22 +118,33 @@ MC_THREADS = (
 _POOL_THREAD_PREFIX = "pexp-mc"
 
 
-@lru_cache(maxsize=None)
-def _mc_pool(threads: int, pid: int) -> ThreadPoolExecutor:
-    """The shared pool; keyed by process id too, since a forked child
-    inherits the pool object but none of its threads."""
-    return ThreadPoolExecutor(threads, thread_name_prefix=_POOL_THREAD_PREFIX)
+def _reset_pool() -> None:  # one pool a process; a forked child has none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = (0, None), threading.Lock()
+
+
+_reset_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool)
 
 
 def pool_map(fn, *items, threads: int | None = None) -> list:
     """``fn`` over ``items`` (zipped, as in ``map``) on the shared pool of
     ``threads`` threads (MC_THREADS when None), results in item order.  On a
     pool thread it maps serially: a task that waits on the bounded pool can
-    deadlock it.  So a white-noise cell, which ``run_contraction`` runs here,
-    maps serially inside itself instead of nesting a second pool."""
+    deadlock it.  Another thread count replaces the pool; the old one's
+    queued tasks still run."""
+    global _pool
     if threading.current_thread().name.startswith(_POOL_THREAD_PREFIX):
         return list(map(fn, *items))
-    return list(_mc_pool(threads or MC_THREADS, os.getpid()).map(fn, *items))
+    threads = threads or MC_THREADS
+    with _pool_lock:
+        if _pool[0] != threads:
+            if _pool[1] is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = threads, ThreadPoolExecutor(threads, thread_name_prefix=_POOL_THREAD_PREFIX)
+        results = _pool[1].map(fn, *items)  # submits every item before it returns
+    return list(results)
 
 
 def mc_blocks(draw, samples: int, width: int, rng: np.random.Generator) -> list:

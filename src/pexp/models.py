@@ -199,12 +199,22 @@ def _log_int_exp_shifted(W: np.ndarray, shift: float) -> list[float]:
             else _log_int_exp(W[i])[0] for i, s in enumerate(sums)]
 
 
+def check_depth(u, basis: WaveletBasis) -> None:
+    """Raise ValueError if ``u`` (a CoefVec or coefficient rows) has a level
+    finer than ``basis``; W is linear between the basis nodes only without one."""
+    count = coef_values(u).shape[-1]
+    if count > basis.n_coefficients:
+        raise ValueError(f"{count} coefficients exceed the {basis.n_coefficients} "
+                         f"of the {basis.levels}-level basis")
+
+
 def de_density(u, basis: WaveletBasis) -> np.ndarray:
     """exp(W) / int exp(W) at ``basis.node_grid()``, exactly normalized; the
     log-density is linear between the nodes, so these values define it.
     ``u`` is a dyadic CoefVec or an array of coefficient rows, as
     ``evaluate_function`` takes it; rows give one density each.  The basis
-    fixes the node grid, which may be finer than u's levels."""
+    fixes the node grid; u may be coarser than it, not finer (ValueError)."""
+    check_depth(u, basis)
     W = evaluate_function(u, basis.node_grid())
     return np.exp(W - np.expand_dims(_log_int_exp(W)[0], -1))
 
@@ -215,9 +225,10 @@ def de_simulate(
     """n points in [0, 1] from the density of ``w0`` on ``basis.node_grid()``
     (as ``de_density`` gives it), by exact inverse-CDF sampling: a node
     segment by its mass, then the closed-form inverse of the segment CDF
-    (e^{st} - 1) / (e^s - 1)."""
+    (e^{st} - 1) / (e^s - 1).  A w0 finer than ``basis`` raises ValueError."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
+    check_depth(w0, basis)
     nodes = basis.node_grid()
     W = evaluate_function(w0, nodes)
     mass = _log_int_exp(W)[1]

@@ -395,6 +395,20 @@ def test_experiment_reports_a_missing_truth_file_in_one_line(tmp_path, capsys):
     assert "No such file" in err and str(missing) in err
 
 
+def test_de_experiment_rejects_a_truth_finer_than_its_levels_in_one_line(tmp_path, capsys):
+    # used to run on the truth read at the coarser nodes, a different law
+    truth = tmp_path / "truth.csv"
+    save_coefvec(CoefVec.dyadic(np.zeros(127), 6), truth)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(WN_CFG, model="density", levels=3, truth_file=str(truth))))
+    code = main(["de-experiment", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("pexp de-experiment: ")
+    assert "127 coefficients exceed the 15 of the 3-level basis" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_wn_experiment_writes_partial_rows_when_cells_fail(tmp_path, capsys, monkeypatch):
     cell = experiments._wn_cell
 

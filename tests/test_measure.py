@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -356,6 +357,17 @@ def test_pool_map_runs_serially_on_a_pool_thread():
         child.wait(60)
         assert child.ready()
         assert child.get() == [[[0, 1, 2], [10, 11, 12]]]
+
+
+def test_pool_map_holds_one_pool_at_a_time():
+    # a call with another thread count replaces the pool, and the old
+    # pool's threads end once their tasks are done
+    ran = set(measure.pool_map(lambda _: threading.current_thread(), range(6), threads=3))
+    assert all(t.name.startswith("pexp-mc") for t in ran)
+    assert measure.pool_map(lambda x: 2 * x, range(3), threads=2) == [0, 2, 4]
+    for t in ran:
+        t.join(10)
+        assert not t.is_alive()
 
 
 def test_mc_blocks_split_rows_in_order():

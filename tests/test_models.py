@@ -836,6 +836,21 @@ def test_density_rows_match_one_draw_at_a_time():
         evaluate_function(rows[:, :14], basis.node_grid())
 
 
+def test_density_truth_may_be_coarser_than_the_basis_not_finer():
+    # a finer u is not linear between the basis nodes, so neither its
+    # density nor its sample can be read there
+    coarse = de_density(CoefVec.dyadic(np.zeros(15), 3), WaveletBasis(5))
+    assert np.array_equal(coarse, np.ones(65))
+    fine = CoefVec.dyadic(np.zeros(127), 6)
+    for call in (
+        lambda: de_density(fine, WaveletBasis(3)),
+        lambda: de_density(np.zeros((2, 127)), WaveletBasis(3)),
+        lambda: de_simulate(fine, WaveletBasis(3), 10, np.random.default_rng(0)),
+    ):
+        with pytest.raises(ValueError, match="127 coefficients exceed the 15 of the 3-level"):
+            call()
+
+
 def test_hellinger_identical_zero():
     assert hellinger(np.ones(33), np.ones(33)) == 0.0
     basis = WaveletBasis(4)
